@@ -58,6 +58,13 @@ def _parse_sizes(raw, k):
         raise GraphError(f"could not parse clique sizes {raw!r}")
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer >= 1, so a bad value is a usage error."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _need(args, flag):
     val = getattr(args, flag.lstrip("-").replace("-", "_"))
     if val is None:
@@ -218,29 +225,20 @@ def cmd_certify(args) -> int:
     if args.n is not None:
         params["n"] = args.n
     if args.set is not None:
-        params["s_set"] = tuple(int(x) for x in args.set.split(","))
+        params["s_set"] = args.set
 
     results: list[CheckResult] = []
-    if mode == "extendibility":
+    if mode in ("extendibility", "s-extendibility"):
+        if mode == "s-extendibility" and args.set is None:
+            raise GraphError("s-extendibility needs --set, e.g. --set 1,2")
+        name, jumps = ("cycle-extendible", (1,)) if mode == "extendibility" else \
+            (f"s-cycle-extendible {sorted(args.set)}", args.set)
         g, desc = _load_input(args)
 
         def ext_fn():
-            verdict = cycles.is_cycle_extendible(g)
+            verdict = cycles.is_s_cycle_extendible(g, jumps)
             return verdict.extendible, verdict.witness, ""
-        _run_check("cycle-extendible", ext_fn, results)
-        report = {"command": "certify", "input": desc, "version": __version__,
-                  "parameters": jsonable(params)}
-        code = _emit(report, results)
-        return code
-    if mode == "s-extendibility":
-        if "s_set" not in params:
-            raise GraphError("s-extendibility needs --set, e.g. --set 1,2")
-        g, desc = _load_input(args)
-
-        def sext_fn():
-            verdict = cycles.is_s_cycle_extendible(g, params["s_set"])
-            return verdict.extendible, verdict.witness, ""
-        _run_check(f"s-cycle-extendible {sorted(params['s_set'])}", sext_fn, results)
+        _run_check(name, ext_fn, results)
         report = {"command": "certify", "input": desc, "version": __version__,
                   "parameters": jsonable(params)}
         return _emit(report, results)
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--hamiltonian", action="store_true")
     chk.add_argument("--connectivity", action="store_true")
     chk.add_argument("--induced-path", dest="induced_path", action="store_true")
-    chk.add_argument("--pt-free", dest="pt_free", type=int, metavar="T")
+    chk.add_argument("--pt-free", dest="pt_free", type=_positive_int, metavar="T")
     chk.add_argument("--bull-free", dest="bull_free", action="store_true")
 
     cert = sub.add_parser("certify", help="run extendibility engines or a named claim")
@@ -325,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(cert)
     cert.add_argument("--mode", required=True,
                       help="extendibility | s-extendibility | lemma:<id>")
-    cert.add_argument("--set", help="extension lengths for s-extendibility, e.g. 1,2")
+    cert.add_argument("--set", type=lambda raw: tuple(map(_positive_int, raw.split(","))),
+                      help="extension lengths for s-extendibility, e.g. 1,2")
 
     mod = sub.add_parser("model", help="emit a subtree intersection model")
     mod.add_argument("--input", help="graph6 file (clique tree mode)")

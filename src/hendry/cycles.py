@@ -3,23 +3,21 @@
 Two exact mechanisms back every predicate here:
 
 * a subset dynamic program over Hamiltonian paths anchored at the minimum
-  vertex of each subset (the cyclable table), bounded by a hard size cap
-  because it stores one endpoint word per subset; and
+  vertex of each subset (the cyclable table), bit-sliced into one 2^n-bit
+  integer per path endpoint and bounded by a hard size cap; and
 * a backtracking search for cycles spanning a fixed vertex set, with forced
   edges (heavy edges, or edges implied by degree-2 vertices) propagated up
   front, plus degree, connectivity and twin-symmetry pruning.  The search is
   exhaustive, so a miss is a proof of nonexistence.
 
 Cycle extendibility is decided on vertex subsets: a cycle with vertex set S
-exists iff S is cyclable, and extending by one vertex is a superset question.
+exists iff S is cyclable, and extending by s vertices is a superset question.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import Cycle, GraphError, LabeledGraph, SizeCapError
 
@@ -59,97 +57,133 @@ def _bits_of(mask) -> list[int]:
 
 # -- subset dynamic program ---------------------------------------------------
 
-class CyclableTable:
-    """Per-subset Hamiltonicity oracle for one graph.
+def _containing(n: int, v: int) -> int:
+    """The subsets that contain v, as an int whose bit S stands for mask S
+    (exact below max(2^n, 8); past 2^n, for n < 3, it meets no real subset)."""
+    size = max(1, (1 << n) >> 3)
+    if v < 3:
+        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[v:v + 1]) * size, "little")
+    half = 1 << (v - 3)
+    return int.from_bytes((bytes(half) + b"\xff" * half) * (size // (2 * half)), "little")
 
-    ends[S] holds the endpoints e for which G[S] has a Hamiltonian path from
-    min(S) to e; S is cyclable iff one of those endpoints sees min(S) back.
+
+def _drop_one(x: int, has: list[int]) -> int:
+    """Subsets T such that T plus one vertex outside T is in x."""
+    out = 0
+    for v, hv in enumerate(has):
+        out |= (x & hv) >> (1 << v)
+    return out
+
+
+class CyclableTable:
+    """Per-subset Hamiltonicity oracle for one graph, stored bit-sliced.
+
+    `rows` holds one 2^n-bit little-endian bitset per vertex e, `stride`
+    bytes apart: bit S of row e is set iff G[S] has a Hamiltonian path from
+    min(S) to e.  Bit S of `cyc` is set iff S is cyclable: |S| >= 3 and one
+    of those endpoints sees min(S) back.  The table holds (n+1)*2^n bits and
+    every query reads single bits.
     """
 
-    def __init__(self, g: LabeledGraph, ends: array):
+    def __init__(self, g: LabeledGraph, rows: bytes, cyc: bytes):
         self.graph = g
         self.n = g.n
-        self._ends = ends
+        self.stride = len(cyc)
+        self.rows = rows
+        self.cyc = cyc
         self._adj = g.adjacency_masks()
 
     def _as_mask(self, subset) -> int:
         return subset if isinstance(subset, int) else _mask_of(subset)
 
-    def endpoints(self, subset) -> int:
-        return self._ends[self._as_mask(subset)]
-
     def cyclable(self, subset) -> bool:
         mask = self._as_mask(subset)
-        if mask.bit_count() < 3:
-            return False
-        anchor = (mask & -mask).bit_length() - 1
-        return bool(self._ends[mask] & self._adj[anchor])
+        return bool(self.cyc[mask >> 3] >> (mask & 7) & 1)
 
     def iter_cyclable(self):
         """Cyclable subsets as masks, in increasing numeric (subset-index) order."""
-        ends = self._ends
-        adj = self._adj
-        for mask in range(7, 1 << self.n):
-            e = ends[mask]
-            if e and mask.bit_count() >= 3 and e & adj[(mask & -mask).bit_length() - 1]:
-                yield mask
+        for i, byte in enumerate(self.cyc):
+            while byte:
+                low = byte & -byte
+                byte ^= low
+                yield (i << 3) | (low.bit_length() - 1)
 
     def extension_candidates(self, subset) -> list[int]:
         mask = self._as_mask(subset)
         if not self.cyclable(mask):
             raise GraphError("subset is not cyclable")
-        out = []
-        for v in range(self.n):
-            if not (mask >> v) & 1 and self.cyclable(mask | (1 << v)):
-                out.append(v)
-        return out
+        return [v for v in range(self.n)
+                if not (mask >> v) & 1 and self.cyclable(mask | (1 << v))]
+
+    def _path_end(self, mask: int, allowed: int) -> int:
+        """Lowest vertex of `allowed` at which an anchored path spanning `mask` ends."""
+        for e in _bits_of(mask & allowed):
+            if self.rows[e * self.stride + (mask >> 3)] >> (mask & 7) & 1:
+                return e
 
     def cycle_for(self, subset) -> Cycle | None:
         """An explicit spanning cycle of the subset, rebuilt from the table."""
         mask = self._as_mask(subset)
         if not self.cyclable(mask):
             return None
-        adj = self._adj
         anchor = (mask & -mask).bit_length() - 1
-        end = (self._ends[mask] & adj[anchor])
-        cur = (end & -end).bit_length() - 1
+        cur = self._path_end(mask, self._adj[anchor])
         seq = [cur]
-        cur_mask = mask
         while cur != anchor:
-            prev_mask = cur_mask ^ (1 << cur)
-            preds = self._ends[prev_mask] & adj[cur]
-            cur = (preds & -preds).bit_length() - 1
+            mask ^= 1 << cur
+            cur = self._path_end(mask, self._adj[cur])
             seq.append(cur)
-            cur_mask = prev_mask
         return Cycle(reversed(seq)).validate(self.graph)
 
 
 def build_cyclable_table(g: LabeledGraph, cap: int | None = None) -> CyclableTable:
-    """Run the anchored Hamiltonian-path DP over every subset of V(g)."""
+    """Run the anchored Hamiltonian-path DP (Held-Karp) over every subset of V(g).
+
+    ends[e] gets bit S when G[S] has a Hamiltonian path from min(S) to e,
+    which (unless S = {e}) extends a path to a neighbour f spanning S - {e}:
+    OR_f ends[f] shifted left by 2^e adds e to every subset, and masking to
+    the subsets that contain e and have a smaller minimum drops the carries.
+    Sweeping in place reaches the fixed point within n - 1 sweeps.
+    """
     cap = subset_cap() if cap is None else cap
     n = g.n
     if n > cap:
         raise SizeCapError(
             f"subset table needs 2^{n} entries; cap is {cap} vertices")
-    adj = g.adjacency_masks()
-    size = 1 << n
-    ends = array("q", bytes(8 * size))
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    for mask in range(3, size):
-        low = mask & -mask
-        rest = mask ^ low
-        if not rest:
-            continue
-        res = 0
-        mm = rest
-        while mm:
-            eb = mm & -mm
-            mm ^= eb
-            if ends[mask ^ eb] & adj[eb.bit_length() - 1]:
-                res |= eb
-        ends[mask] = res
-    return CyclableTable(g, ends)
+    nbrs = [_bits_of(m) for m in g.adjacency_masks()]
+    below = []  # below[e]: subsets containing e whose minimum is below e
+    lower = 0   # subsets with a member below the current e
+    for e in range(n):
+        has = _containing(n, e)
+        below.append(has & lower)
+        lower |= has
+    ends = [1 << (1 << e) for e in range(n)]
+    for _ in range(n - 1):
+        changed = False
+        for e in range(n):
+            reach = 0
+            for f in nbrs[e]:
+                reach |= ends[f]
+            grown = ends[e] | (reach << (1 << e)) & below[e]
+            changed |= grown != ends[e]
+            ends[e] = grown
+        if not changed:
+            break
+    # S is cyclable when a path spanning S ends at a neighbour of a = min(S)
+    cyc = 0
+    for a in range(n):
+        reach = 0
+        for f in nbrs[a]:
+            reach |= ends[f]
+        cyc |= reach & (_containing(n, a) ^ below[a])
+    size = max(1, (1 << n) >> 3)
+    cyc_bytes = bytearray(cyc.to_bytes(size, "little"))
+    for a, b in g.edges():  # an edge is a two-vertex path, not a cycle
+        pair = (1 << a) | (1 << b)
+        cyc_bytes[pair >> 3] &= ~(1 << (pair & 7))
+    del below, cyc  # free them, and each int as it is copied, to bound peak memory
+    rows = [ends.pop(0).to_bytes(size, "little") for _ in range(n)]
+    return CyclableTable(g, b"".join(rows), bytes(cyc_bytes))
 
 
 # -- backtracking search ------------------------------------------------------
@@ -482,37 +516,10 @@ class ExtensionVerdict:
         return self.extendible
 
 
-def non_extendible_sets(table: CyclableTable):
-    """Cyclable proper subsets with no one-vertex cyclable extension, as masks."""
-    n = table.n
-    adj = table._adj
-    ends = table._ends
-    full = (1 << n) - 1
-    for mask in table.iter_cyclable():
-        if mask == full:
-            continue
-        out = full & ~mask
-        good = False
-        mm = out
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            sup = mask | bit
-            if ends[sup] & adj[(sup & -sup).bit_length() - 1]:
-                good = True
-                break
-        if not good:
-            yield mask
-
-
 def is_cycle_extendible(g: LabeledGraph, table: CyclableTable | None = None,
                         cap: int | None = None) -> ExtensionVerdict:
     """Every cyclable proper subset must extend by exactly one vertex."""
-    if table is None:
-        table = build_cyclable_table(g, cap)
-    for mask in non_extendible_sets(table):
-        return ExtensionVerdict(False, frozenset(_bits_of(mask)))
-    return ExtensionVerdict(True, None)
+    return is_s_cycle_extendible(g, (1,), table, cap)
 
 
 def vertex_on_triangle(g: LabeledGraph, v: int) -> bool:
@@ -531,16 +538,16 @@ def is_fully_cycle_extendible(g: LabeledGraph, table: CyclableTable | None = Non
     return is_cycle_extendible(g, table, cap).extendible
 
 
-def could_be_s_extendible(mask_size: int, n: int, s_set) -> bool:
-    """The chosen reading: some jump in the set still fits inside the graph."""
-    return any(mask_size + s <= n for s in s_set)
-
-
 def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = None,
                           cap: int | None = None) -> ExtensionVerdict:
     """Every cyclable subset that could grow by some s in s_set must do so.
 
-    With s_set = {1} this coincides with plain cycle extendibility.
+    The chosen reading: a subset with room for no jump in the set is exempt.
+    Decided for all subsets at once: with D(X) the subsets one vertex short
+    of a member of X, the failures are cyc & D^(min s)(all) & ~OR_s D^s(cyc);
+    jumps past n are clamped, so any jumps cost at most 2n + 1 drop steps.
+    The witness is the numerically smallest failure.  With s_set = {1} this
+    coincides with plain cycle extendibility.
     """
     jumps = sorted(set(s_set))
     if not jumps:
@@ -550,25 +557,17 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = 
     if table is None:
         table = build_cyclable_table(g, cap)
     n = table.n
-    full = (1 << n) - 1
-    for mask in table.iter_cyclable():
-        size = mask.bit_count()
-        if not could_be_s_extendible(size, n, jumps):
-            continue
-        outside = _bits_of(full & ~mask)
-        good = False
-        for s in jumps:
-            if size + s > n:
-                continue
-            for combo in combinations(outside, s):
-                add = 0
-                for v in combo:
-                    add |= 1 << v
-                if table.cyclable(mask | add):
-                    good = True
-                    break
-            if good:
-                break
-        if not good:
-            return ExtensionVerdict(False, frozenset(_bits_of(mask)))
-    return ExtensionVerdict(True, None)
+    has = [_containing(n, v) for v in range(n)]
+    room = (1 << (1 << n)) - 1
+    for _ in range(min(jumps[0], n + 1)):
+        room = _drop_one(room, has)
+    cyc = int.from_bytes(table.cyc, "little")
+    grown, reach = 0, cyc
+    for s in range(1, min(jumps[-1], n) + 1):
+        reach = _drop_one(reach, has)
+        if s in jumps:
+            grown |= reach
+    bad = cyc & room & ~grown
+    if not bad:
+        return ExtensionVerdict(True, None)
+    return ExtensionVerdict(False, frozenset(_bits_of((bad & -bad).bit_length() - 1)))

@@ -42,6 +42,59 @@ def permutation_cyclable_sets(g: LabeledGraph) -> set[int]:
     return out
 
 
+def anchored_path_ends(g: LabeledGraph) -> list[int]:
+    """The anchored Hamiltonian-path DP filled one subset at a time.
+
+    Word S has bit e set iff G[S] has a Hamiltonian path from min(S) to e.
+    This is the per-mask pull loop the bit-sliced table replaced.
+    """
+    adj = g.adjacency_masks()
+    ends = [0] * (1 << g.n)
+    for v in range(g.n):
+        ends[1 << v] = 1 << v
+    for mask in range(3, 1 << g.n):
+        rest = mask & (mask - 1)  # every member but the anchor min(S)
+        while rest:
+            eb = rest & -rest
+            rest ^= eb
+            if ends[mask ^ eb] & adj[eb.bit_length() - 1]:
+                ends[mask] |= eb
+    return ends
+
+
+def cyclable_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> bool:
+    """S is cyclable iff |S| >= 3 and some path end sees min(S) back."""
+    anchor = (mask & -mask).bit_length() - 1
+    return mask.bit_count() >= 3 and bool(ends[mask] & g.adjacency_masks()[anchor])
+
+
+def cycle_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> list[int]:
+    """Walk back from the lowest path end that closes the cycle, always
+    stepping to the lowest predecessor."""
+    adj = g.adjacency_masks()
+    anchor = (mask & -mask).bit_length() - 1
+    end = ends[mask] & adj[anchor]
+    cur = (end & -end).bit_length() - 1
+    seq = [cur]
+    while cur != anchor:
+        mask ^= 1 << cur
+        preds = ends[mask] & adj[cur]
+        cur = (preds & -preds).bit_length() - 1
+        seq.append(cur)
+    return seq[::-1]
+
+
+def small_graphs(max_n: int = 10):
+    """Hypothesis strategy: labeled graphs on 1..max_n vertices."""
+    from hypothesis import strategies as st
+
+    def build(n):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+            lambda keep: LabeledGraph(n, [e for e, k in zip(pairs, keep) if k]))
+    return st.integers(1, max_n).flatmap(build)
+
+
 def permutation_hamiltonian(g: LabeledGraph) -> bool:
     """Spanning-cycle existence by trying every vertex permutation."""
     if g.n < 3:

@@ -175,3 +175,19 @@ def test_reports_are_deterministic(capsys):
 def test_usage_errors(capsys):
     assert run_cli(capsys, "check")[0] == 2  # no input, no checks
     assert run_cli(capsys, "nonsense")[0] == 2
+
+
+def test_bad_jump_set_is_usage_error(capsys):
+    for raw in ("a,b", "1,", "0,1", "-2"):
+        code, stdout, err = run_cli(capsys, "certify", "--family", "hk", "--k", "3",
+                                    "--mode", "s-extendibility", "--set", raw)
+        assert code == 2, raw
+        assert stdout == "" and "--set" in err
+
+
+def test_nonpositive_pt_free_is_usage_error(capsys):
+    for raw in ("0", "-1"):
+        code, stdout, err = run_cli(capsys, "check", "--family", "gk", "--k", "3",
+                                    "--pt-free", raw)
+        assert code == 2, raw
+        assert stdout == "" and "--pt-free" in err

@@ -30,7 +30,10 @@ from hendry import (
     witness_long_heavy_cycle,
 )
 from oracles import (
+    anchored_path_ends,
     brute_force_s_extendible,
+    cycle_from_ends,
+    cyclable_from_ends,
     gnp,
     permutation_count_heavy_cycles,
     permutation_cyclable_sets,
@@ -56,6 +59,53 @@ def test_table_matches_permutation_oracle():
         t = build_cyclable_table(g)
         oracle = permutation_cyclable_sets(g)
         assert {m for m in range(1 << g.n) if t.cyclable(m)} == oracle
+
+
+def _bitset(masks, n) -> bytes:
+    out = bytearray(max(1, (1 << n) >> 3))
+    for mask in masks:
+        out[mask >> 3] |= 1 << (mask & 7)
+    return bytes(out)
+
+
+def assert_table_matches_path_dp(g, check_cycles=True):
+    """Every row bit and cyclable bit, and every rebuilt cycle, against the
+    per-mask DP oracle."""
+    t = build_cyclable_table(g)
+    ends = anchored_path_ends(g)
+    for e in range(g.n):
+        want = _bitset((m for m, word in enumerate(ends) if word >> e & 1), g.n)
+        assert t.rows[e * t.stride:(e + 1) * t.stride] == want, f"row {e}"
+    cyclable = [m for m in range(1 << g.n) if cyclable_from_ends(g, ends, m)]
+    assert t.cyc == _bitset(cyclable, g.n)
+    assert list(t.iter_cyclable()) == cyclable
+    if check_cycles:
+        for mask in cyclable:
+            assert list(t.cycle_for(mask)) == cycle_from_ends(g, ends, mask)
+
+
+def test_table_matches_path_dp_oracle():
+    rng = random.Random(5)
+    for i in range(240):
+        n = 1 + i % 10
+        assert_table_matches_path_dp(gnp(n, rng.choice((0.3, 0.5, 0.7)), rng))
+    assert_table_matches_path_dp(build_gk(3))
+    assert_table_matches_path_dp(build_s(3), check_cycles=False)
+
+
+def test_s_extendibility_large_jumps_match_brute_force():
+    # jumps past n extend nothing; they must neither change the verdict nor
+    # cost more than n drop steps
+    rng = random.Random(17)
+    for _ in range(60):
+        g = gnp(rng.randint(3, 8), 0.55, rng)
+        t = build_cyclable_table(g)
+        for s_set in ({1, g.n}, {g.n + 5}, {1, 10**9}):
+            want_ok, want_wit = brute_force_s_extendible(g, s_set)
+            got = is_s_cycle_extendible(g, s_set, t)
+            assert got.extendible == want_ok
+            if not want_ok:
+                assert sum(1 << v for v in got.witness) == want_wit
 
 
 def test_backtracker_matches_table():

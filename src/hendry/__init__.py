@@ -29,16 +29,13 @@ from .core import (
     LabeledGraph,
     SizeCapError,
     complete_graph,
-    contract_parts,
     cycle_from_edge_set,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    is_isomorphic,
     join,
     paste_clique,
     path_graph,
-    same_adjacency,
 )
 from .cycles import (
     CyclableTable,
@@ -46,7 +43,6 @@ from .cycles import (
     build_cyclable_table,
     extension_candidates,
     find_spanning_cycle,
-    hamiltonian_cycle,
     heavy_cycles_on,
     is_cyclable,
     is_cycle_extendible,
@@ -56,7 +52,6 @@ from .cycles import (
 )
 from .families import (
     HkSpec,
-    blowup_parts,
     build_dn,
     build_gk,
     build_gkm,
@@ -65,7 +60,6 @@ from .families import (
     build_hk,
     build_hkm,
     build_jk,
-    build_r,
     build_s,
     gk_reference_elimination_order,
     heavy_edge_names,

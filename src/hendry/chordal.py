@@ -123,21 +123,11 @@ def _closed_masks(masks: list[int]) -> list[int]:
 
 def is_simple_vertex(g: LabeledGraph, v: int) -> bool:
     """Closed neighborhoods of N[v] form a chain under inclusion."""
-    closed = _closed_masks(g.adjacency_masks())
-    members = [v] + sorted(g.neighbors(v))
-    for i, a in enumerate(members):
-        ca = closed[a]
-        for b in members[i + 1:]:
-            cb = closed[b]
-            merged = ca | cb
-            if merged != ca and merged != cb:
-                return False
-    return True
+    return _simple_in_alive(_closed_masks(g.adjacency_masks()), (1 << g.n) - 1, v)
 
 
-def _simple_in_alive(closed, alive_mask, members_mask, v) -> bool:
-    cv = closed[v] & alive_mask
-    members = cv
+def _simple_in_alive(closed, alive_mask, v) -> bool:
+    members = closed[v] & alive_mask
     seen = []
     while members:
         bit = members & -members
@@ -164,7 +154,7 @@ def find_simple_elimination_order(g: LabeledGraph) -> list[int] | None:
             bit = rest & -rest
             rest ^= bit
             v = bit.bit_length() - 1
-            if _simple_in_alive(closed, alive, alive, v):
+            if _simple_in_alive(closed, alive, v):
                 pick = v
                 break
         if pick < 0:
@@ -182,7 +172,7 @@ def is_simple_elimination_order(g: LabeledGraph, order) -> bool:
     closed = _closed_masks(g.adjacency_masks())
     alive = (1 << g.n) - 1
     for v in order:
-        if not _simple_in_alive(closed, alive, alive, v):
+        if not _simple_in_alive(closed, alive, v):
             return False
         alive ^= 1 << v
     return True

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import chordal, cycles, structure, treemodel
-from .core import GraphError
+from .core import GraphError, SizeCapError
 from .families import (
     HkSpec,
     build_dn,
@@ -44,8 +44,15 @@ class ClaimRun:
     results: list[CheckResult] = field(default_factory=list)
 
     def check(self, name, fn):
+        """Run fn and record its (verdict, witness[, detail]) or bare verdict.
+
+        A size cap hit inside fn fails only this check: its verdict is None.
+        """
         t0 = time.perf_counter()
-        out = fn()
+        try:
+            out = fn()
+        except SizeCapError as exc:
+            out = (None, None, f"cap exceeded: {exc}")
         if isinstance(out, tuple):
             verdict, witness = out[0], out[1]
             detail = out[2] if len(out) > 2 else ""
@@ -66,6 +73,23 @@ def _sizes(params, k):
     if sizes is None:
         return (3,) * (2 * k - 1)
     return tuple(sizes)
+
+
+def _lifted_ham(k, h):
+    """(spans h, cycle) for the heavy Hamiltonian witness of gk(k) lifted into h."""
+    ham = lift_cycle(witness_heavy_ham_cycle(k), h).validate(h)
+    return ham.vertex_set == frozenset(range(h.n)), list(ham)
+
+
+def _kappa_is(g, k):
+    cert = structure.vertex_connectivity(g)
+    return cert.kappa == k, cert.cut
+
+
+def model_check(model, g):
+    """verify_model as a check: (ok, no witness, the first discrepancy or "")."""
+    ok, why = treemodel.verify_model(model, g)
+    return ok, None, why or ""
 
 
 def claim_2_3(params) -> ClaimRun:
@@ -133,14 +157,16 @@ def claim_2_8(params) -> ClaimRun:
     k = params.get("k", 3)
     spec = HkSpec(k, _sizes(params, k))
     h = build_hk(spec)
-    ham = lift_cycle(witness_heavy_ham_cycle(k), h).validate(h)
-    run.check(f"hk{spec.clique_sizes} Hamiltonian",
-              lambda: (ham.vertex_set == frozenset(range(h.n)), list(ham)))
+    run.check(f"hk{spec.clique_sizes} Hamiltonian", lambda: _lifted_ham(k, h))
     expect = frozenset(range(h.n)) - {h.vertex("z"), h.vertex(f"v{k}")}
     if h.n <= cycles.subset_cap():
-        verdict = cycles.is_cycle_extendible(h)
-        run.check("not cycle extendible",
-                  lambda: (not verdict.extendible, sorted(verdict.witness or ())))
+        verdict = None
+
+        def scan():
+            nonlocal verdict
+            verdict = cycles.is_cycle_extendible(h)
+            return not verdict.extendible, sorted(verdict.witness or ())
+        run.check("not cycle extendible", scan)
         run.check("witness misses exactly z and vk",
                   lambda: (verdict.witness == expect, sorted(expect)))
     else:
@@ -168,9 +194,11 @@ def claim_3_1(params) -> ClaimRun:
     run = ClaimRun()
     g = build_gk(3)
     g_plus = g.with_added_edges([(g.vertex("u1"), g.vertex("u3"))])
-    length, path = structure.longest_induced_path(g_plus)
-    run.check("longest induced path of gk(3)+u1u3 has 6 vertices",
-              lambda: (length == 6, list(path)))
+
+    def longest():
+        length, path = structure.longest_induced_path(g_plus)
+        return length == 6, list(path)
+    run.check("longest induced path of gk(3)+u1u3 has 6 vertices", longest)
     named = [g.vertex(nm) for nm in ("u1", "u3", "z", "v3", "v2", "v1")]
     run.check("u1 u3 z v3 v2 v1 is an induced path",
               lambda: (structure.induces_path(g_plus, named), named))
@@ -179,15 +207,15 @@ def claim_3_1(params) -> ClaimRun:
     run.check("h_plus is induced-P9-free",
               lambda: (structure.is_pt_free(hp, 9), None))
     run.check("h_plus strongly chordal", lambda: chordal.is_strongly_chordal(hp))
-    ham = lift_cycle(witness_heavy_ham_cycle(3), hp).validate(hp)
-    run.check("h_plus Hamiltonian",
-              lambda: (ham.vertex_set == frozenset(range(hp.n)), list(ham)))
+    run.check("h_plus Hamiltonian", lambda: _lifted_ham(3, hp))
     if hp.n <= cycles.subset_cap():
-        verdict = cycles.is_cycle_extendible(hp)
         expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
-        run.check("h_plus not cycle extendible",
-                  lambda: (not verdict.extendible and verdict.witness == expect,
-                           sorted(verdict.witness or ())))
+
+        def scan():
+            verdict = cycles.is_cycle_extendible(hp)
+            return (not verdict.extendible and verdict.witness == expect,
+                    sorted(verdict.witness or ()))
+        run.check("h_plus not cycle extendible", scan)
     return run
 
 
@@ -198,10 +226,8 @@ def claim_3_2(params) -> ClaimRun:
     s = build_s(k)
     run.check(f"s({k}) chordal", lambda: bool(chordal.is_chordal(s)))
     run.check(f"s({k}) Hamiltonian",
-              lambda: (cycles.find_spanning_cycle(s, range(s.n)) is not None, None))
-    cert = structure.vertex_connectivity(s)
-    run.check(f"s({k}) connectivity is exactly {k}",
-              lambda: (cert.kappa == k, cert.cut))
+              lambda: (cycles.find_spanning_cycle(s) is not None, None))
+    run.check(f"s({k}) connectivity is exactly {k}", lambda: _kappa_is(s, k))
     return run
 
 
@@ -229,10 +255,14 @@ def claim_3_4(params) -> ClaimRun:
     s_set = sorted(set(params.get("s_set", (1, 2))))
     m = params.get("m") or max(s_set) + 1
     h = build_hkm(k, m, _sizes(params, k))
-    verdict = cycles.is_s_cycle_extendible(h, s_set)
-    run.check(f"hkm(k={k},m={m}) not {{{','.join(map(str, s_set))}}}-cycle extendible",
-              lambda: (not verdict.extendible, sorted(verdict.witness or ())))
-    if verdict.witness is not None:
+    verdict = None
+
+    def scan():
+        nonlocal verdict
+        verdict = cycles.is_s_cycle_extendible(h, s_set)
+        return not verdict.extendible, sorted(verdict.witness or ())
+    run.check(f"hkm(k={k},m={m}) not {{{','.join(map(str, s_set))}}}-cycle extendible", scan)
+    if verdict is not None and verdict.witness is not None:
         run.check("witness is cyclable",
                   lambda: (cycles.is_cyclable(h, verdict.witness), None))
     return run
@@ -242,13 +272,10 @@ def claim_3_5(params) -> ClaimRun:
     """Counterexamples exist at every connectivity: 2 via pastes, k >= 3 via blow-ups."""
     run = ClaimRun()
     h = build_hk(HkSpec(3, (3,) * 5))
-    cert = structure.vertex_connectivity(h)
-    run.check("hk(3, all 3) has connectivity exactly 2",
-              lambda: (cert.kappa == 2, cert.cut))
+    run.check("hk(3, all 3) has connectivity exactly 2", lambda: _kappa_is(h, 2))
     for k in params.get("k_range", [params.get("k", 3)]):
-        c = structure.vertex_connectivity(build_s(k))
         run.check(f"s({k}) has connectivity exactly {k}",
-                  lambda c=c, k=k: (c.kappa == k, c.cut))
+                  lambda s=build_s(k), k=k: _kappa_is(s, k))
     return run
 
 
@@ -259,16 +286,14 @@ def claim_3_6(params) -> ClaimRun:
     spec = HkSpec(k, _sizes(params, k))
     model = treemodel.explicit_model_hk(spec)
     h = build_hk(spec)
-    ok, why = treemodel.verify_model(model, h)
-    run.check(f"hk model verifies (k={k})", lambda: (ok, None, why or ""))
+    run.check(f"hk model verifies (k={k})", lambda: model_check(model, h))
     leaves, branch, maxdeg = treemodel.tree_stats(model.host)
     run.check(f"hk host: {2 * k - 1} leaves, {2 * k - 3} branch vertices, degree <= 3",
               lambda: ((leaves, branch, maxdeg) == (2 * k - 1, 2 * k - 3, 3), (leaves, branch, maxdeg)))
     x_order = params.get("x_order") or k + 3
     jmodel = treemodel.explicit_model_jk(k, spec.clique_sizes, x_order)
     j = build_jk(k, spec.clique_sizes, x_order)
-    ok2, why2 = treemodel.verify_model(jmodel, j)
-    run.check(f"jk model verifies (k={k})", lambda: (ok2, None, why2 or ""))
+    run.check(f"jk model verifies (k={k})", lambda: model_check(jmodel, j))
     l2, b2, d2 = treemodel.tree_stats(jmodel.host)
     run.check(f"jk host: {2 * k} leaves, {2 * k - 2} branch vertices, degree <= 3",
               lambda: ((l2, b2, d2) == (2 * k, 2 * k - 2, 3), (l2, b2, d2)))

@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import __version__, chordal, cycles, structure, treemodel
-from .claims import CheckResult, run_claim
+from .claims import CheckResult, ClaimRun, model_check, run_claim
 from .core import Cycle, GraphError, LabeledGraph, SizeCapError
 from .families import (
     HkSpec,
@@ -117,6 +116,9 @@ def _load_input(args) -> tuple[LabeledGraph, str]:
 
 
 def _emit(report: dict, results: list[CheckResult]) -> int:
+    for r in results:
+        if r.verdict is None:
+            print(f"{r.name}: {r.detail}", file=sys.stderr)
     results = sorted(results, key=lambda r: r.name)
     report["results"] = [
         {"name": r.name, "verdict": r.verdict, "witness": jsonable(r.witness),
@@ -130,17 +132,6 @@ def _emit(report: dict, results: list[CheckResult]) -> int:
     if any(r.verdict is False for r in results):
         return EXIT_PROPERTY_FAIL
     return EXIT_OK
-
-
-def _run_check(name, fn, results):
-    t0 = time.perf_counter()
-    try:
-        verdict, witness, detail = fn()
-    except SizeCapError as exc:
-        verdict, witness, detail = None, None, f"cap exceeded: {exc}"
-        print(f"{name}: {detail}", file=sys.stderr)
-    results.append(CheckResult(name, verdict, witness, detail,
-                               (time.perf_counter() - t0) * 1000.0))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -159,56 +150,53 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     g, desc = _load_input(args)
-    results: list[CheckResult] = []
-    cap = cycles.subset_cap()
+    run = ClaimRun()
 
     if args.chordal:
         def chordal_fn():
             res = chordal.is_chordal(g)
             wit = list(res.peo) if res else list(res.hole)
             return res.chordal, wit, "peo" if res else "chordless cycle"
-        _run_check("chordal", chordal_fn, results)
+        run.check("chordal", chordal_fn)
     if args.strongly_chordal:
         def strong_fn():
             order = chordal.find_simple_elimination_order(g)
             ok = bool(chordal.is_chordal(g)) and order is not None
             return ok, order, "simple elimination order" if ok else ""
-        _run_check("strongly-chordal", strong_fn, results)
+        run.check("strongly-chordal", strong_fn)
     if args.hamiltonian:
         def ham_fn():
-            if g.n > cap:
-                raise SizeCapError(f"Hamiltonicity capped at {cap} vertices")
-            cyc = cycles.hamiltonian_cycle(g)
+            cyc = cycles.find_spanning_cycle(g)
             return cyc is not None, cyc, ""
-        _run_check("hamiltonian", ham_fn, results)
+        run.check("hamiltonian", ham_fn)
     if args.connectivity:
         def conn_fn():
             cert = structure.vertex_connectivity(g)
             return True, {"kappa": cert.kappa, "cut": cert.cut}, "informational"
-        _run_check("connectivity", conn_fn, results)
+        run.check("connectivity", conn_fn)
     if args.induced_path:
         def path_fn():
             length, path = structure.longest_induced_path(g)
             return True, {"length": length, "path": list(path)}, "informational"
-        _run_check("induced-path", path_fn, results)
+        run.check("induced-path", path_fn)
     if args.pt_free is not None:
         def pt_fn():
             length, path = structure.longest_induced_path(g)
             ok = length < args.pt_free
             return ok, None if ok else list(path), f"longest induced path: {length}"
-        _run_check(f"p{args.pt_free}-free", pt_fn, results)
+        run.check(f"p{args.pt_free}-free", pt_fn)
     if args.bull_free:
         def bull_fn():
             res = chordal.is_bull_free(g)
             return res.bull_free, res.witness, ""
-        _run_check("bull-free", bull_fn, results)
+        run.check("bull-free", bull_fn)
 
-    if not results:
+    if not run.results:
         print("no checks requested", file=sys.stderr)
         return EXIT_USAGE
     report = {"command": "check", "input": desc, "version": __version__,
               "parameters": {"n": g.n, "edges": g.edge_count}}
-    return _emit(report, results)
+    return _emit(report, run.results)
 
 
 def cmd_certify(args) -> int:
@@ -227,7 +215,6 @@ def cmd_certify(args) -> int:
     if args.set is not None:
         params["s_set"] = args.set
 
-    results: list[CheckResult] = []
     if mode in ("extendibility", "s-extendibility"):
         if mode == "s-extendibility" and args.set is None:
             raise GraphError("s-extendibility needs --set, e.g. --set 1,2")
@@ -238,10 +225,11 @@ def cmd_certify(args) -> int:
         def ext_fn():
             verdict = cycles.is_s_cycle_extendible(g, jumps)
             return verdict.extendible, verdict.witness, ""
-        _run_check(name, ext_fn, results)
+        run = ClaimRun()
+        run.check(name, ext_fn)
         report = {"command": "certify", "input": desc, "version": __version__,
                   "parameters": jsonable(params)}
-        return _emit(report, results)
+        return _emit(report, run.results)
     if mode.startswith("lemma:"):
         claim_id = mode[len("lemma:"):]
         run = run_claim(claim_id, params)
@@ -252,7 +240,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_model(args) -> int:
-    results: list[CheckResult] = []
+    run = ClaimRun()
     if args.family == "hk":
         spec = HkSpec(args.k, _parse_sizes(args.sizes, args.k))
         model = treemodel.explicit_model_hk(spec)
@@ -273,11 +261,10 @@ def cmd_model(args) -> int:
     payload["stats"] = {"leaves": leaves, "branch_vertices": branch,
                         "max_degree": maxdeg}
     if args.verify:
-        ok, why = treemodel.verify_model(model, g)
-        _run_check("model-verifies", lambda: (ok, None, why or ""), results)
+        run.check("model-verifies", lambda: model_check(model, g))
     report = {"command": "model", "input": desc, "version": __version__,
               "parameters": {"n": g.n}, "model": jsonable(payload)}
-    return _emit(report, results)
+    return _emit(report, run.results)
 
 
 # -- argument parsing -----------------------------------------------------------

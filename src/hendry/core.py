@@ -10,7 +10,6 @@ return new graphs.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 
 class GraphError(ValueError):
@@ -101,17 +100,8 @@ class LabeledGraph:
         return self._masks
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
+        full = (1 << self.n) - 1
+        return self.n == 0 or reach(self.adjacency_masks(), 1, full) == full
 
     # -- roles ------------------------------------------------------------
 
@@ -155,9 +145,19 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.edge_count})"
 
 
-def same_adjacency(g: LabeledGraph, h: LabeledGraph) -> bool:
-    """Labelled equality on adjacency alone (roles and heavy edges ignored)."""
-    return g.n == h.n and all(g.neighbors(v) == h.neighbors(v) for v in range(g.n))
+def reach(adj_masks, start_mask: int, within_mask: int) -> int:
+    """The vertices of within_mask reachable from start_mask (a subset of it)
+    along edges that stay inside within_mask, as a bitmask."""
+    seen = frontier = start_mask
+    while frontier:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= adj_masks[bit.bit_length() - 1]
+        frontier = nxt & within_mask & ~seen
+        seen |= frontier
+    return seen
 
 
 # -- small builders --------------------------------------------------------
@@ -228,52 +228,6 @@ def paste_clique(g: LabeledGraph, e, r: int, edge_index=None) -> LabeledGraph:
     return LabeledGraph(g.n + r - 2, edges, roles, g.heavy_edges)
 
 
-def contract_parts(g: LabeledGraph, parts, require_connected: bool = True) -> LabeledGraph:
-    """Quotient simple graph: one vertex per part, adjacent iff a cross edge exists.
-
-    Parts must partition V(g).  By default each part must induce a connected
-    subgraph; pass require_connected=False to allow quotients over independent
-    parts (needed when collapsing the blow-up attachment sets).
-    """
-    parts = [tuple(p) for p in parts]
-    owner = {}
-    for i, p in enumerate(parts):
-        if not p:
-            raise GraphError("empty part in contraction")
-        for v in p:
-            if v in owner:
-                raise GraphError(f"vertex {v} appears in two parts")
-            owner[v] = i
-    if len(owner) != g.n or any(v not in owner for v in range(g.n)):
-        raise GraphError("parts do not partition the vertex set")
-
-    if require_connected:
-        for p in parts:
-            if not _part_connected(g, p):
-                raise GraphError(f"part {p} does not induce a connected subgraph")
-
-    qedges = set()
-    for u, v in g.edges():
-        pu, pv = owner[u], owner[v]
-        if pu != pv:
-            qedges.add(_norm_edge(pu, pv))
-    return LabeledGraph(len(parts), sorted(qedges))
-
-
-def _part_connected(g: LabeledGraph, part) -> bool:
-    part = set(part)
-    start = next(iter(part))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u in part and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == part
-
-
 # -- cycles ------------------------------------------------------------------
 
 class Cycle:
@@ -337,44 +291,3 @@ def cycle_from_edge_set(g: LabeledGraph, edges) -> Cycle:
     if len(order) != len(nbr):
         raise GraphError("edge set is not a single cycle")
     return Cycle(order).validate(g)
-
-
-# -- brute-force isomorphism (small graphs only) ------------------------------
-
-def is_isomorphic(g: LabeledGraph, h: LabeledGraph, cap: int = 10) -> bool:
-    """Backtracking isomorphism test, intended for contraction cross-checks."""
-    if g.n > cap or h.n > cap:
-        raise SizeCapError(f"isomorphism check capped at {cap} vertices")
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-
-    # match rarest-degree vertices first
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i):
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or g.degree(v) != h.degree(w):
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)

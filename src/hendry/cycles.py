@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import Cycle, GraphError, LabeledGraph, SizeCapError
+from .core import Cycle, GraphError, LabeledGraph, SizeCapError, reach
 
 DEFAULT_SUBSET_CAP = 24
 HARD_SUBSET_CAP = 26
@@ -380,19 +380,7 @@ def _spanning_cycle_search(adj_masks: list[int], m: int, forced_pairs,
 
         # the unexplored region plus both chain ends must be one piece
         region = rest | (1 << v) | start_bit
-        seen = 1 << v
-        frontier = seen
-        while frontier:
-            nxt = 0
-            ff = frontier
-            while ff:
-                bit = ff & -ff
-                ff ^= bit
-                nxt |= allowed[bit.bit_length() - 1]
-            nxt &= region & ~seen
-            seen |= nxt
-            frontier = nxt
-        if seen != region:
+        if reach(allowed, 1 << v, region) != region:
             return False
 
         order = sorted(_bits_of(cand),
@@ -453,30 +441,21 @@ def _run_on_subset(g: LabeledGraph, subset, forced_edges, count_all, use_twins, 
 
 # -- public operations ---------------------------------------------------------
 
-def is_cyclable(g: LabeledGraph, subset=None, cap: int | None = None) -> bool:
-    """Does the induced subgraph on `subset` (default all of V) have a spanning cycle?"""
-    cap = subset_cap() if cap is None else cap
-    subset = range(g.n) if subset is None else subset
-    count, _ = _run_on_subset(g, subset, (), count_all=False, use_twins=True, cap=cap)
-    return count > 0
+def find_spanning_cycle(g: LabeledGraph, subset=None, cap: int = BACKTRACK_CAP) -> Cycle | None:
+    """An explicit spanning cycle of the induced subgraph on `subset` (default
+    all of V), or None when there is none.
 
-
-def hamiltonian_cycle(g: LabeledGraph, subset=None, cap: int | None = None) -> Cycle | None:
-    """An explicit spanning cycle of `subset`, or None when there is none."""
-    cap = subset_cap() if cap is None else cap
-    subset = range(g.n) if subset is None else subset
-    _, cycle = _run_on_subset(g, subset, (), count_all=False, use_twins=True, cap=cap)
-    return cycle
-
-
-def find_spanning_cycle(g: LabeledGraph, subset, cap: int = BACKTRACK_CAP) -> Cycle | None:
-    """Exhaustive backtracking cyclability for sets beyond the table cap.
-
-    Used for the targeted blow-up queries, where the structure (twins and
+    Exhaustive backtracking: the structure of the families (twins and
     near-forced attachment sets) keeps the search small even past 30 vertices.
     """
+    subset = range(g.n) if subset is None else subset
     _, cycle = _run_on_subset(g, subset, (), count_all=False, use_twins=True, cap=cap)
     return cycle
+
+
+def is_cyclable(g: LabeledGraph, subset=None) -> bool:
+    """Does the induced subgraph on `subset` (default all of V) have a spanning cycle?"""
+    return find_spanning_cycle(g, subset) is not None
 
 
 def heavy_cycles_on(g: LabeledGraph, subset, cap: int = HEAVY_SET_CAP):

@@ -99,25 +99,15 @@ def pasted_vertices(g: LabeledGraph, edge_index: int) -> list[int]:
 
 # -- blow-up family -----------------------------------------------------------
 
-def build_r(k: int) -> LabeledGraph:
-    """Blow-up core: path cliques F/F' chained through z and vk, joined to the x's.
-
-    Contracting each F_i and F'_i to a point recovers gk(k-1).
-    """
-    return _blowup(k, with_attachments=False)
-
-
 def build_s(k: int) -> LabeledGraph:
     """Blow-up with an independent set attached to every heavy clique.
 
     Each heavy edge x_i u_i of gk(k-1) becomes the clique F_i + {x_i} of order
     k, and an independent set T_i of order k-1 is made complete to it (same on
-    the v-side with F'_i and T'_i).  The result has minimum degree k.
+    the v-side with F'_i and T'_i).  The result has minimum degree k.  The T
+    blocks are numbered last; contracting each F_i and F'_i of the rest to a
+    point recovers gk(k-1).
     """
-    return _blowup(k, with_attachments=True)
-
-
-def _blowup(k: int, with_attachments: bool) -> LabeledGraph:
     if k < 3:
         raise GraphError(f"blow-up needs k >= 3, got {k}")
     q = k - 1  # order of each blown-up clique
@@ -136,18 +126,15 @@ def _blowup(k: int, with_attachments: bool) -> LabeledGraph:
     vk = len(roles)
     roles.append(f"v{k}")
 
-    t_block = {}
-    tp_block = {}
-    if with_attachments:
-        for i in range(1, k):
-            t_block[i] = list(range(len(roles), len(roles) + q))
-            roles += [f"T{i}.{j}" for j in range(1, q + 1)]
-        for i in range(1, k - 1):
-            tp_block[i] = list(range(len(roles), len(roles) + q))
-            roles += [f"T'{i}.{j}" for j in range(1, q + 1)]
-
     xs = list(range(k - 1))
+    # T_i (T'_i) is an independent set complete to F_i + {x_i} (F'_i + {x_i})
     edges = []
+    for tag, blocks in (("T", f_block), ("T'", fp_block)):
+        for i, block in blocks.items():
+            t_block = range(len(roles), len(roles) + q)
+            roles += [f"{tag}{i}.{j}" for j in range(1, q + 1)]
+            edges += [(t, a) for t in t_block for a in block + [xs[i - 1]]]
+
     edges += [(a, b) for ai, a in enumerate(xs) for b in xs[ai + 1:]]
     for block in list(f_block.values()) + list(fp_block.values()):
         edges += [(a, b) for ai, a in enumerate(block) for b in block[ai + 1:]]
@@ -164,30 +151,7 @@ def _blowup(k: int, with_attachments: bool) -> LabeledGraph:
     core += [v for block in fp_block.values() for v in block]
     core += [z, vk]
     edges += [(x, v) for x in xs for v in core]
-    if with_attachments:
-        for i in range(1, k):
-            anchor = f_block[i] + [xs[i - 1]]
-            edges += [(t, a) for t in t_block[i] for a in anchor]
-        for i in range(1, k - 1):
-            anchor = fp_block[i] + [xs[i - 1]]
-            edges += [(t, a) for t in tp_block[i] for a in anchor]
-
     return LabeledGraph(len(roles), edges, roles)
-
-
-def blowup_parts(g: LabeledGraph, k: int, include_attachments: bool = True) -> dict[str, list[int]]:
-    """Named blocks of a blow-up graph (F_i, F'_i and, if present, T_i, T'_i)."""
-    parts = {}
-    for i in range(1, k):
-        parts[f"F{i}"] = g.vertices_with_prefix(f"F{i}.")
-    for i in range(1, k - 1):
-        parts[f"F'{i}"] = g.vertices_with_prefix(f"F'{i}.")
-    if include_attachments:
-        for i in range(1, k):
-            parts[f"T{i}"] = g.vertices_with_prefix(f"T{i}.")
-        for i in range(1, k - 1):
-            parts[f"T'{i}"] = g.vertices_with_prefix(f"T'{i}.")
-    return {name: vs for name, vs in parts.items() if vs}
 
 
 # -- subdivided family ---------------------------------------------------------
@@ -215,13 +179,8 @@ def build_gkm(k: int, m: int) -> LabeledGraph:
 
 def build_hkm(k: int, m: int, clique_sizes) -> LabeledGraph:
     """Paste one clique per heavy edge of gkm(k, m)."""
-    sizes = tuple(clique_sizes)
-    if len(sizes) != 2 * k - 1:
-        raise GraphError(f"expected {2 * k - 1} clique sizes, got {len(sizes)}")
-    if any(s < 3 for s in sizes):
-        raise GraphError("every pasted clique must have order >= 3")
     g = build_gkm(k, m)
-    for i, size in enumerate(sizes):
+    for i, size in enumerate(HkSpec(k, clique_sizes).clique_sizes):
         g = paste_clique(g, g.heavy_edges[i], size, edge_index=i)
     return g
 

@@ -114,10 +114,20 @@ def sidecar_dict(g: LabeledGraph) -> dict:
 
 
 def apply_sidecar(g: LabeledGraph, side: dict) -> LabeledGraph:
+    if not isinstance(side, dict):
+        raise GraphError("sidecar must be a JSON object")
     if side.get("n") != g.n:
         raise GraphError("sidecar vertex count does not match graph6 data")
-    return LabeledGraph(g.n, g.edges(), side.get("roles"),
-                        side.get("heavy_edges", ()))
+    roles = side.get("roles")
+    if roles is not None and (not isinstance(roles, list)
+                              or not all(isinstance(r, str) for r in roles)):
+        raise GraphError("sidecar roles must be a list of strings")
+    heavy = side.get("heavy_edges", [])
+    if not isinstance(heavy, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+            for e in heavy):
+        raise GraphError("sidecar heavy_edges must be a list of [int, int] pairs")
+    return LabeledGraph(g.n, g.edges(), roles, heavy)
 
 
 def save_graph(g: LabeledGraph, base_path: str) -> tuple[str, str]:
@@ -142,5 +152,9 @@ def load_graph(g6_path: str, sidecar_path: str | None = None) -> LabeledGraph:
         sidecar_path = candidate if os.path.exists(candidate) else None
     if sidecar_path is not None:
         with open(sidecar_path) as f:
-            g = apply_sidecar(g, json.load(f))
+            try:
+                side = json.load(f)
+            except ValueError as exc:
+                raise GraphError(f"sidecar {sidecar_path} is not valid JSON: {exc}")
+        g = apply_sidecar(g, side)
     return g

@@ -11,11 +11,10 @@ explicit hosts are what the tree-structure results are about.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .chordal import is_chordal
-from .core import GraphError, LabeledGraph
+from .core import GraphError, LabeledGraph, reach
 from .families import HkSpec, build_hk, build_jk, pasted_vertices
 
 
@@ -30,34 +29,21 @@ class HostTree:
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n_nodes))
         if len(self.labels) != n_nodes:
             raise GraphError("label count does not match node count")
-        adj = [set() for _ in range(n_nodes)]
+        adj = [0] * n_nodes  # neighbor bitmasks
         for a, b in self.edges:
             if not (0 <= a < n_nodes and 0 <= b < n_nodes) or a == b:
                 raise GraphError(f"bad tree edge ({a},{b})")
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = tuple(frozenset(s) for s in adj)
-        if len(self.edges) != n_nodes - 1 or not self._connected():
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        self._adj = tuple(adj)
+        if len(self.edges) != n_nodes - 1 or not self.subset_connected(range(n_nodes)):
             raise GraphError("host is not a tree")
 
-    def _connected(self):
-        if self.n_nodes == 0:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n_nodes
-
     def degree(self, node):
-        return len(self._adj[node])
+        return self._adj[node].bit_count()
 
     def neighbors(self, node):
-        return self._adj[node]
+        return frozenset(v for v in range(self.n_nodes) if self._adj[node] >> v & 1)
 
     def node(self, label: str) -> int:
         try:
@@ -66,19 +52,8 @@ class HostTree:
             raise GraphError(f"no tree node labeled {label!r}")
 
     def subset_connected(self, nodes) -> bool:
-        nodes = set(nodes)
-        if not nodes:
-            return False
-        start = next(iter(nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if u in nodes and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return seen == nodes
+        mask = sum(1 << v for v in set(nodes))
+        return mask != 0 and reach(self._adj, mask & -mask, mask) == mask
 
 
 def tree_stats(tree: HostTree) -> tuple[int, int, int]:

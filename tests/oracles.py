@@ -1,4 +1,6 @@
-"""Brute-force oracles the exact engines are checked against.
+"""Brute-force oracles the exact engines are checked against, and graph
+helpers only the tests use (contraction, isomorphism, labelled equality,
+blow-up blocks).
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -8,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from hendry import LabeledGraph
+from hendry import GraphError, LabeledGraph, SizeCapError
+from hendry.core import reach
 
 
 def gnp(n: int, p: float, rng) -> LabeledGraph:
@@ -283,3 +286,97 @@ def random_chordal(n: int, rng) -> LabeledGraph:
             adj[v].add(w)
             adj[w].add(v)
     return LabeledGraph(n, edges)
+
+
+# -- test-only graph helpers -----------------------------------------------------
+
+def same_adjacency(g: LabeledGraph, h: LabeledGraph) -> bool:
+    """Labelled equality on adjacency alone (roles and heavy edges ignored)."""
+    return g.n == h.n and all(g.neighbors(v) == h.neighbors(v) for v in range(g.n))
+
+
+def contract_parts(g: LabeledGraph, parts, require_connected: bool = True) -> LabeledGraph:
+    """Quotient simple graph: one vertex per part, adjacent iff a cross edge exists.
+
+    Parts must partition V(g).  By default each part must induce a connected
+    subgraph; pass require_connected=False to allow quotients over independent
+    parts (needed when collapsing the blow-up attachment sets).
+    """
+    parts = [tuple(p) for p in parts]
+    owner = {}
+    for i, p in enumerate(parts):
+        if not p:
+            raise GraphError("empty part in contraction")
+        for v in p:
+            if v in owner:
+                raise GraphError(f"vertex {v} appears in two parts")
+            owner[v] = i
+    if len(owner) != g.n or any(v not in owner for v in range(g.n)):
+        raise GraphError("parts do not partition the vertex set")
+
+    if require_connected:
+        for p in parts:
+            mask = sum(1 << v for v in p)
+            if reach(g.adjacency_masks(), mask & -mask, mask) != mask:
+                raise GraphError(f"part {p} does not induce a connected subgraph")
+
+    qedges = set()
+    for u, v in g.edges():
+        pu, pv = owner[u], owner[v]
+        if pu != pv:
+            qedges.add((min(pu, pv), max(pu, pv)))
+    return LabeledGraph(len(parts), sorted(qedges))
+
+
+def is_isomorphic(g: LabeledGraph, h: LabeledGraph, cap: int = 10) -> bool:
+    """Backtracking isomorphism test, intended for contraction cross-checks."""
+    if g.n > cap or h.n > cap:
+        raise SizeCapError(f"isomorphism check capped at {cap} vertices")
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
+        return False
+
+    # match rarest-degree vertices first
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    mapping = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(i):
+        if i == g.n:
+            return True
+        v = order[i]
+        for w in range(h.n):
+            if used[w] or g.degree(v) != h.degree(w):
+                continue
+            ok = True
+            for j in range(i):
+                u = order[j]
+                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    return extend(0)
+
+
+def blowup_parts(g: LabeledGraph, k: int, include_attachments: bool = True) -> dict[str, list[int]]:
+    """Named blocks of a blow-up graph (F_i, F'_i and, if present, T_i, T'_i)."""
+    parts = {}
+    for i in range(1, k):
+        parts[f"F{i}"] = g.vertices_with_prefix(f"F{i}.")
+    for i in range(1, k - 1):
+        parts[f"F'{i}"] = g.vertices_with_prefix(f"F'{i}.")
+    if include_attachments:
+        for i in range(1, k):
+            parts[f"T{i}"] = g.vertices_with_prefix(f"T{i}.")
+        for i in range(1, k - 1):
+            parts[f"T'{i}"] = g.vertices_with_prefix(f"T'{i}.")
+    return {name: vs for name, vs in parts.items() if vs}

@@ -27,7 +27,6 @@ from hendry import (
     find_spanning_cycle,
     gk_reference_elimination_order,
     heavy_cycles_on,
-    hamiltonian_cycle,
     induces_path,
     is_chordal,
     is_cyclable,

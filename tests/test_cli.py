@@ -1,10 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from hendry import cycle_graph, encode_graph6
+from hendry import Cycle, build_dn, cycle_graph, cycles, encode_graph6
 from hendry.cli import main
 
 SCHEMA = json.loads(
@@ -76,14 +77,41 @@ def test_check_c6_chordal_fails(tmp_path, capsys):
 
 def test_check_cap_exceeded_exit_3(tmp_path, capsys):
     from hendry import complete_graph
-    p = tmp_path / "k30.g6"
-    p.write_text(encode_graph6(complete_graph(30)) + "\n")
+    p = tmp_path / "k41.g6"
+    p.write_text(encode_graph6(complete_graph(41)) + "\n")
     code, stdout, err = run_cli(capsys, "check", str(p), "--hamiltonian")
     assert code == 3
     rep = report_of(stdout)
     (res,) = rep["results"]
     assert res["verdict"] is None
     assert "cap exceeded" in res["detail"]
+
+
+def test_check_hamiltonian_past_table_cap(capsys):
+    # the search cap (40), not the table cap (24), bounds --hamiltonian
+    code, stdout, _ = run_cli(capsys, "check", "--family", "dn", "--n", "26",
+                              "--hamiltonian")
+    assert code == 0
+    (res,) = report_of(stdout)["results"]
+    assert res["verdict"] is True
+    g = build_dn(26)
+    assert Cycle(res["witness"]).validate(g).vertex_set == frozenset(range(g.n))
+
+
+def test_malformed_sidecar_is_usage_error(tmp_path, capsys):
+    g6 = tmp_path / "c4.g6"
+    g6.write_text(encode_graph6(cycle_graph(4)) + "\n")
+    side = tmp_path / "c4.json"
+    for raw in ('{not json', '[1, 2]',
+                '{"n": 4, "heavy_edges": [[0]]}',
+                '{"n": 4, "heavy_edges": [["0", "1"]]}',
+                '{"n": 4, "roles": "abcd"}',
+                '{"n": 4, "roles": [1, 2, 3, 4]}'):
+        side.write_text(raw)
+        code, stdout, err = run_cli(capsys, "check", str(g6), "--sidecar", str(side),
+                                    "--chordal")
+        assert code == 2, raw
+        assert stdout == "" and err.startswith("error:"), raw
 
 
 def test_check_structure_fields(tmp_path, capsys):
@@ -128,6 +156,32 @@ def test_certify_s_extendibility(capsys):
     rep = report_of(stdout)
     (res,) = rep["results"]
     assert res["verdict"] is False
+
+
+def test_capped_lemma_checks_report_null(capsys):
+    # s(5) has 62 vertices: every search in claim 3.3 exceeds the 40-vertex cap,
+    # yet each check is still reported
+    code, stdout, err = run_cli(capsys, "certify", "--mode", "lemma:3.3", "--k", "5")
+    assert code == 3
+    results = report_of(stdout)["results"]
+    assert len(results) == 3
+    for r in results:
+        assert r["verdict"] is None
+        assert r["detail"].startswith("cap exceeded: ")
+        assert f"{r['name']}: {r['detail']}\n" in err
+
+
+def test_claim_time_goes_to_the_check_that_does_the_work(capsys, monkeypatch):
+    real = cycles.is_s_cycle_extendible
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cycles, "is_s_cycle_extendible", slow)
+    code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:3.4")
+    assert code == 0
+    by_name = {r["name"]: r for r in report_of(stdout)["results"]}
+    assert by_name["hkm(k=3,m=3) not {1,2}-cycle extendible"]["elapsed_ms"] >= 50
 
 
 def test_certify_unknown_lemma(capsys):

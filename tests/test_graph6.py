@@ -12,11 +12,10 @@ from hendry import (
     decode_graph6,
     encode_graph6,
     load_graph,
-    same_adjacency,
     save_graph,
     sidecar_dict,
 )
-from oracles import gnp
+from oracles import gnp, same_adjacency
 
 
 def test_golden_values():

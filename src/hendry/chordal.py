@@ -1,9 +1,10 @@
 """Chordality and strong-chordality recognition with certificates.
 
 Chordality goes through maximum cardinality search: if the graph is chordal,
-the reverse of the MCS visit order is a perfect elimination ordering, and the
-PEO check either passes or hands back a violating triple from which a
-chordless cycle is extracted.  Strong chordality uses simple-vertex
+the reverse of the MCS visit order is a perfect elimination ordering.  When
+the PEO check fails, a chordless cycle is found as the first vertex v, in id
+order, with non-adjacent neighbours a, b joined by a shortest path that
+avoids the rest of N[v].  Strong chordality uses simple-vertex
 elimination (a vertex is simple when the closed neighborhoods of its closed
 neighborhood form an inclusion chain); greedy deletion is complete because
 the property is hereditary and never lacks a simple vertex.  A definitional
@@ -12,10 +13,9 @@ cross-check enumerates even cycles and looks for odd chords.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import GraphError, LabeledGraph, SizeCapError
+from .core import GraphError, LabeledGraph, SizeCapError, shortest_path
 
 DEFINITIONAL_CAP = 14
 
@@ -84,34 +84,17 @@ def is_chordal(g: LabeledGraph) -> ChordalityResult:
 
 def _find_hole(g: LabeledGraph) -> tuple[int, ...] | None:
     """Some induced cycle of length >= 4, via shortest detours around N[v]."""
+    masks = g.adjacency_masks()
     for v in range(g.n):
         nbrs = sorted(g.neighbors(v))
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1:]:
                 if g.has_edge(a, b):
                     continue
-                allowed = set(range(g.n)) - {v} - (g.neighbors(v) - {a, b})
-                path = _shortest_path(g, a, b, allowed)
+                allowed = ~(masks[v] | 1 << v) | 1 << a | 1 << b
+                path = shortest_path(masks, a, b, allowed)
                 if path is not None:
                     return tuple([v] + path)
-    return None
-
-
-def _shortest_path(g, s, t, allowed) -> list[int] | None:
-    prev = {s: None}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        if v == t:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for u in g.neighbors(v):
-            if u in allowed and u not in prev:
-                prev[u] = v
-                queue.append(u)
     return None
 
 

@@ -242,14 +242,16 @@ def cmd_certify(args) -> int:
 def cmd_model(args) -> int:
     run = ClaimRun()
     if args.family == "hk":
-        spec = HkSpec(args.k, _parse_sizes(args.sizes, args.k))
+        k = _need(args, "--k")
+        spec = HkSpec(k, _parse_sizes(args.sizes, k))
         model = treemodel.explicit_model_hk(spec)
-        g, desc = build_hk(spec), f"hk(k={args.k})"
+        g, desc = build_hk(spec), f"hk(k={k})"
     elif args.family == "jk":
-        sizes = _parse_sizes(args.sizes, args.k)
-        x_order = args.x_order if args.x_order is not None else args.k + 3
-        model = treemodel.explicit_model_jk(args.k, sizes, x_order)
-        g, desc = build_jk(args.k, sizes, x_order), f"jk(k={args.k})"
+        k = _need(args, "--k")
+        sizes = _parse_sizes(args.sizes, k)
+        x_order = args.x_order if args.x_order is not None else k + 3
+        model = treemodel.explicit_model_jk(k, sizes, x_order)
+        g, desc = build_jk(k, sizes, x_order), f"jk(k={k})"
     elif args.input:
         g, desc = _load_input(args)
         model = treemodel.clique_tree(g)

@@ -145,19 +145,47 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.edge_count})"
 
 
+def _step(adj_masks, mask: int) -> int:
+    """Union of the neighbourhoods (out-arcs) of the vertices in mask."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= adj_masks[bit.bit_length() - 1]
+    return out
+
+
 def reach(adj_masks, start_mask: int, within_mask: int) -> int:
     """The vertices of within_mask reachable from start_mask (a subset of it)
     along edges that stay inside within_mask, as a bitmask."""
     seen = frontier = start_mask
     while frontier:
-        nxt = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            nxt |= adj_masks[bit.bit_length() - 1]
-        frontier = nxt & within_mask & ~seen
+        frontier = _step(adj_masks, frontier) & within_mask & ~seen
         seen |= frontier
     return seen
+
+
+def shortest_path(adj_masks, s: int, t: int, within_mask: int) -> list[int] | None:
+    """A shortest s-t path whose vertices after s lie in within_mask, or None.
+
+    Breadth-first by layers; walking back from t, each vertex's predecessor
+    is the lowest-id vertex of the previous layer with an arc to it.  Arcs
+    are read from adj_masks, so directed graphs work as well.
+    """
+    layers = [1 << s]
+    seen = layers[0]
+    while not seen >> t & 1:
+        frontier = _step(adj_masks, layers[-1]) & within_mask & ~seen
+        if not frontier:
+            return None
+        layers.append(frontier)
+        seen |= frontier
+    path = [t]
+    for layer in reversed(layers[:-1]):
+        while not adj_masks[(layer & -layer).bit_length() - 1] >> path[-1] & 1:
+            layer &= layer - 1
+        path.append((layer & -layer).bit_length() - 1)
+    return path[::-1]
 
 
 # -- small builders --------------------------------------------------------

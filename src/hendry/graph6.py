@@ -50,7 +50,10 @@ def encode_graph6(g: LabeledGraph, header: bool = False) -> str:
 def decode_graph6(data) -> LabeledGraph:
     """Decode a graph6 string (optionally with header) into an unlabeled graph."""
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError:
+            raise GraphError("graph6 data is not ASCII text") from None
     s = data.strip()
     if s.startswith(HEADER):
         s = s[len(HEADER):]
@@ -144,7 +147,7 @@ def save_graph(g: LabeledGraph, base_path: str) -> tuple[str, str]:
 
 def load_graph(g6_path: str, sidecar_path: str | None = None) -> LabeledGraph:
     """Read a graph6 file, attaching the sidecar when present."""
-    with open(g6_path) as f:
+    with open(g6_path, "rb") as f:
         g = decode_graph6(f.read())
     if sidecar_path is None:
         base = g6_path[:-3] if g6_path.endswith(".g6") else g6_path

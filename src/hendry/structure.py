@@ -1,17 +1,17 @@
 """Vertex connectivity and induced-path statistics.
 
-Connectivity is exact: unit-capacity max flow on the split digraph (each
-vertex becomes an in/out arc of capacity one), minimized over non-adjacent
-pairs, with the cut read off the residual reachability.  Induced paths use
+Connectivity is exact: the least max flow over non-adjacent pairs on the
+split digraph (each vertex an in->out arc of capacity one, edges
+uncapacitated), held as bitmasks and augmented along core.shortest_path,
+with the cut read off core.reach on the residual.  Induced paths use
 backtracking over (last vertex, still-eligible set) states with memoization.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import GraphError, LabeledGraph, SizeCapError
+from .core import GraphError, LabeledGraph, SizeCapError, reach, shortest_path
 
 INDUCED_PATH_CAP = 25
 
@@ -33,81 +33,38 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
     if not g.is_connected():
         return ConnectivityCert(0, (), False)
 
-    best = None
-    best_cut = None
+    # Split digraph as 2n out-arc masks: in(v) = 2v -> out(v) = 2v+1, and
+    # out(u) -> in(v) for each edge uv.  Vertex arcs have capacity 1, so the
+    # residual is again a digraph; edge arcs are uncapacitated, so a forward
+    # edge arc never leaves it and every minimum cut is on vertex arcs.
+    base = []
+    for v in range(n):
+        base += [1 << (2 * v + 1), sum(1 << (2 * u) for u in g.neighbors(v))]
+    full = (1 << (2 * n)) - 1
+    best, best_cut = n, None
     for s in range(n):
         for t in range(s + 1, n):
             if g.has_edge(s, t):
                 continue
-            limit = best if best is not None else n
-            flow, cut = _local_connectivity(g, s, t, limit)
-            if cut is not None and (best is None or flow < best):
-                best, best_cut = flow, cut
-                if best == 0:
+            res = list(base)
+            flow = 0
+            while flow < best:  # a pair that reaches best cannot improve it
+                path = shortest_path(res, 2 * s + 1, 2 * t, full)
+                if path is None:
                     break
-        if best == 0:
-            break
-    return ConnectivityCert(best, tuple(sorted(best_cut)), False)
-
-
-def _local_connectivity(g: LabeledGraph, s: int, t: int, limit: int):
-    """Max vertex-disjoint s-t paths, abandoning once `limit` is reached.
-
-    Returns (flow, cut) with cut=None when the search was cut short.
-    Split-node ids: in(v) = 2v, out(v) = 2v+1.
-    """
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
-
-    def add(a, b, c):
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
-    big = g.n + 1
-    for v in range(g.n):
-        add(2 * v, 2 * v + 1, 1 if v not in (s, t) else big)
-    for u, v in g.edges():
-        add(2 * u + 1, 2 * v, big)
-        add(2 * v + 1, 2 * u, big)
-
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < limit:
-        prev = {source: None}
-        queue = deque([source])
-        while queue and sink not in prev:
-            a = queue.popleft()
-            for b in adj.get(a, ()):
-                if b not in prev and cap.get((a, b), 0) > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            break
-        b = sink
-        while prev[b] is not None:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] = cap.get((b, a), 0) + 1
-            b = a
-        flow += 1
-    if flow >= limit:
-        return flow, None
-
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in adj.get(a, ()):
-            if b not in reach and cap.get((a, b), 0) > 0:
-                reach.add(b)
-                queue.append(b)
-    cut = [v for v in range(g.n)
-           if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach]
-    return flow, cut
+                for a, b in zip(path, path[1:]):
+                    if not a & 1 or b == a - 1:  # not a forward edge arc
+                        res[a] &= ~(1 << b)
+                    res[b] |= 1 << a
+                flow += 1
+            if flow < best:
+                # the residual-reachable side is the same for every maximum
+                # flow, so the cut does not depend on the paths found
+                seen = reach(res, 1 << (2 * s + 1), full)
+                best, best_cut = flow, [v for v in range(n) if v not in (s, t)
+                                        and seen >> (2 * v) & 1
+                                        and not seen >> (2 * v + 1) & 1]
+    return ConnectivityCert(best, tuple(best_cut), False)
 
 
 # -- induced paths --------------------------------------------------------------

@@ -53,15 +53,20 @@ def test_peo_examples():
         is_peo(p3, [0, 1])
 
 
+def assert_induced_cycle(g, hole):
+    hole = list(hole)
+    assert len(hole) >= 4 and len(set(hole)) == len(hole)
+    for i, a in enumerate(hole):
+        for j in range(i + 1, len(hole)):
+            expected = (j == i + 1) or (i == 0 and j == len(hole) - 1)
+            assert g.has_edge(a, hole[j]) == expected
+
+
 def test_is_chordal_certificates():
     res = is_chordal(cycle_graph(5))
     assert not res
     assert len(res.hole) == 5
-    hole = list(res.hole)
-    for i, a in enumerate(hole):
-        for j in range(i + 1, len(hole)):
-            expected = (j == i + 1) or (i == 0 and j == len(hole) - 1)
-            assert cycle_graph(5).has_edge(a, hole[j]) == expected
+    assert_induced_cycle(cycle_graph(5), res.hole)
     res = is_chordal(build_hk(HkSpec.uniform(3)))
     assert res and is_peo(build_hk(HkSpec.uniform(3)), list(res.peo))
     assert is_chordal(build_s(3))
@@ -74,8 +79,7 @@ def test_chordal_agrees_with_brute_force_smoke():
         res = is_chordal(g)
         assert bool(res) == brute_force_chordal(g)
         if res.hole is not None:
-            hole = list(res.hole)
-            assert len(hole) >= 4
+            assert_induced_cycle(g, res.hole)
 
 
 def test_simple_vertex_examples():

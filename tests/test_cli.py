@@ -245,3 +245,26 @@ def test_nonpositive_pt_free_is_usage_error(capsys):
                                     "--pt-free", raw)
         assert code == 2, raw
         assert stdout == "" and "--pt-free" in err
+
+
+def test_non_ascii_graph6_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xff\xfe")
+    code, stdout, err = run_cli(capsys, "check", str(bad), "--chordal")
+    assert code == 2
+    assert stdout == "" and err.startswith("error:")
+
+
+def test_model_family_without_k_is_usage_error(capsys):
+    for fam in ("hk", "jk"):
+        code, stdout, err = run_cli(capsys, "model", "--family", fam)
+        assert code == 2, fam
+        assert stdout == "" and "--k" in err
+
+
+def test_explicit_zero_parameters_are_not_replaced(capsys):
+    for mode, flag in (("lemma:3.4", "--m"), ("lemma:3.6", "--x-order")):
+        code, stdout, err = run_cli(capsys, "certify", "--mode", mode, "--k", "3",
+                                    flag, "0")
+        assert code == 2, flag
+        assert stdout == "" and err.startswith("error:")

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from hendry import (
@@ -15,7 +16,8 @@ from hendry import (
     paste_clique,
     path_graph,
 )
-from oracles import contract_parts, is_isomorphic, same_adjacency
+from hendry.core import shortest_path
+from oracles import contract_parts, gnp, is_isomorphic, same_adjacency
 
 
 def test_basic_validation():
@@ -170,3 +172,35 @@ def test_random_construction_invariants():
         for v in range(n):
             for u in g.neighbors(v):
                 assert g.has_edge(u, v)
+
+
+def test_shortest_path_examples():
+    masks = cycle_graph(6).adjacency_masks()
+    full = (1 << 6) - 1
+    # both ways round are shortest; the lower-id predecessor wins
+    assert shortest_path(masks, 0, 3, full) == [0, 1, 2, 3]
+    assert shortest_path(masks, 0, 3, full & ~(1 << 2)) == [0, 5, 4, 3]
+    assert shortest_path(masks, 0, 3, full & ~(1 << 2) & ~(1 << 4)) is None
+    assert shortest_path(masks, 0, 3, full & ~(1 << 3)) is None
+    # arcs are read one way only
+    assert shortest_path([0b10, 0b100, 0], 0, 2, 0b111) == [0, 1, 2]
+    assert shortest_path([0b10, 0b100, 0], 2, 0, 0b111) is None
+
+
+def test_shortest_path_is_shortest_inside_within():
+    rng = random.Random(5)
+    for _ in range(300):
+        g = gnp(rng.randint(2, 10), 0.3, rng)
+        s, t = rng.sample(range(g.n), 2)
+        within = rng.getrandbits(g.n) | 1 << s
+        path = shortest_path(g.adjacency_masks(), s, t, within)
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        h = h.subgraph(v for v in range(g.n) if within >> v & 1)
+        if t not in h or not nx.has_path(h, s, t):
+            assert path is None
+            continue
+        assert path[0] == s and path[-1] == t
+        assert all(within >> v & 1 for v in path)
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert len(path) - 1 == nx.shortest_path_length(h, s, t)

@@ -79,6 +79,8 @@ def test_decode_errors():
         decode_graph6("B")  # missing edge bits
     with pytest.raises(GraphError):
         decode_graph6("Bw\x19")
+    with pytest.raises(GraphError):
+        decode_graph6(b"\xff\xfe")  # not ASCII
     # K3 needs 3 bits; set a padding bit below them
     bad = "B" + chr(63 + 0b111001)
     with pytest.raises(GraphError):

@@ -75,10 +75,11 @@ def test_kappa_agrees_with_brute_force():
 def test_kappa_cut_revalidates():
     rng = random.Random(12)
     for _ in range(80):
-        g = gnp(rng.randint(3, 8), 0.5, rng)
+        g = gnp(rng.randint(3, 12), 0.5, rng)
         cert = vertex_connectivity(g)
         if cert.complete or cert.kappa == 0:
             continue
+        assert len(cert.cut) == cert.kappa
         removed = set(cert.cut)
         rest = [v for v in range(g.n) if v not in removed]
         seen = {rest[0]}

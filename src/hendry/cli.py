@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 all requested properties hold, 1 some property failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -151,17 +152,24 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     g, desc = _load_input(args)
     run = ClaimRun()
+    done = {}
+
+    def once(engine):
+        """engine(g), computed by the first check that asks for it."""
+        if engine not in done:
+            done[engine] = engine(g)
+        return done[engine]
 
     if args.chordal:
         def chordal_fn():
-            res = chordal.is_chordal(g)
+            res = once(chordal.is_chordal)
             wit = list(res.peo) if res else list(res.hole)
             return res.chordal, wit, "peo" if res else "chordless cycle"
         run.check("chordal", chordal_fn)
     if args.strongly_chordal:
         def strong_fn():
             order = chordal.find_simple_elimination_order(g)
-            ok = bool(chordal.is_chordal(g)) and order is not None
+            ok = bool(once(chordal.is_chordal)) and order is not None
             return ok, order, "simple elimination order" if ok else ""
         run.check("strongly-chordal", strong_fn)
     if args.hamiltonian:
@@ -176,12 +184,12 @@ def cmd_check(args) -> int:
         run.check("connectivity", conn_fn)
     if args.induced_path:
         def path_fn():
-            length, path = structure.longest_induced_path(g)
+            length, path = once(structure.longest_induced_path)
             return True, {"length": length, "path": list(path)}, "informational"
         run.check("induced-path", path_fn)
     if args.pt_free is not None:
         def pt_fn():
-            length, path = structure.longest_induced_path(g)
+            length, path = once(structure.longest_induced_path)
             ok = length < args.pt_free
             return ok, None if ok else list(path), f"longest induced path: {length}"
         run.check(f"p{args.pt_free}-free", pt_fn)
@@ -283,7 +291,9 @@ def _add_family_args(p, require=False):
     p.add_argument("--which", type=int, choices=[1, 2, 3])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="hendry",
         description="Generate and certify Hamiltonian chordal graphs that do not extend cycles.")

@@ -10,6 +10,19 @@ Two exact mechanisms back every predicate here:
   front, plus degree, connectivity and twin-symmetry pruning.  The search is
   exhaustive, so a miss is a proof of nonexistence.
 
+Before an existence search, the set is kernelized: segments that every
+spanning cycle must cross in one piece are contracted to forced pairs, and a
+kernel cycle is lifted back and validated on the full graph.  The paste rule
+turns a clique P whose closed neighbourhoods are all P+{a,b} into a forced
+edge ab (so hk reduces to gk with its heavy edges forced).  The chain rule
+takes two tight twin classes (T on A, T' on A', |A| = |T|+1, |A'| = |T'|+1)
+whose sets share exactly one vertex x: x must end both alternating paths, so
+A+T+A'+T' is one segment, contracted to its two end sets A-x and A'-x joined
+by a forced edge (in s(k) this is each F_i+x_i+T_i+F'_i+T'_i).  A lone tight
+class is left to the search: both of its ends come from one set, and that
+choice is coupled across segments.  Counting (heavy_cycles_on) runs on the
+set itself, since contraction changes cycle counts.
+
 Cycle extendibility is decided on vertex subsets: a cycle with vertex set S
 exists iff S is cyclable, and extending by s vertices is a superset question.
 """
@@ -251,13 +264,14 @@ def _forced_cycle_check(forced: list[int], m: int):
     return True, None
 
 
-def _twin_classes(allowed: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Interchangeable-vertex classes: equal closed or equal open neighborhoods."""
+def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Interchangeable-vertex classes: equal closed or equal open neighborhoods
+    and equal forced edges (so no forced edge joins two members)."""
     class_of = [-1] * m
     masks: list[int] = []
     groups: dict[tuple, list[int]] = {}
     for v in range(m):
-        groups.setdefault(("c", allowed[v] | (1 << v)), []).append(v)
+        groups.setdefault(("c", allowed[v] | (1 << v), forced[v]), []).append(v)
     for key, vs in sorted(groups.items()):
         if len(vs) > 1:
             idx = len(masks)
@@ -267,7 +281,7 @@ def _twin_classes(allowed: list[int], m: int) -> tuple[list[int], list[int]]:
     groups = {}
     for v in range(m):
         if class_of[v] < 0:
-            groups.setdefault(("o", allowed[v]), []).append(v)
+            groups.setdefault(("o", allowed[v], forced[v]), []).append(v)
     for key, vs in sorted(groups.items()):
         vs = [v for v in vs if class_of[v] < 0]
         if len(vs) > 1:
@@ -278,13 +292,14 @@ def _twin_classes(allowed: list[int], m: int) -> tuple[list[int], list[int]]:
     return class_of, masks
 
 
-def _spanning_cycle_search(adj_masks: list[int], m: int, forced_pairs,
-                           count_all: bool, use_twins: bool):
-    """Count (or find) cycles through all m vertices and all forced pairs.
+def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
+    """Count (or find) cycles through every vertex and all forced pairs.
 
     Returns (count, tour) where tour is a local-id sequence or None.  In
-    existence mode (count_all=False) the count is capped at 1.
+    existence mode (count_all=False) the count is capped at 1 and twin
+    symmetry prunes the search.
     """
+    m = len(adj_masks)
     if m < 3:
         return 0, None
     allowed = list(adj_masks)
@@ -303,10 +318,10 @@ def _spanning_cycle_search(adj_masks: list[int], m: int, forced_pairs,
     if tour is not None:
         return 1, tour
 
-    if use_twins and not count_all:
-        class_of, class_masks = _twin_classes(allowed, m)
-    else:
+    if count_all:
         class_of, class_masks = [-1] * m, []
+    else:
+        class_of, class_masks = _twin_classes(allowed, forced, m)
 
     # independent classes with a shared neighborhood bound the search: every
     # unvisited member still needs two edges into that neighborhood
@@ -409,7 +424,147 @@ def _spanning_cycle_search(adj_masks: list[int], m: int, forced_pairs,
     return found[0], found[1]
 
 
-def _run_on_subset(g: LabeledGraph, subset, forced_edges, count_all, use_twins, cap):
+# -- kernel: segments that every spanning cycle crosses in one piece -----------
+
+@dataclass
+class _Kernel:
+    """A local graph with its forced segments contracted.
+
+    The graph has a spanning cycle iff the kernel (`adj`) has one through
+    every `forced` pair, and lift() maps a kernel tour back to a local tour.
+    Kernel vertices below `plain` are the local vertices left standing; after
+    them each segment adds its two end sets, joined by a forced edge.
+    """
+
+    adj: list[int]
+    forced: list[tuple[int, int]]
+    members: list[int]  # the local vertices behind each kernel vertex, as masks
+    plain: int
+    local_adj: list[int]  # pasted sets removed, their ab edges added
+    pastes: dict[tuple[int, int], list[int]]  # (a, b) -> the set crossed between them
+    segments: list[tuple[int, int, int, int, int]]  # (A-x, T, x, T', A'-x) as masks
+
+    def _segment(self, c: int, d: int) -> int:
+        """Index of the segment whose forced edge is cd, or -1."""
+        i, j = c - self.plain, d - self.plain
+        return i >> 1 if i >= 0 and j >= 0 and i >> 1 == j >> 1 else -1
+
+    def lift(self, tour: list[int]) -> list[int]:
+        members, adj = self.members, self.local_adj
+        steps = list(zip(tour, tour[1:] + tour[:1]))
+        end = [(mem & -mem).bit_length() - 1 for mem in members]
+        for c, d in steps:  # an end set has one kernel edge besides its forced one
+            if self._segment(c, d) < 0:
+                for v in _bits_of(members[c]):
+                    nb = adj[v] & members[d]
+                    if nb:
+                        end[c], end[d] = v, (nb & -nb).bit_length() - 1
+                        break
+        out = []
+        for c, d in steps:
+            out.append(end[c])
+            seg = self._segment(c, d)
+            if seg < 0:
+                u, v = sorted((end[c], end[d]))
+                out += self.pastes.get((u, v), ())
+                continue
+            # alternate the A's (first end, the rest, x, the rest, last end)
+            # with the T's: e t a .. t x t' a' .. t' e'
+            e1, t1, x, t2, e2 = self.segments[seg]
+            first, last = (end[c], end[d]) if c < d else (end[d], end[c])
+            a_seq = ([first] + _bits_of(e1 & ~(1 << first)) + _bits_of(x)
+                     + _bits_of(e2 & ~(1 << last)))
+            inner = [v for pair in zip(a_seq, _bits_of(t1) + _bits_of(t2))
+                     for v in pair][1:]
+            out += inner if c < d else inner[::-1]
+        return out
+
+
+def _kernelize(adj: list[int]) -> _Kernel:
+    """Contract what every spanning cycle of the local graph crosses in one piece.
+
+    Two sound rules, each skipped unless its preconditions hold:
+
+    * paste: vertices P whose closed neighbourhoods all equal P+{a,b} are
+      crossed as a..P..b unless the graph is P+{a,b}, so P becomes a forced ab;
+    * chained tight classes: a class T of >= 2 vertices with open
+      neighbourhood A and |A| = |T|+1 leaves A two cycle edge-ends, so A+T is
+      one alternating path a t .. t a' unless the graph is A+T.  When a second
+      such class (T', A') has A and A' sharing exactly x, and neither T meets
+      the other A, x ends both paths: W = A+T+A'+T' is one segment from A-x to
+      A'-x, and becomes those two end sets joined by a forced edge.  A lone
+      class stays, since its two ends come from one set.
+    """
+    m = len(adj)
+    full = (1 << m) - 1
+    closed: dict[int, int] = {}
+    for v in range(m):
+        nb = adj[v] | (1 << v)
+        closed[nb] = closed.get(nb, 0) | (1 << v)
+    pastes: dict[tuple[int, int], list[int]] = {}
+    removed = ends = 0
+    for nb, p in sorted(closed.items()):
+        ab = nb & ~p
+        if ab.bit_count() != 2 or nb == full or p & ends or ab & removed:
+            continue
+        a, b = _bits_of(ab)
+        if (a, b) not in pastes:
+            pastes[a, b] = _bits_of(p)
+            removed |= p
+            ends |= ab
+    alive = full & ~removed
+    if removed:
+        adj = [adj[v] & ~removed if alive >> v & 1 else 0 for v in range(m)]
+        for a, b in pastes:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+
+    opened: dict[int, int] = {}
+    for v in _bits_of(alive):
+        opened[adj[v]] = opened.get(adj[v], 0) | (1 << v)
+    tight = [(t, a) for a, t in sorted(opened.items())
+             if t.bit_count() >= 2 and a.bit_count() == t.bit_count() + 1]
+    segments = []
+    used = ends  # the ends of a forced pair stay outside every segment
+    for i, (t1, a1) in enumerate(tight):
+        for t2, a2 in tight[i + 1:]:
+            x = a1 & a2
+            w = a1 | t1 | a2 | t2
+            if x.bit_count() != 1 or t1 & a2 or t2 & a1 or w & used or w == alive:
+                continue
+            used |= w
+            segments.append((a1 & ~x, t1, x, t2, a2 & ~x))
+
+    members = [1 << v for v in _bits_of((alive & ~used) | ends)]
+    plain = len(members)
+    inner = 0
+    for e1, t1, x, t2, e2 in segments:
+        members += [e1, e2]
+        inner |= t1 | x | t2
+    rep = [0] * m  # the kernel vertex of each local vertex outside the inners
+    for i, mem in enumerate(members):
+        for v in _bits_of(mem):
+            rep[v] = i
+    kadj = []
+    for i, mem in enumerate(members):
+        touch = 0
+        for v in _bits_of(mem):
+            touch |= adj[v]
+        nb = 0
+        for u in _bits_of(touch & ~inner):
+            nb |= 1 << rep[u]
+        kadj.append(nb & ~(1 << i))
+    forced = [(rep[a], rep[b]) for a, b in pastes]
+    for j in range(len(segments)):
+        p = plain + 2 * j
+        forced.append((p, p + 1))
+        kadj[p] |= 1 << (p + 1)
+        kadj[p + 1] |= 1 << p
+    return _Kernel(kadj, forced, members, plain, adj, pastes, segments)
+
+
+def _local_adjacency(g: LabeledGraph, subset, cap: int) -> tuple[list[int], list[int]]:
+    """(sorted subset, adjacency of G[subset] as masks over positions in it)."""
     vs = sorted(set(subset))
     if any(not 0 <= v < g.n for v in vs):
         raise GraphError("subset contains invalid vertex ids")
@@ -428,15 +583,7 @@ def _run_on_subset(g: LabeledGraph, subset, forced_edges, count_all, use_twins, 
             av ^= bit
             mask |= 1 << pos[bit.bit_length() - 1]
         local_adj.append(mask)
-    local_forced = []
-    for a, b in forced_edges:
-        if a not in pos or b not in pos:
-            return 0, None  # a forced edge leaves the subset: nothing qualifies
-        local_forced.append((pos[a], pos[b]))
-    count, tour = _spanning_cycle_search(local_adj, len(vs), local_forced,
-                                         count_all, use_twins)
-    cycle = Cycle(vs[i] for i in tour).validate(g) if tour else None
-    return count, cycle
+    return vs, local_adj
 
 
 # -- public operations ---------------------------------------------------------
@@ -445,12 +592,16 @@ def find_spanning_cycle(g: LabeledGraph, subset=None, cap: int = BACKTRACK_CAP) 
     """An explicit spanning cycle of the induced subgraph on `subset` (default
     all of V), or None when there is none.
 
-    Exhaustive backtracking: the structure of the families (twins and
-    near-forced attachment sets) keeps the search small even past 30 vertices.
+    Exhaustive backtracking on the kernel of the set (contracted pastes and
+    chained tight classes, then twin symmetry), so the blow-ups answer in
+    milliseconds.  The cap bounds the set before kernelization.
     """
-    subset = range(g.n) if subset is None else subset
-    _, cycle = _run_on_subset(g, subset, (), count_all=False, use_twins=True, cap=cap)
-    return cycle
+    vs, adj = _local_adjacency(g, range(g.n) if subset is None else subset, cap)
+    if any(nb.bit_count() < 2 for nb in adj):
+        return None  # also every set of fewer than three vertices
+    kernel = _kernelize(adj)
+    _, tour = _spanning_cycle_search(kernel.adj, kernel.forced, count_all=False)
+    return Cycle(vs[i] for i in kernel.lift(tour)).validate(g) if tour else None
 
 
 def is_cyclable(g: LabeledGraph, subset=None) -> bool:
@@ -471,8 +622,11 @@ def heavy_cycles_on(g: LabeledGraph, subset, cap: int = HEAVY_SET_CAP):
     for a, b in g.heavy_edges:
         if a not in sub or b not in sub:
             return 0, None
-    return _run_on_subset(g, sub, g.heavy_edges, count_all=True,
-                          use_twins=False, cap=cap)
+    vs, adj = _local_adjacency(g, sub, cap)
+    pos = {v: i for i, v in enumerate(vs)}
+    count, tour = _spanning_cycle_search(
+        adj, [(pos[a], pos[b]) for a, b in g.heavy_edges], count_all=True)
+    return count, Cycle(vs[i] for i in tour).validate(g) if tour else None
 
 
 def extension_candidates(g: LabeledGraph, subset, table: CyclableTable | None = None) -> list[int]:

@@ -3,8 +3,12 @@
 Connectivity is exact: the least max flow over non-adjacent pairs on the
 split digraph (each vertex an in->out arc of capacity one, edges
 uncapacitated), held as bitmasks and augmented along core.shortest_path,
-with the cut read off core.reach on the residual.  Induced paths use
-backtracking over (last vertex, still-eligible set) states with memoization.
+with the cut read off core.reach on the residual.  Only sources
+v_0..v_kappa are needed (Even, 1975): one of those kappa+1 vertices lies
+outside a minimum cut C, and it is paired with a vertex of another
+component of G - C.  Later pairs cannot lower the bound, so the certificate
+is the one the full pair scan finds.  Induced paths use backtracking over
+(last vertex, still-eligible set) states with memoization.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
     full = (1 << (2 * n)) - 1
     best, best_cut = n, None
     for s in range(n):
+        if s > best:  # Even's bound: sources 0..best cover a vertex off some minimum cut
+            break
         for t in range(s + 1, n):
             if g.has_edge(s, t):
                 continue

@@ -288,6 +288,44 @@ def random_chordal(n: int, rng) -> LabeledGraph:
     return LabeledGraph(n, edges)
 
 
+def pasted_graph(rng, n_base: int, max_n: int = 12) -> LabeledGraph:
+    """G(n_base, 1/2) plus cliques of 1-3 new vertices, each made complete to a
+    random pair of earlier vertices (joined or not) until max_n vertices."""
+    g = gnp(n_base, 0.5, rng)
+    n, edges = g.n, g.edges()
+    while n < max_n:
+        a, b = rng.sample(range(n), 2)
+        new = range(n, min(max_n, n + rng.randint(1, 3)))
+        edges += [(p, q) for p in new for q in new if p < q]
+        edges += [(p, e) for p in new for e in (a, b)]
+        if rng.random() < 0.5:
+            edges.append((a, b))
+        n = new.stop
+    return LabeledGraph(n, edges)
+
+
+def chained_classes_graph(rng, n_base: int) -> LabeledGraph:
+    """G(n_base, 0.4) plus independent classes of |E| new vertices complete to
+    E+{x}, for a vertex x and two disjoint pairs E of other base vertices:
+    usually two classes sharing only x (a chain), sometimes one class,
+    sometimes two whose sets share a second vertex, sometimes with a stray
+    edge that breaks a class."""
+    g = gnp(n_base, 0.4, rng)
+    n, edges = g.n, g.edges()
+    x, *rest = rng.sample(range(n_base), 5)
+    sets = [rest[:2], rest[2:]]
+    if rng.random() < 0.2:
+        sets.pop()
+    elif rng.random() < 0.2:
+        sets[1].append(rest[0])
+    for ends in sets:
+        edges += [(t, a) for t in range(n, n + len(ends)) for a in ends + [x]]
+        n += len(ends)
+    if rng.random() < 0.2:
+        edges.append((rng.randrange(n_base, n), rng.randrange(n_base)))
+    return LabeledGraph(n, edges)
+
+
 # -- test-only graph helpers -----------------------------------------------------
 
 def same_adjacency(g: LabeledGraph, h: LabeledGraph) -> bool:

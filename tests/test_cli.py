@@ -5,7 +5,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hendry import Cycle, build_dn, cycle_graph, cycles, encode_graph6
+from hendry import (
+    Cycle, build_dn, chordal, cli, cycle_graph, cycles, encode_graph6, structure,
+)
 from hendry.cli import main
 
 SCHEMA = json.loads(
@@ -224,6 +226,47 @@ def test_reports_are_deterministic(capsys):
         for res in r["results"]:
             res.pop("elapsed_ms")
     assert r1 == r2
+
+
+def _without_times(stdout):
+    rep = json.loads(stdout)
+    for res in rep.get("results", []):
+        res.pop("elapsed_ms")
+    return rep
+
+
+def test_one_parser_serves_successive_commands(capsys, monkeypatch):
+    runs = [("check", "--family", "gk", "--k", "3", "--chordal", "--hamiltonian"),
+            ("certify", "--mode", "lemma:2.6"),
+            ("check", "--pt-free", "0"),
+            ("model", "--family", "hk", "--k", "3", "--verify"),
+            ("check", "--family", "s", "--k", "3", "--connectivity")]
+    shared = [run_cli(capsys, *argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    for (code1, out1, err1), (code2, out2, err2) in zip(shared, fresh):
+        assert (code1, err1) == (code2, err2)
+        assert (_without_times(out1) if out1 else out1) == \
+            (_without_times(out2) if out2 else out2)
+
+
+def test_check_computes_each_engine_result_once(capsys, monkeypatch):
+    calls = {}
+    for module, name in ((chordal, "is_chordal"), (structure, "longest_induced_path")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    code, stdout, _ = run_cli(capsys, "check", "--family", "hk", "--k", "3", "--chordal",
+                              "--strongly-chordal", "--induced-path", "--pt-free", "9")
+    assert code == 1
+    assert calls == {"is_chordal": 1, "longest_induced_path": 1}
+    by_name = {r["name"]: r for r in report_of(stdout)["results"]}
+    assert by_name["strongly-chordal"]["verdict"] is True
+    assert by_name["p9-free"]["verdict"] is False
+    assert by_name["p9-free"]["witness"] == by_name["induced-path"]["witness"]["path"]
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from hendry import (
     build_s,
     complete_graph,
     cycle_graph,
+    cycles,
     extension_candidates,
     find_spanning_cycle,
     heavy_cycles_on,
@@ -31,9 +33,11 @@ from hendry import (
 from oracles import (
     anchored_path_ends,
     brute_force_s_extendible,
+    chained_classes_graph,
     cycle_from_ends,
     cyclable_from_ends,
     gnp,
+    pasted_graph,
     permutation_count_heavy_cycles,
     permutation_cyclable_sets,
     permutation_hamiltonian,
@@ -423,3 +427,90 @@ def test_blowup_case_split():
     assert find_spanning_cycle(s4, allv - {z, vk}) is not None
     assert find_spanning_cycle(s4, allv - {z}) is None
     assert find_spanning_cycle(s4, allv - {vk}) is None
+
+
+# -- kernel: forced segments contracted before the search ----------------------
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """How many searches each kernel rule shrank."""
+    fired = {"paste": 0, "segment": 0}
+    kernelize = cycles._kernelize
+
+    def counted(adj):
+        kernel = kernelize(adj)
+        fired["paste"] += bool(kernel.pastes)
+        fired["segment"] += bool(kernel.segments)
+        return kernel
+    monkeypatch.setattr(cycles, "_kernelize", counted)
+    return fired
+
+
+def assert_search_matches_table(g):
+    """find_spanning_cycle against the subset table on every subset of V(g)."""
+    t = build_cyclable_table(g)
+    for mask in range(1 << g.n):
+        vs = [v for v in range(g.n) if mask >> v & 1]
+        c = find_spanning_cycle(g, vs)
+        assert (c is not None) == t.cyclable(mask), vs
+        if c is not None:
+            assert c.validate(g).vertex_set == frozenset(vs)
+
+
+def test_kernel_matches_table_on_every_s3_subset(reductions):
+    assert_search_matches_table(build_s(3))
+    assert reductions["segment"] > 0
+
+
+def test_kernel_matches_table_on_pasted_graphs(reductions):
+    rng = random.Random(61)
+    for _ in range(8):
+        assert_search_matches_table(pasted_graph(rng, rng.randint(4, 6)))
+    assert reductions["paste"] > 0
+
+
+def test_kernel_matches_table_on_chained_tight_classes(reductions):
+    rng = random.Random(62)
+    for _ in range(30):
+        assert_search_matches_table(chained_classes_graph(rng, rng.randint(6, 7)))
+    assert reductions["segment"] > 0
+
+
+def _roles(g, names):
+    return [g.vertex(nm) for nm in names.split()]
+
+
+def test_kernel_regressions():
+    s3 = build_s(3)
+    t = build_cyclable_table(s3)
+    # lone tight classes: contracting each to one vertex whose ends are drawn
+    # from one set would claim a cycle here
+    lone = _roles(s3, "x1 x2 F1.1 F2.1 F2.2 F'1.1 F'1.2 T2.1 T2.2 T'1.1 T'1.2")
+    assert not t.cyclable(lone)
+    assert find_spanning_cycle(s3, lone) is None
+    # the only tight class is {z, F2.1} on {x1, x2, F2.2}: a lone class
+    small = _roles(s3, "x1 x2 F2.1 F2.2 z T1.1")
+    assert (find_spanning_cycle(s3, small) is not None) == t.cyclable(small)
+
+    # the whole set is one segment: no rule may contract it
+    k32 = LabeledGraph(5, [(a, b) for a in range(3) for b in (3, 4)])
+    assert find_spanning_cycle(k32) is None
+    # {2, 3} sees all of V; {0} and {1} are each pasted on {2, 3}, and
+    # contracting both would leave two vertices
+    k4_minus = LabeledGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert find_spanning_cycle(k4_minus) is not None
+    # two tight classes on {0,1,x} and {2,3,x} (x = 4) chain into all of V
+    chain = LabeledGraph(9, [(t, a) for t in (5, 6) for a in (0, 1, 4)]
+                         + [(t, a) for t in (7, 8) for a in (2, 3, 4)] + [(0, 2)])
+    c = find_spanning_cycle(chain)
+    assert c is not None and c.vertex_set == frozenset(range(9))
+
+
+def test_kernel_contracts_pasted_blowups_fast():
+    # every size vector reduces to gk(4): both one-short sets answer at once
+    h = build_hk(HkSpec(4, (5,) * 7))
+    allv = set(range(h.n))
+    for v in (h.vertex("z"), h.vertex("v4")):
+        t0 = time.perf_counter()
+        assert find_spanning_cycle(h, allv - {v}) is None
+        assert time.perf_counter() - t0 < 0.1

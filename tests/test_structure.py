@@ -22,6 +22,21 @@ from hendry import (
 from oracles import brute_force_kappa, brute_force_longest_induced_path, gnp
 
 
+def separates(g, cut) -> bool:
+    """Does deleting `cut` leave g disconnected?"""
+    removed = set(cut)
+    rest = [v for v in range(g.n) if v not in removed]
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        v = stack.pop()
+        for u in g.neighbors(v):
+            if u not in removed and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) < len(rest)
+
+
 def test_kappa_complete():
     cert = vertex_connectivity(complete_graph(5))
     assert cert.kappa == 4 and cert.complete
@@ -32,25 +47,16 @@ def test_kappa_apex_cut():
     cert = vertex_connectivity(g)
     assert cert.kappa == 1
     assert len(cert.cut) == 1
-    # removing the cut disconnects
-    removed = set(cert.cut)
-    comp = [v for v in range(g.n) if v not in removed]
-    seen = {comp[0]}
-    stack = [comp[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in removed and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    assert len(seen) < len(comp)
+    assert separates(g, cert.cut)
 
 
 def test_kappa_blowups_exact():
     for k in (3, 4, 5):
-        cert = vertex_connectivity(build_s(k))
+        g = build_s(k)
+        cert = vertex_connectivity(g)
         assert cert.kappa == k
         assert len(cert.cut) == k
+        assert separates(g, cert.cut)
 
 
 def test_kappa_hk_is_two():
@@ -80,17 +86,7 @@ def test_kappa_cut_revalidates():
         if cert.complete or cert.kappa == 0:
             continue
         assert len(cert.cut) == cert.kappa
-        removed = set(cert.cut)
-        rest = [v for v in range(g.n) if v not in removed]
-        seen = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u not in removed and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        assert len(seen) < len(rest)
+        assert separates(g, cert.cut)
 
 
 def test_longest_induced_path_examples():

@@ -19,7 +19,6 @@ from .chordal import (
     is_simple_elimination_order,
     is_simple_vertex,
     is_strongly_chordal,
-    is_strongly_chordal_definitional,
     mcs_order,
     peo_violation,
 )

@@ -7,17 +7,19 @@ order, with non-adjacent neighbours a, b joined by a shortest path that
 avoids the rest of N[v].  Strong chordality uses simple-vertex
 elimination (a vertex is simple when the closed neighborhoods of its closed
 neighborhood form an inclusion chain); greedy deletion is complete because
-the property is hereditary and never lacks a simple vertex.  A definitional
-cross-check enumerates even cycles and looks for odd chords.
+the property is hereditary and never lacks a simple vertex.
+
+Bull detection returns the lexicographically-first bull: it fills the
+witness position by position with the smallest vertex for which an anchored
+bitmask query still finds a bull, skipping vertex sets that induce more
+edges than a bull has on that many vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GraphError, LabeledGraph, SizeCapError, shortest_path
-
-DEFINITIONAL_CAP = 14
+from .core import GraphError, LabeledGraph, bits_of, shortest_path
 
 
 def mcs_order(g: LabeledGraph) -> list[int]:
@@ -47,13 +49,15 @@ def peo_violation(g: LabeledGraph, order) -> tuple[int, int, int] | None:
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
+    masks = g.adjacency_masks()
+    after = (1 << g.n) - 1  # the vertices after v in the order
     for v in order:
-        later = sorted((u for u in g.neighbors(v) if pos[u] > pos[v]),
-                       key=lambda u: pos[u])
-        for i, a in enumerate(later):
-            for b in later[i + 1:]:
-                if not g.has_edge(a, b):
-                    return (v, a, b)
+        after ^= 1 << v
+        later = masks[v] & after
+        for a in sorted(bits_of(later), key=pos.__getitem__):
+            later ^= 1 << a
+            if later & ~masks[a]:  # a later neighbour of v, after a, not adjacent to a
+                return (v, a, min(bits_of(later & ~masks[a]), key=pos.__getitem__))
     return None
 
 
@@ -86,11 +90,8 @@ def _find_hole(g: LabeledGraph) -> tuple[int, ...] | None:
     """Some induced cycle of length >= 4, via shortest detours around N[v]."""
     masks = g.adjacency_masks()
     for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if g.has_edge(a, b):
-                    continue
+        for a in bits_of(masks[v]):
+            for b in bits_of(masks[v] & ~masks[a] & ~((2 << a) - 1)):  # b > a, b !~ a
                 allowed = ~(masks[v] | 1 << v) | 1 << a | 1 << b
                 path = shortest_path(masks, a, b, allowed)
                 if path is not None:
@@ -168,63 +169,6 @@ def is_strongly_chordal(g: LabeledGraph) -> bool:
     return find_simple_elimination_order(g) is not None
 
 
-def is_strongly_chordal_definitional(g: LabeledGraph, cap: int = DEFINITIONAL_CAP) -> bool:
-    """Chordal, and every even cycle of length >= 6 has an odd chord.
-
-    Enumerates every cycle, so it is capped (default 14 vertices).
-    """
-    if g.n > cap:
-        raise SizeCapError(f"definitional check capped at {cap} vertices")
-    if not is_chordal(g):
-        return False
-    masks = g.adjacency_masks()
-
-    # canonical enumeration: cycles start at their minimum vertex, and the
-    # second vertex is smaller than the last to kill the reversed copy
-    for s in range(g.n):
-        higher = ~((1 << (s + 1)) - 1)
-        path = [s]
-        on_path = 1 << s
-
-        def extend(v, on_path):
-            nonlocal path
-            for u in _bits(masks[v] & higher & ~on_path):
-                path.append(u)
-                if len(path) >= 3 and masks[u] & (1 << s) and path[1] < path[-1]:
-                    if _is_bad_even_cycle(masks, path):
-                        path.pop()
-                        return False
-                if not extend(u, on_path | (1 << u)):
-                    path.pop()
-                    return False
-                path.pop()
-            return True
-
-        if not extend(s, on_path):
-            return False
-    return True
-
-
-def _is_bad_even_cycle(masks, cyc) -> bool:
-    ln = len(cyc)
-    if ln < 6 or ln % 2:
-        return False
-    for i in range(ln):
-        for j in range(i + 2, ln):
-            if i == 0 and j == ln - 1:
-                continue
-            if masks[cyc[i]] & (1 << cyc[j]) and (j - i) % 2 == 1:
-                return False  # odd chord present
-    return True
-
-
-def _bits(mask):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
-
-
 # -- bulls ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -236,21 +180,70 @@ class BullResult:
         return self.bull_free
 
 
+# the most edges k vertices of a bull can induce, k = 0..5
+_BULL_EDGES = (0, 0, 1, 3, 4, 5)
+
+
+def _horned_triangle(masks, allowed, x, y, z, required) -> bool:
+    """A bull inside `allowed` holding every required vertex, on triangle
+    x, y, z with horns d in N(x) - N[y] - N[z] and e in N(y) - N[x] - N[z],
+    d !~ e; required vertices off the triangle fill at most one horn each."""
+    cx, cy, cz = masks[x] | 1 << x, masks[y] | 1 << y, masks[z] | 1 << z
+    ds = masks[x] & allowed & ~(cy | cz)
+    es = masks[y] & allowed & ~(cx | cz)
+    rest = required & ~(1 << x | 1 << y | 1 << z)
+    on_d, on_e = rest & ds, rest & es
+    if rest != on_d | on_e or on_d & (on_d - 1) or on_e & (on_e - 1):
+        return False
+    es = on_e or es
+    return any(es & ~masks[d] for d in bits_of(on_d or ds))
+
+
+def _bull_through(masks, allowed: int, required: int) -> bool:
+    """Is there a bull B with required <= B <= allowed (masks, required non-empty)?
+
+    A bull is a triangle x, y, z with horns d ~ x and e ~ y, where d !~ y, z, e
+    and e !~ x, z.  The query is anchored at the lowest required vertex r,
+    which up to symmetry is x, the tip z or the horn d."""
+    r = (required & -required).bit_length() - 1
+    nr = masks[r] & allowed
+    far = allowed & ~(masks[r] | 1 << r)
+    for u in bits_of(nr):
+        for w in bits_of(nr & masks[u]):
+            # r = x with y = u and tip w, or the tip r with x = u < y = w
+            if (_horned_triangle(masks, allowed, r, u, w, required)
+                    or u < w and _horned_triangle(masks, allowed, u, w, r, required)):
+                return True
+        # r = d on x = u, with y = w and tip t both off N[r]
+        off = masks[u] & far
+        for w in bits_of(off):
+            for t in bits_of(off & masks[w]):
+                if _horned_triangle(masks, allowed, u, w, t, required):
+                    return True
+    return False
+
+
 def is_bull_free(g: LabeledGraph) -> BullResult:
-    """No 5 vertices induce a triangle with two pendant horns.
+    """No 5 vertices induce a triangle with two pendant horns; otherwise the
+    witness is the lexicographically-first bull, as a sorted 5-tuple.
 
-    On 5 vertices, 5 edges with degree multiset {1,1,2,3,3} are exactly a bull,
-    so the subset scan only needs degrees.
+    The witness is filled one position at a time: each takes the smallest
+    vertex c above the last one such that _bull_through() finds a bull that
+    holds the chosen vertices and c and otherwise uses only vertices above
+    c.  A candidate is skipped when the required set induces more edges than
+    a bull has on that many vertices.  When no first position fits, the
+    graph is bull-free.
     """
-    from itertools import combinations
-
-    for sub in combinations(range(g.n), 5):
-        degs = []
-        edges = 0
-        for v in sub:
-            d = sum(1 for u in sub if u != v and g.has_edge(u, v))
-            degs.append(d)
-            edges += d
-        if edges == 10 and sorted(degs) == [1, 1, 2, 3, 3]:
-            return BullResult(False, sub)
-    return BullResult(True, None)
+    masks = g.adjacency_masks()
+    chosen, c = 0, -1
+    for k in range(1, 6):
+        for c in range(c + 1, g.n):
+            required = chosen | 1 << c
+            edges = sum((masks[v] & required).bit_count() for v in bits_of(required))
+            if (edges // 2 <= _BULL_EDGES[k]
+                    and _bull_through(masks, chosen | (1 << g.n) - (1 << c), required)):
+                chosen = required
+                break
+        else:  # only at k = 1: a later position extends the bull already found
+            return BullResult(True, None)
+    return BullResult(False, tuple(bits_of(chosen)))

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import chordal, cycles, structure, treemodel
-from .core import GraphError, SizeCapError
+from .core import GraphError, LabeledGraph, SizeCapError
 from .families import (
     HkSpec,
     build_dn,
@@ -153,6 +153,10 @@ def claim_2_6(params) -> ClaimRun:
 
 def claim_2_8(params) -> ClaimRun:
     """Pasted graphs are Hamiltonian yet have a frozen two-short cycle."""
+    return _claim_2_8(params)[0]
+
+
+def _claim_2_8(params) -> tuple[ClaimRun, LabeledGraph]:
     run = ClaimRun()
     k = params.get("k", 3)
     spec = HkSpec(k, _sizes(params, k))
@@ -176,14 +180,12 @@ def claim_2_8(params) -> ClaimRun:
         for v in (h.vertex("z"), h.vertex(f"v{k}")):
             run.check(f"frozen set + vertex {v} is not cyclable",
                       lambda v=v: (cycles.find_spanning_cycle(h, expect | {v}) is None, None))
-    return run
+    return run, h
 
 
 def claim_2_9(params) -> ClaimRun:
     """The pasted counterexamples are strongly chordal on every size n >= 15."""
-    run = claim_2_8(params)
-    k = params.get("k", 3)
-    h = build_hk(HkSpec(k, _sizes(params, k)))
+    run, h = _claim_2_8(params)
     run.check("strongly chordal", lambda: chordal.is_strongly_chordal(h))
     run.check("chordal", lambda: bool(chordal.is_chordal(h)))
     return run

@@ -145,6 +145,16 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.edge_count})"
 
 
+def bits_of(mask: int) -> list[int]:
+    """The set bits of mask (vertex ids), lowest first."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
+
+
 def _step(adj_masks, mask: int) -> int:
     """Union of the neighbourhoods (out-arcs) of the vertices in mask."""
     out = 0

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import Cycle, GraphError, LabeledGraph, SizeCapError, reach
+from .core import Cycle, GraphError, LabeledGraph, SizeCapError, bits_of, reach
 
 DEFAULT_SUBSET_CAP = 24
 HARD_SUBSET_CAP = 26
@@ -57,15 +57,6 @@ def _mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _bits_of(mask) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return out
 
 
 # -- subset dynamic program ---------------------------------------------------
@@ -130,7 +121,7 @@ class CyclableTable:
 
     def _path_end(self, mask: int, allowed: int) -> int:
         """Lowest vertex of `allowed` at which an anchored path spanning `mask` ends."""
-        for e in _bits_of(mask & allowed):
+        for e in bits_of(mask & allowed):
             if self.rows[e * self.stride + (mask >> 3)] >> (mask & 7) & 1:
                 return e
 
@@ -163,7 +154,7 @@ def build_cyclable_table(g: LabeledGraph, cap: int | None = None) -> CyclableTab
     if n > cap:
         raise SizeCapError(
             f"subset table needs 2^{n} entries; cap is {cap} vertices")
-    nbrs = [_bits_of(m) for m in g.adjacency_masks()]
+    nbrs = [bits_of(m) for m in g.adjacency_masks()]
     below = []  # below[e]: subsets containing e whose minimum is below e
     lower = 0   # subsets with a member below the current e
     for e in range(n):
@@ -398,7 +389,7 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
         if reach(allowed, 1 << v, region) != region:
             return False
 
-        order = sorted(_bits_of(cand),
+        order = sorted(bits_of(cand),
                        key=lambda w: ((allowed[w] & ~visited).bit_count(), w))
         for w in order:
             cls = class_of[w]
@@ -455,7 +446,7 @@ class _Kernel:
         end = [(mem & -mem).bit_length() - 1 for mem in members]
         for c, d in steps:  # an end set has one kernel edge besides its forced one
             if self._segment(c, d) < 0:
-                for v in _bits_of(members[c]):
+                for v in bits_of(members[c]):
                     nb = adj[v] & members[d]
                     if nb:
                         end[c], end[d] = v, (nb & -nb).bit_length() - 1
@@ -472,9 +463,9 @@ class _Kernel:
             # with the T's: e t a .. t x t' a' .. t' e'
             e1, t1, x, t2, e2 = self.segments[seg]
             first, last = (end[c], end[d]) if c < d else (end[d], end[c])
-            a_seq = ([first] + _bits_of(e1 & ~(1 << first)) + _bits_of(x)
-                     + _bits_of(e2 & ~(1 << last)))
-            inner = [v for pair in zip(a_seq, _bits_of(t1) + _bits_of(t2))
+            a_seq = ([first] + bits_of(e1 & ~(1 << first)) + bits_of(x)
+                     + bits_of(e2 & ~(1 << last)))
+            inner = [v for pair in zip(a_seq, bits_of(t1) + bits_of(t2))
                      for v in pair][1:]
             out += inner if c < d else inner[::-1]
         return out
@@ -507,9 +498,9 @@ def _kernelize(adj: list[int]) -> _Kernel:
         ab = nb & ~p
         if ab.bit_count() != 2 or nb == full or p & ends or ab & removed:
             continue
-        a, b = _bits_of(ab)
+        a, b = bits_of(ab)
         if (a, b) not in pastes:
-            pastes[a, b] = _bits_of(p)
+            pastes[a, b] = bits_of(p)
             removed |= p
             ends |= ab
     alive = full & ~removed
@@ -520,7 +511,7 @@ def _kernelize(adj: list[int]) -> _Kernel:
             adj[b] |= 1 << a
 
     opened: dict[int, int] = {}
-    for v in _bits_of(alive):
+    for v in bits_of(alive):
         opened[adj[v]] = opened.get(adj[v], 0) | (1 << v)
     tight = [(t, a) for a, t in sorted(opened.items())
              if t.bit_count() >= 2 and a.bit_count() == t.bit_count() + 1]
@@ -534,8 +525,10 @@ def _kernelize(adj: list[int]) -> _Kernel:
                 continue
             used |= w
             segments.append((a1 & ~x, t1, x, t2, a2 & ~x))
+    if not pastes and not segments:  # no rule fired: the kernel is the graph
+        return _Kernel(adj, [], [1 << v for v in range(m)], m, adj, {}, [])
 
-    members = [1 << v for v in _bits_of((alive & ~used) | ends)]
+    members = [1 << v for v in bits_of((alive & ~used) | ends)]
     plain = len(members)
     inner = 0
     for e1, t1, x, t2, e2 in segments:
@@ -543,15 +536,15 @@ def _kernelize(adj: list[int]) -> _Kernel:
         inner |= t1 | x | t2
     rep = [0] * m  # the kernel vertex of each local vertex outside the inners
     for i, mem in enumerate(members):
-        for v in _bits_of(mem):
+        for v in bits_of(mem):
             rep[v] = i
     kadj = []
     for i, mem in enumerate(members):
         touch = 0
-        for v in _bits_of(mem):
+        for v in bits_of(mem):
             touch |= adj[v]
         nb = 0
-        for u in _bits_of(touch & ~inner):
+        for u in bits_of(touch & ~inner):
             nb |= 1 << rep[u]
         kadj.append(nb & ~(1 << i))
     forced = [(rep[a], rep[b]) for a, b in pastes]
@@ -703,4 +696,4 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = 
     bad = cyc & room & ~grown
     if not bad:
         return ExtensionVerdict(True, None)
-    return ExtensionVerdict(False, frozenset(_bits_of((bad & -bad).bit_length() - 1)))
+    return ExtensionVerdict(False, frozenset(bits_of((bad & -bad).bit_length() - 1)))

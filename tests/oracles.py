@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 
-from hendry import GraphError, LabeledGraph, SizeCapError
+from hendry import BullResult, GraphError, LabeledGraph, SizeCapError, is_chordal
 from hendry.core import reach
+
+DEFINITIONAL_CAP = 14
 
 
 def gnp(n: int, p: float, rng) -> LabeledGraph:
@@ -260,6 +262,94 @@ def brute_force_s_extendible(g: LabeledGraph, s_set):
         if not ok:
             return False, mask
     return True, None
+
+
+def is_strongly_chordal_definitional(g: LabeledGraph, cap: int = DEFINITIONAL_CAP) -> bool:
+    """Chordal, and every even cycle of length >= 6 has an odd chord.
+
+    Enumerates every cycle, so it is capped (default 14 vertices).
+    """
+    if g.n > cap:
+        raise SizeCapError(f"definitional check capped at {cap} vertices")
+    if not is_chordal(g):
+        return False
+    masks = g.adjacency_masks()
+
+    # canonical enumeration: cycles start at their minimum vertex, and the
+    # second vertex is smaller than the last to kill the reversed copy
+    for s in range(g.n):
+        higher = ~((1 << (s + 1)) - 1)
+        path = [s]
+        on_path = 1 << s
+
+        def extend(v, on_path):
+            nonlocal path
+            for u in _bits(masks[v] & higher & ~on_path):
+                path.append(u)
+                if len(path) >= 3 and masks[u] & (1 << s) and path[1] < path[-1]:
+                    if _is_bad_even_cycle(masks, path):
+                        path.pop()
+                        return False
+                if not extend(u, on_path | (1 << u)):
+                    path.pop()
+                    return False
+                path.pop()
+            return True
+
+        if not extend(s, on_path):
+            return False
+    return True
+
+
+def _is_bad_even_cycle(masks, cyc) -> bool:
+    ln = len(cyc)
+    if ln < 6 or ln % 2:
+        return False
+    for i in range(ln):
+        for j in range(i + 2, ln):
+            if i == 0 and j == ln - 1:
+                continue
+            if masks[cyc[i]] & (1 << cyc[j]) and (j - i) % 2 == 1:
+                return False  # odd chord present
+    return True
+
+
+def _bits(mask):
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
+def peo_violation_by_pairs(g: LabeledGraph, order) -> tuple[int, int, int] | None:
+    """First (v, a, b) where a, b are later neighbours of v and a !~ b, by
+    testing every pair of later neighbours with has_edge."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = sorted((u for u in g.neighbors(v) if pos[u] > pos[v]), key=pos.get)
+        for i, a in enumerate(later):
+            for b in later[i + 1:]:
+                if not g.has_edge(a, b):
+                    return (v, a, b)
+    return None
+
+
+def bull_by_subsets(g: LabeledGraph) -> BullResult:
+    """The first 5-subset, in lexicographic order, that induces a bull.
+
+    On 5 vertices, 5 edges with degree multiset {1,1,2,3,3} are exactly a bull,
+    so the subset scan only needs degrees.
+    """
+    for sub in itertools.combinations(range(g.n), 5):
+        degs = []
+        edges = 0
+        for v in sub:
+            d = sum(1 for u in sub if u != v and g.has_edge(u, v))
+            degs.append(d)
+            edges += d
+        if edges == 10 and sorted(degs) == [1, 1, 2, 3, 3]:
+            return BullResult(False, sub)
+    return BullResult(True, None)
 
 
 def three_sun() -> LabeledGraph:

@@ -35,7 +35,6 @@ from hendry import (
     is_s_cycle_extendible,
     is_simple_elimination_order,
     is_strongly_chordal,
-    is_strongly_chordal_definitional,
     lift_cycle,
     longest_induced_path,
     is_pt_free,
@@ -51,6 +50,7 @@ from oracles import (
     brute_force_chordal,
     brute_force_kappa,
     gnp,
+    is_strongly_chordal_definitional,
     permutation_cyclable_sets,
     three_sun,
 )

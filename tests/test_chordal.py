@@ -1,12 +1,16 @@
 import random
+import time
 
 import pytest
 
 from hendry import (
+    BullResult,
     GraphError,
     HkSpec,
+    build_dn,
     build_gk,
     build_gkm,
+    build_h_plus,
     build_hk,
     build_jk,
     build_s,
@@ -20,13 +24,20 @@ from hendry import (
     is_simple_elimination_order,
     is_simple_vertex,
     is_strongly_chordal,
-    is_strongly_chordal_definitional,
     mcs_order,
     path_graph,
     peo_violation,
 )
 from hendry.core import LabeledGraph, SizeCapError
-from oracles import brute_force_chordal, gnp, three_sun
+from oracles import (
+    brute_force_chordal,
+    bull_by_subsets,
+    gnp,
+    is_strongly_chordal_definitional,
+    peo_violation_by_pairs,
+    random_chordal,
+    three_sun,
+)
 
 
 def test_mcs_on_complete_and_c4():
@@ -51,6 +62,16 @@ def test_peo_examples():
     assert v is not None and not c4.has_edge(v[1], v[2])
     with pytest.raises(GraphError):
         is_peo(p3, [0, 1])
+
+
+def test_peo_violation_matches_pairwise_scan():
+    rng = random.Random(29)
+    for _ in range(1000):
+        g = gnp(rng.randint(1, 12), rng.random(), rng)
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        for order in (shuffled, list(reversed(mcs_order(g)))):
+            assert peo_violation(g, order) == peo_violation_by_pairs(g, order)
 
 
 def assert_induced_cycle(g, hole):
@@ -166,3 +187,58 @@ def test_bull_free_examples():
 def test_bull_in_bigger_pastes():
     res = is_bull_free(build_hk(HkSpec(3, (4, 3, 3, 3, 3))))
     assert not res
+
+
+# -- bulls: the anchored search against the 5-subset scan -----------------------
+
+def census_family_members():
+    yield from (build_gk(k) for k in range(3, 8))
+    for build in (build_hk, build_h_plus):
+        for i in range(32):
+            yield build(HkSpec(3, tuple(3 + (i >> j & 1) for j in range(5))))
+    yield from (build_dn(n) for n in range(15, 41))
+    yield from (build_gkm(k, m) for k, m in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)))
+    yield from (build_s(k) for k in (3, 4))
+
+
+def test_bull_search_matches_subset_scan():
+    rng = random.Random(41)
+    graphs = list(census_family_members())
+    graphs += [random_chordal(rng.randint(5, 20), rng) for _ in range(30)]
+    graphs += [gnp(rng.randint(5, 13), rng.choice((0.2, 0.35, 0.5, 0.7)), rng)
+               for _ in range(1200)]
+    outcomes = [0, 0]
+    for g in graphs:
+        res = is_bull_free(g)
+        assert res == bull_by_subsets(g)
+        outcomes[res.bull_free] += 1
+    assert min(outcomes) >= 300, outcomes
+
+
+BULL = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]  # triangle 0 1 2, horns 3 ~ 0, 4 ~ 1
+
+
+def relabel(edges, perm):
+    return [(perm[a], perm[b]) for a, b in edges]
+
+
+def test_bull_named_cases():
+    assert is_bull_free(LabeledGraph(5, BULL)) == BullResult(False, (0, 1, 2, 3, 4))
+    for g in (complete_graph(5), path_graph(5)):
+        assert is_bull_free(g) == BullResult(True, None)
+    # K5 on 0..4 beside a bull on 5..9: the descent runs to the last vertex
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    last = LabeledGraph(10, k5 + relabel(BULL, range(5, 10)))
+    assert is_bull_free(last) == BullResult(False, (5, 6, 7, 8, 9))
+    # vertex 0 anchors every query; make it each role in turn
+    for role, perm in (("horned", (0, 1, 2, 3, 4)), ("tip", (1, 2, 0, 3, 4)),
+                       ("horn", (1, 2, 3, 0, 4))):
+        g = LabeledGraph(5, relabel(BULL, perm))
+        assert is_bull_free(g) == bull_by_subsets(g) == BullResult(False, (0, 1, 2, 3, 4)), role
+
+
+def test_bull_search_budget():
+    for g in (build_gk(7), build_gk(12), build_dn(40)):
+        t0 = time.perf_counter()
+        is_bull_free(g)
+        assert time.perf_counter() - t0 < 0.05

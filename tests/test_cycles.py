@@ -514,3 +514,14 @@ def test_kernel_contracts_pasted_blowups_fast():
         t0 = time.perf_counter()
         assert find_spanning_cycle(h, allv - {v}) is None
         assert time.perf_counter() - t0 < 0.1
+
+
+def test_kernel_without_rules_is_the_graph():
+    # gk(5) has no pasted clique and no chained tight classes: the kernel is
+    # the local adjacency itself, with one vertex per member and no pair forced
+    adj = list(build_gk(5).adjacency_masks())
+    kernel = cycles._kernelize(adj)
+    assert kernel.adj is adj and kernel.forced == []
+    assert kernel.members == [1 << v for v in range(len(adj))]
+    _, tour = cycles._spanning_cycle_search(kernel.adj, kernel.forced, count_all=False)
+    assert tour is not None and kernel.lift(tour) == tour

@@ -126,8 +126,7 @@ def _emit(report: dict, results: list[CheckResult]) -> int:
          "detail": r.detail, "elapsed_ms": round(r.elapsed_ms, 3)}
         for r in results
     ]
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     if any(r.verdict is None for r in results):
         return EXIT_CAP
     if any(r.verdict is False for r in results):
@@ -144,8 +143,7 @@ def cmd_generate(args) -> int:
     info = {"command": "generate", "input": desc, "version": __version__,
             "n": g.n, "edges": g.edge_count, "heavy_edges": len(g.heavy_edges),
             "files": [g6_path, side_path]}
-    json.dump(info, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(info, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from hendry import BullResult, GraphError, LabeledGraph, SizeCapError, is_chordal
-from hendry.core import reach
+from hendry import BullResult, ConnectivityCert, GraphError, LabeledGraph, SizeCapError, is_chordal
+from hendry.core import reach, shortest_path
 
 DEFINITIONAL_CAP = 14
 
@@ -181,6 +181,77 @@ def brute_force_kappa(g: LabeledGraph) -> int:
             if not _connected_after_removal(g, set(cut)):
                 return size
     return n - 1
+
+
+def connectivity_by_pair_scan(g: LabeledGraph) -> ConnectivityCert:
+    """Exact vertex connectivity with a minimum separating set.
+
+    The unpruned pair scan: every non-adjacent pair from sources 0..best,
+    each flow started from zero.  It shares the flow and cut code with
+    `structure.vertex_connectivity`, so it checks the twin and
+    common-neighbour pruning, not the max flow itself."""
+    n = g.n
+    if n < 2:
+        raise GraphError("connectivity needs at least 2 vertices")
+    if all(g.degree(v) == n - 1 for v in range(n)):
+        return ConnectivityCert(n - 1, None, True)
+    if not g.is_connected():
+        return ConnectivityCert(0, (), False)
+
+    # Split digraph as 2n out-arc masks: in(v) = 2v -> out(v) = 2v+1, and
+    # out(u) -> in(v) for each edge uv.  Vertex arcs have capacity 1, so the
+    # residual is again a digraph; edge arcs are uncapacitated, so a forward
+    # edge arc never leaves it and every minimum cut is on vertex arcs.
+    base = []
+    for v in range(n):
+        base += [1 << (2 * v + 1), sum(1 << (2 * u) for u in g.neighbors(v))]
+    full = (1 << (2 * n)) - 1
+    best, best_cut = n, None
+    for s in range(n):
+        if s > best:  # Even's bound: sources 0..best cover a vertex off some minimum cut
+            break
+        for t in range(s + 1, n):
+            if g.has_edge(s, t):
+                continue
+            res = list(base)
+            flow = 0
+            while flow < best:  # a pair that reaches best cannot improve it
+                path = shortest_path(res, 2 * s + 1, 2 * t, full)
+                if path is None:
+                    break
+                for a, b in zip(path, path[1:]):
+                    if not a & 1 or b == a - 1:  # not a forward edge arc
+                        res[a] &= ~(1 << b)
+                    res[b] |= 1 << a
+                flow += 1
+            if flow < best:
+                # the residual-reachable side is the same for every maximum
+                # flow, so the cut does not depend on the paths found
+                seen = reach(res, 1 << (2 * s + 1), full)
+                best, best_cut = flow, [v for v in range(n) if v not in (s, t)
+                                        and seen >> (2 * v) & 1
+                                        and not seen >> (2 * v + 1) & 1]
+    return ConnectivityCert(best, tuple(best_cut), False)
+
+
+def twin_blowup(rng, n_base: int, p: float = 0.5) -> LabeledGraph:
+    """G(n_base, p) with each vertex replaced by a clique or an independent
+    set of 1-3 vertices; blocks of adjacent base vertices are joined
+    completely.  Rich in true and false twins."""
+    base = gnp(n_base, p, rng)
+    blocks, n = [], 0
+    for _ in range(n_base):
+        size = rng.randint(1, 3)
+        blocks.append(range(n, n + size))
+        n += size
+    edges = []
+    for v, block in enumerate(blocks):
+        if rng.random() < 0.5:
+            edges += [(a, b) for a in block for b in block if a < b]
+        for u in base.neighbors(v):
+            if u < v:
+                edges += [(a, b) for a in blocks[u] for b in block]
+    return LabeledGraph(n, edges)
 
 
 def brute_force_longest_induced_path(g: LabeledGraph) -> int:

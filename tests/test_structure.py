@@ -1,10 +1,14 @@
 import random
+import time
 
 import pytest
 
+import oracles
 from hendry import (
+    ConnectivityCert,
     GraphError,
     HkSpec,
+    LabeledGraph,
     SizeCapError,
     build_gk,
     build_h_plus,
@@ -17,9 +21,18 @@ from hendry import (
     is_pt_free,
     longest_induced_path,
     path_graph,
+    structure,
     vertex_connectivity,
 )
-from oracles import brute_force_kappa, brute_force_longest_induced_path, gnp
+from oracles import (
+    brute_force_kappa,
+    brute_force_longest_induced_path,
+    connectivity_by_pair_scan,
+    gnp,
+    random_chordal,
+    twin_blowup,
+)
+from test_chordal import census_family_members
 
 
 def separates(g, cut) -> bool:
@@ -129,3 +142,84 @@ def test_size_caps():
         longest_induced_path(complete_graph(26))
     with pytest.raises(GraphError):
         vertex_connectivity(complete_graph(1))
+
+
+# -- connectivity: twin and common-neighbour pruning against the pair scan ------
+
+def test_connectivity_matches_pair_scan():
+    rng = random.Random(91)
+    graphs = [gnp(rng.randint(2, 14), rng.choice((0.3, 0.5, 0.7, 0.85)), rng)
+              for _ in range(2000)]
+    graphs += [twin_blowup(rng, rng.randint(2, 7), rng.choice((0.4, 0.6, 0.8)))
+               for _ in range(1500)]
+    graphs += [random_chordal(rng.randint(2, 20), rng) for _ in range(200)]
+    graphs += list(census_family_members()) + [build_s(5)]
+    positive = 0
+    for g in graphs:
+        cert = vertex_connectivity(g)
+        assert cert == connectivity_by_pair_scan(g)
+        positive += not cert.complete and cert.kappa > 0
+    assert positive >= 1500, positive
+
+
+def test_connectivity_on_twin_blowups_agrees_with_brute_force():
+    rng = random.Random(92)
+    checked = 0
+    while checked < 300:
+        g = twin_blowup(rng, rng.randint(2, 4), rng.choice((0.4, 0.6, 0.8)))
+        if g.n > 9:
+            continue
+        assert vertex_connectivity(g).kappa == brute_force_kappa(g)
+        checked += 1
+
+
+def flow_pairs(monkeypatch, module):
+    """The (source, sink) vertex pairs whose flows call shortest_path in module."""
+    pairs = set()
+    real = module.shortest_path
+
+    def spy(res, start, target, within):
+        pairs.add((start // 2, target // 2))
+        return real(res, start, target, within)
+
+    monkeypatch.setattr(module, "shortest_path", spy)
+    return pairs
+
+
+def test_connectivity_skips_a_twin_source(monkeypatch):
+    # 0 and 1 are false twins (N = {2, 3}), then true twins (N[.] = {0, 1, 2, 3}),
+    # on the cycle 0 2 4 5 3: (1, 4) has one common neighbour but flow 2 = kappa,
+    # so only the twin rule keeps source 1 from running it
+    cycle = [(0, 2), (2, 4), (4, 5), (5, 3), (3, 0), (1, 2), (1, 3)]
+    false_twins = LabeledGraph(6, cycle)
+    true_twins = LabeledGraph(6, cycle + [(0, 1)])
+    for g in (false_twins, true_twins):
+        scanned = flow_pairs(monkeypatch, oracles)
+        ran = flow_pairs(monkeypatch, structure)
+        cert = vertex_connectivity(g)
+        assert cert == connectivity_by_pair_scan(g) == ConnectivityCert(2, (2, 3), False)
+        assert (1, 4) in scanned
+        assert not any(s == 1 for s, _ in ran)
+
+
+def test_connectivity_skips_a_pair_by_common_neighbours(monkeypatch):
+    # (0, 1) sets best = 2; (0, 2) has common neighbours {3, 4}, so it is
+    # skipped although its flow is 3; (0, 7) then sets the cut {6}
+    g = LabeledGraph(8, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4),
+                         (2, 6), (5, 6), (6, 7)])
+    scanned = flow_pairs(monkeypatch, oracles)
+    ran = flow_pairs(monkeypatch, structure)
+    cert = vertex_connectivity(g)
+    assert cert == connectivity_by_pair_scan(g) == ConnectivityCert(1, (6,), False)
+    assert (0, 2) in scanned and (0, 7) in ran
+    assert (0, 2) not in ran
+
+
+def test_connectivity_budget_s5():
+    g = build_s(5)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert vertex_connectivity(g).kappa == 5
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.015, times

@@ -286,15 +286,15 @@ def claim_3_6(params) -> ClaimRun:
     run = ClaimRun()
     k = params.get("k", 3)
     spec = HkSpec(k, _sizes(params, k))
-    model = treemodel.explicit_model_hk(spec)
     h = build_hk(spec)
+    model = treemodel.explicit_model_hk(spec, h)
     run.check(f"hk model verifies (k={k})", lambda: model_check(model, h))
     leaves, branch, maxdeg = treemodel.tree_stats(model.host)
     run.check(f"hk host: {2 * k - 1} leaves, {2 * k - 3} branch vertices, degree <= 3",
               lambda: ((leaves, branch, maxdeg) == (2 * k - 1, 2 * k - 3, 3), (leaves, branch, maxdeg)))
     x_order = k + 3 if params.get("x_order") is None else params["x_order"]
-    jmodel = treemodel.explicit_model_jk(k, spec.clique_sizes, x_order)
     j = build_jk(k, spec.clique_sizes, x_order)
+    jmodel = treemodel.explicit_model_jk(k, spec.clique_sizes, x_order, j)
     run.check(f"jk model verifies (k={k})", lambda: model_check(jmodel, j))
     l2, b2, d2 = treemodel.tree_stats(jmodel.host)
     run.check(f"jk host: {2 * k} leaves, {2 * k - 2} branch vertices, degree <= 3",

@@ -250,14 +250,14 @@ def cmd_model(args) -> int:
     if args.family == "hk":
         k = _need(args, "--k")
         spec = HkSpec(k, _parse_sizes(args.sizes, k))
-        model = treemodel.explicit_model_hk(spec)
         g, desc = build_hk(spec), f"hk(k={k})"
+        model = treemodel.explicit_model_hk(spec, g)
     elif args.family == "jk":
         k = _need(args, "--k")
         sizes = _parse_sizes(args.sizes, k)
         x_order = args.x_order if args.x_order is not None else k + 3
-        model = treemodel.explicit_model_jk(k, sizes, x_order)
         g, desc = build_jk(k, sizes, x_order), f"jk(k={k})"
+        model = treemodel.explicit_model_jk(k, sizes, x_order, g)
     elif args.input:
         g, desc = _load_input(args)
         model = treemodel.clique_tree(g)

@@ -4,7 +4,9 @@ Two exact mechanisms back every predicate here:
 
 * a subset dynamic program over Hamiltonian paths anchored at the minimum
   vertex of each subset (the cyclable table), bit-sliced into one 2^n-bit
-  integer per path endpoint and bounded by a hard size cap; and
+  integer per path endpoint and bounded by a hard size cap; its subset masks
+  are derived by shifts where they are used, and its fill updates a vertex
+  only from the neighbours whose rows grew; and
 * a backtracking search for cycles spanning a fixed vertex set, with forced
   edges (heavy edges, or edges implied by degree-2 vertices) propagated up
   front, plus degree, connectivity and twin-symmetry pruning.  The search is
@@ -61,21 +63,20 @@ def _mask_of(vertices) -> int:
 
 # -- subset dynamic program ---------------------------------------------------
 
-def _containing(n: int, v: int) -> int:
-    """The subsets that contain v, as an int whose bit S stands for mask S
-    (exact below max(2^n, 8); past 2^n, for n < 3, it meets no real subset)."""
-    size = max(1, (1 << n) >> 3)
-    if v < 3:
-        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[v:v + 1]) * size, "little")
-    half = 1 << (v - 3)
-    return int.from_bytes((bytes(half) + b"\xff" * half) * (size // (2 * half)), "little")
+def _containing_masks(n: int):
+    """(v, the subsets that contain v) for v = n - 1 down to 0, where bit S of
+    a 2^n-bit int stands for vertex mask S; each is one shift from the last."""
+    has = (1 << (1 << n)) - 1
+    for v in reversed(range(n)):
+        has ^= has >> (1 << v)
+        yield v, has
 
 
-def _drop_one(x: int, has: list[int]) -> int:
+def _drop_one(x: int, n: int) -> int:
     """Subsets T such that T plus one vertex outside T is in x."""
     out = 0
-    for v, hv in enumerate(has):
-        out |= (x & hv) >> (1 << v)
+    for v, has in _containing_masks(n):
+        out |= (x & has) >> (1 << v)
     return out
 
 
@@ -147,45 +148,51 @@ def build_cyclable_table(g: LabeledGraph, cap: int | None = None) -> CyclableTab
     which (unless S = {e}) extends a path to a neighbour f spanning S - {e}:
     OR_f ends[f] shifted left by 2^e adds e to every subset, and masking to
     the subsets that contain e and have a smaller minimum drops the carries.
-    Sweeping in place reaches the fixed point within n - 1 sweeps.
+    The update is a union of one term per neighbour and only grows rows, so
+    the least fixed point does not depend on the order of updates: sweeps of
+    alternating direction update a vertex only after a neighbour's row grew,
+    from those neighbours alone, until no row grows.
     """
     cap = subset_cap() if cap is None else cap
     n = g.n
     if n > cap:
         raise SizeCapError(
             f"subset table needs 2^{n} entries; cap is {cap} vertices")
-    nbrs = [bits_of(m) for m in g.adjacency_masks()]
-    below = []  # below[e]: subsets containing e whose minimum is below e
-    lower = 0   # subsets with a member below the current e
-    for e in range(n):
-        has = _containing(n, e)
-        below.append(has & lower)
-        lower |= has
-    ends = [1 << (1 << e) for e in range(n)]
-    for _ in range(n - 1):
-        changed = False
-        for e in range(n):
-            reach = 0
-            for f in nbrs[e]:
-                reach |= ends[f]
-            grown = ends[e] | (reach << (1 << e)) & below[e]
-            changed |= grown != ends[e]
-            ends[e] = grown
-        if not changed:
-            break
+    stale = list(g.adjacency_masks())  # stale[e]: neighbours grown since e's update
+    nbrs = [bits_of(m) for m in stale]
+    below, low = [0] * n, 1  # subsets containing e whose minimum is below e; with none below e
+    for e, has in _containing_masks(n):
+        mins = low << (1 << e)  # subsets whose minimum is e
+        below[e] = has ^ mins
+        low |= mins
+    ends, order = [1 << (1 << e) for e in range(n)], list(range(n))
+    has = mins = low = 0  # free the masks before the fill
+    while any(stale):
+        for e in order:
+            if stale[e]:
+                reach = 0
+                for f in bits_of(stale[e]):
+                    reach |= ends[f]
+                stale[e] = 0
+                grown = ends[e] | (reach << (1 << e)) & below[e]
+                if grown != ends[e]:
+                    ends[e] = grown
+                    for u in nbrs[e]:
+                        stale[u] |= 1 << e
+        order.reverse()
     # S is cyclable when a path spanning S ends at a neighbour of a = min(S)
-    cyc = 0
-    for a in range(n):
+    cyc = grown = 0  # grown: free the fill's last candidate row
+    for a, has in _containing_masks(n):
         reach = 0
         for f in nbrs[a]:
             reach |= ends[f]
-        cyc |= reach & (_containing(n, a) ^ below[a])
+        cyc |= reach & (has ^ below.pop())  # the subsets whose minimum is a
     size = max(1, (1 << n) >> 3)
     cyc_bytes = bytearray(cyc.to_bytes(size, "little"))
     for a, b in g.edges():  # an edge is a two-vertex path, not a cycle
         pair = (1 << a) | (1 << b)
         cyc_bytes[pair >> 3] &= ~(1 << (pair & 7))
-    del below, cyc  # free them, and each int as it is copied, to bound peak memory
+    del cyc  # free it, and each int as it is copied, to bound peak memory
     rows = [ends.pop(0).to_bytes(size, "little") for _ in range(n)]
     return CyclableTable(g, b"".join(rows), bytes(cyc_bytes))
 
@@ -671,7 +678,7 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = 
     The chosen reading: a subset with room for no jump in the set is exempt.
     Decided for all subsets at once: with D(X) the subsets one vertex short
     of a member of X, the failures are cyc & D^(min s)(all) & ~OR_s D^s(cyc);
-    jumps past n are clamped, so any jumps cost at most 2n + 1 drop steps.
+    jumps past n are clamped, so any jumps cost at most 2n drop steps.
     The witness is the numerically smallest failure.  With s_set = {1} this
     coincides with plain cycle extendibility.
     """
@@ -683,14 +690,13 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = 
     if table is None:
         table = build_cyclable_table(g, cap)
     n = table.n
-    has = [_containing(n, v) for v in range(n)]
-    room = (1 << (1 << n)) - 1
-    for _ in range(min(jumps[0], n + 1)):
-        room = _drop_one(room, has)
+    room = (1 << (1 << n) - 1) - 1  # one drop from every subset: all but V, mask 2^n - 1
+    for _ in range(min(jumps[0], n + 1) - 1):
+        room = _drop_one(room, n)
     cyc = int.from_bytes(table.cyc, "little")
     grown, reach = 0, cyc
     for s in range(1, min(jumps[-1], n) + 1):
-        reach = _drop_one(reach, has)
+        reach = _drop_one(reach, n)
         if s in jumps:
             grown |= reach
     bad = cyc & room & ~grown

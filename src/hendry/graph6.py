@@ -49,6 +49,10 @@ def encode_graph6(g: LabeledGraph, header: bool = False) -> str:
 
 def decode_graph6(data) -> LabeledGraph:
     """Decode a graph6 string (optionally with header) into an unlabeled graph."""
+    return LabeledGraph(*_decode(data))
+
+
+def _decode(data) -> tuple[int, list[tuple[int, int]]]:
     if isinstance(data, bytes):
         try:
             data = data.decode("ascii")
@@ -103,7 +107,7 @@ def decode_graph6(data) -> LabeledGraph:
         pad = body[-1] & ((1 << (6 * need - nbits)) - 1) if 6 * need != nbits else 0
         if pad:
             raise GraphError("non-canonical padding bits set")
-    return LabeledGraph(n, edges)
+    return n, edges
 
 
 # -- sidecar -----------------------------------------------------------------
@@ -117,9 +121,13 @@ def sidecar_dict(g: LabeledGraph) -> dict:
 
 
 def apply_sidecar(g: LabeledGraph, side: dict) -> LabeledGraph:
+    return LabeledGraph(g.n, g.edges(), *_sidecar_labels(g.n, side))
+
+
+def _sidecar_labels(n: int, side: dict) -> tuple[list[str] | None, list[list[int]]]:
     if not isinstance(side, dict):
         raise GraphError("sidecar must be a JSON object")
-    if side.get("n") != g.n:
+    if side.get("n") != n:
         raise GraphError("sidecar vertex count does not match graph6 data")
     roles = side.get("roles")
     if roles is not None and (not isinstance(roles, list)
@@ -130,7 +138,7 @@ def apply_sidecar(g: LabeledGraph, side: dict) -> LabeledGraph:
             isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
             for e in heavy):
         raise GraphError("sidecar heavy_edges must be a list of [int, int] pairs")
-    return LabeledGraph(g.n, g.edges(), roles, heavy)
+    return roles, heavy
 
 
 def save_graph(g: LabeledGraph, base_path: str) -> tuple[str, str]:
@@ -148,16 +156,16 @@ def save_graph(g: LabeledGraph, base_path: str) -> tuple[str, str]:
 def load_graph(g6_path: str, sidecar_path: str | None = None) -> LabeledGraph:
     """Read a graph6 file, attaching the sidecar when present."""
     with open(g6_path, "rb") as f:
-        g = decode_graph6(f.read())
+        n, edges = _decode(f.read())
     if sidecar_path is None:
         base = g6_path[:-3] if g6_path.endswith(".g6") else g6_path
         candidate = base + ".json"
         sidecar_path = candidate if os.path.exists(candidate) else None
-    if sidecar_path is not None:
-        with open(sidecar_path) as f:
-            try:
-                side = json.load(f)
-            except ValueError as exc:
-                raise GraphError(f"sidecar {sidecar_path} is not valid JSON: {exc}")
-        g = apply_sidecar(g, side)
-    return g
+    if sidecar_path is None:
+        return LabeledGraph(n, edges)
+    with open(sidecar_path) as f:
+        try:
+            side = json.load(f)
+        except ValueError as exc:
+            raise GraphError(f"sidecar {sidecar_path} is not valid JSON: {exc}")
+    return LabeledGraph(n, edges, *_sidecar_labels(n, side))

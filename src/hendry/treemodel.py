@@ -216,17 +216,18 @@ def _family_assignments(g: LabeledGraph, k: int, host: HostTree, q_node,
     return assign
 
 
-def explicit_model_hk(spec: HkSpec) -> SubtreeModel:
-    """The explicit subtree model of build_hk(spec): 2k-1 leaves, 2k-3 branches."""
-    g = build_hk(spec)
+def explicit_model_hk(spec: HkSpec, g: LabeledGraph | None = None) -> SubtreeModel:
+    """The explicit subtree model of g = build_hk(spec): 2k-1 leaves, 2k-3 branches."""
+    g = build_hk(spec) if g is None else g
     host, q_node = _family_host(spec.k, with_center_leaf=False)
     assign = _family_assignments(g, spec.k, host, q_node, None)
     return SubtreeModel(host, assign)
 
 
-def explicit_model_jk(k: int, clique_sizes, x_order: int) -> SubtreeModel:
-    """The explicit subtree model of build_jk: center leaf carries the big clique."""
-    g = build_jk(k, clique_sizes, x_order)
+def explicit_model_jk(k: int, clique_sizes, x_order: int,
+                      g: LabeledGraph | None = None) -> SubtreeModel:
+    """The explicit subtree model of g = build_jk: center leaf carries the big clique."""
+    g = build_jk(k, clique_sizes, x_order) if g is None else g
     host, q_node = _family_host(k, with_center_leaf=True)
     center = q_node[k + 1]
     assign = _family_assignments(g, k, host, q_node, center)

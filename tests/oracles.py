@@ -67,6 +67,62 @@ def anchored_path_ends(g: LabeledGraph) -> list[int]:
     return ends
 
 
+def containing(n: int, v: int) -> int:
+    """The subsets that contain v, as an int whose bit S stands for mask S,
+    decoded from a repeated byte pattern (exact below max(2^n, 8); past 2^n,
+    for n < 3, it meets no real subset)."""
+    size = max(1, (1 << n) >> 3)
+    if v < 3:
+        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[v:v + 1]) * size, "little")
+    half = 1 << (v - 3)
+    return int.from_bytes((bytes(half) + b"\xff" * half) * (size // (2 * half)), "little")
+
+
+def drop_one_by_list(x: int, has: list[int]) -> int:
+    """Subsets T such that T plus one vertex outside T is in x, with has[v]
+    the subsets containing v."""
+    out = 0
+    for v, hv in enumerate(has):
+        out |= (x & hv) >> (1 << v)
+    return out
+
+
+def table_by_sweeps(g: LabeledGraph) -> tuple[bytes, bytes]:
+    """(rows, cyc) of the bit-sliced anchored-path table, filled by in-place
+    sweeps over every vertex in order until a sweep changes nothing."""
+    n = g.n
+    nbrs = [[f for f in range(n) if g.has_edge(e, f)] for e in range(n)]
+    below = []
+    lower = 0
+    for e in range(n):
+        has = containing(n, e)
+        below.append(has & lower)
+        lower |= has
+    ends = [1 << (1 << e) for e in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for e in range(n):
+            reach = 0
+            for f in nbrs[e]:
+                reach |= ends[f]
+            grown = ends[e] | (reach << (1 << e)) & below[e]
+            changed |= grown != ends[e]
+            ends[e] = grown
+    cyc = 0
+    for a in range(n):
+        reach = 0
+        for f in nbrs[a]:
+            reach |= ends[f]
+        cyc |= reach & (containing(n, a) ^ below[a])
+    size = max(1, (1 << n) >> 3)
+    cyc_bytes = bytearray(cyc.to_bytes(size, "little"))
+    for a, b in g.edges():
+        pair = (1 << a) | (1 << b)
+        cyc_bytes[pair >> 3] &= ~(1 << (pair & 7))
+    return b"".join(row.to_bytes(size, "little") for row in ends), bytes(cyc_bytes)
+
+
 def cyclable_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> bool:
     """S is cyclable iff |S| >= 3 and some path end sees min(S) back."""
     anchor = (mask & -mask).bit_length() - 1

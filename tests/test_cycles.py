@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,7 +11,10 @@ from hendry import (
     LabeledGraph,
     SizeCapError,
     build_cyclable_table,
+    build_dn,
     build_gk,
+    build_gkm,
+    build_h_plus,
     build_hendry_exception,
     build_hk,
     build_hkm,
@@ -34,13 +39,16 @@ from oracles import (
     anchored_path_ends,
     brute_force_s_extendible,
     chained_classes_graph,
+    containing,
     cycle_from_ends,
     cyclable_from_ends,
+    drop_one_by_list,
     gnp,
     pasted_graph,
     permutation_count_heavy_cycles,
     permutation_cyclable_sets,
     permutation_hamiltonian,
+    table_by_sweeps,
 )
 
 
@@ -94,6 +102,74 @@ def test_table_matches_path_dp_oracle():
         assert_table_matches_path_dp(gnp(n, rng.choice((0.3, 0.5, 0.7)), rng))
     assert_table_matches_path_dp(build_gk(3))
     assert_table_matches_path_dp(build_s(3), check_cycles=False)
+
+
+def test_derived_masks_match_byte_patterns():
+    for n in range(13):
+        full = (1 << (1 << n)) - 1
+        assert list(cycles._containing_masks(n)) == [
+            (v, containing(n, v) & full) for v in reversed(range(n))]
+        # on K_n the row of e is every subset with e and a smaller minimum, plus {e}
+        t = build_cyclable_table(complete_graph(n))
+        lower = 0
+        for e in range(n):
+            below = containing(n, e) & lower & full
+            lower |= containing(n, e)
+            row = (below | 1 << (1 << e)).to_bytes(t.stride, "little")
+            assert t.rows[e * t.stride:(e + 1) * t.stride] == row
+
+
+def test_streamed_drop_matches_mask_list():
+    rng = random.Random(17)
+    for n in range(13):
+        has = [containing(n, v) for v in range(n)]
+        for density in (0.05, 0.5, 0.95, 1.0):
+            x = sum(1 << s for s in range(1 << n) if rng.random() < density)
+            assert cycles._drop_one(x, n) == drop_one_by_list(x, has)
+
+
+def _census_family_members(max_n: int):
+    """The graphs of the census families (gk, hk, hplus, dn, s, gkm) with at
+    most max_n vertices."""
+    out = [build_gk(k) for k in range(3, 8)]
+    for sizes in itertools.product((3, 4), repeat=5):
+        out += [build_hk(HkSpec(3, sizes)), build_h_plus(HkSpec(3, sizes))]
+    out += [build_dn(n) for n in range(15, max_n + 1)]
+    out += [build_s(3)] + [build_gkm(k, m) for k, m in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2))]
+    return [g for g in out if g.n <= max_n]
+
+
+def test_table_matches_sweep_fill():
+    """The pending-neighbour fill reaches the sweep fill's fixed point, byte for byte."""
+    rng = random.Random(23)
+    graphs = [gnp(11 + i % 6, rng.choice((0.3, 0.5, 0.7)), rng) for i in range(30)]
+    graphs += _census_family_members(20)
+    graphs += [complete_graph(n) for n in (0, 1, 2)] + [path_graph(2), LabeledGraph(2)]
+    for g in graphs:
+        t = build_cyclable_table(g)
+        assert (t.rows, t.cyc) == table_by_sweeps(g), g.n
+
+
+def test_extendibility_peak_memory_holds_no_mask_list():
+    """A table build plus scan peaks below (2n + 9) 2^n-bit ints: n rows and n
+    fill masks, the cyclable bits and a few temporaries, but no list of n
+    subset masks beside the table."""
+    cases = [(build_h_plus(HkSpec(3, (3, 3, 3, 4, 5))), (1,)),
+             (build_hkm(3, 4, (3,) * 5), (2, 3))]
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for g, s_set in cases:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            verdict = is_s_cycle_extendible(g, s_set)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert not verdict.extendible
+            unit = (1 << g.n) // 8
+            assert peak <= (2 * g.n + 9) * unit, (g.n, peak / unit)
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def test_s_extendibility_large_jumps_match_brute_force():

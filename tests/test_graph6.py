@@ -15,6 +15,7 @@ from hendry import (
     save_graph,
     sidecar_dict,
 )
+from hendry import graph6
 from oracles import gnp, same_adjacency
 
 
@@ -110,3 +111,22 @@ def test_sidecar_mismatch():
     g = build_gk(2)
     with pytest.raises(GraphError):
         apply_sidecar(complete_graph(3), sidecar_dict(g))
+
+
+def test_load_graph_builds_the_labelled_graph_once(tmp_path, monkeypatch):
+    g = build_gk(3)
+    g6_path, _ = save_graph(g, str(tmp_path / "gk3"))
+    built = []
+
+    class Counted(LabeledGraph):
+        __slots__ = ()
+
+        def __init__(self, n, *args):
+            built.append(n)
+            super().__init__(n, *args)
+
+    monkeypatch.setattr(graph6, "LabeledGraph", Counted)
+    loaded = load_graph(g6_path)
+    assert built == [g.n]
+    assert same_adjacency(loaded, g) and loaded.roles == g.roles
+    assert loaded.heavy_edges == g.heavy_edges

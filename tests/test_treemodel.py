@@ -21,6 +21,7 @@ from hendry import (
     tree_stats,
     verify_model,
 )
+from hendry import treemodel
 from oracles import random_chordal
 
 
@@ -132,6 +133,17 @@ def test_explicit_models_with_varied_sizes():
             ok, why = verify_model(jmodel, build_jk(k, sizes, k + 4))
             assert ok, why
             assert tree_stats(jmodel.host) == (2 * k, 2 * k - 2, 3)
+
+
+def test_explicit_models_reuse_the_given_graph(monkeypatch):
+    spec = HkSpec(3, (3, 4, 3, 5, 4))
+    h, j = build_hk(spec), build_jk(3, spec.clique_sizes, 7)
+    want = [explicit_model_hk(spec).to_dict(),
+            explicit_model_jk(3, spec.clique_sizes, 7).to_dict()]
+    monkeypatch.setattr(treemodel, "build_hk", None)  # a rebuild would now raise
+    monkeypatch.setattr(treemodel, "build_jk", None)
+    assert [explicit_model_hk(spec, h).to_dict(),
+            explicit_model_jk(3, spec.clique_sizes, 7, j).to_dict()] == want
 
 
 def test_jk_center_assignments():

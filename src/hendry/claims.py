@@ -174,13 +174,18 @@ def _claim_2_8(params) -> tuple[ClaimRun, LabeledGraph]:
         run.check("witness misses exactly z and vk",
                   lambda: (verdict.witness == expect, sorted(expect)))
     else:
-        run.check("frozen set is cyclable",
-                  lambda: (cycles.find_spanning_cycle(h, expect) is not None,
-                           sorted(expect)))
-        for v in (h.vertex("z"), h.vertex(f"v{k}")):
-            run.check(f"frozen set + vertex {v} is not cyclable",
-                      lambda v=v: (cycles.find_spanning_cycle(h, expect | {v}) is None, None))
+        _frozen_set_checks(run, h, expect)
     return run, h
+
+
+def _frozen_set_checks(run, g, frozen):
+    """Past the table cap, search the frozen set directly: it is cyclable, and
+    adding either vertex it misses is not."""
+    run.check("frozen set is cyclable",
+              lambda: (cycles.find_spanning_cycle(g, frozen) is not None, sorted(frozen)))
+    for v in sorted(set(range(g.n)) - frozen):
+        run.check(f"frozen set + vertex {v} is not cyclable",
+                  lambda v=v: (cycles.find_spanning_cycle(g, frozen | {v}) is None, None))
 
 
 def claim_2_9(params) -> ClaimRun:
@@ -210,14 +215,15 @@ def claim_3_1(params) -> ClaimRun:
               lambda: (structure.is_pt_free(hp, 9), None))
     run.check("h_plus strongly chordal", lambda: chordal.is_strongly_chordal(hp))
     run.check("h_plus Hamiltonian", lambda: _lifted_ham(3, hp))
+    expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
     if hp.n <= cycles.subset_cap():
-        expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
-
         def scan():
             verdict = cycles.is_cycle_extendible(hp)
             return (not verdict.extendible and verdict.witness == expect,
                     sorted(verdict.witness or ()))
         run.check("h_plus not cycle extendible", scan)
+    else:
+        _frozen_set_checks(run, hp, expect)
     return run
 
 

@@ -5,8 +5,9 @@ Two exact mechanisms back every predicate here:
 * a subset dynamic program over Hamiltonian paths anchored at the minimum
   vertex of each subset (the cyclable table), bit-sliced into one 2^n-bit
   integer per path endpoint and bounded by a hard size cap; its subset masks
-  are derived by shifts where they are used, and its fill updates a vertex
-  only from the neighbours whose rows grew; and
+  are derived by shifts where they are used, its fill updates a vertex only
+  from the neighbours whose rows grew, and the table keeps the fill's ints
+  and the cyclable int as they are, so builds and scans never convert; and
 * a backtracking search for cycles spanning a fixed vertex set, with forced
   edges (heavy edges, or edges implied by degree-2 vertices) propagated up
   front, plus degree, connectivity and twin-symmetry pruning.  The search is
@@ -83,31 +84,33 @@ def _drop_one(x: int, n: int) -> int:
 class CyclableTable:
     """Per-subset Hamiltonicity oracle for one graph, stored bit-sliced.
 
-    `rows` holds one 2^n-bit little-endian bitset per vertex e, `stride`
-    bytes apart: bit S of row e is set iff G[S] has a Hamiltonian path from
-    min(S) to e.  Bit S of `cyc` is set iff S is cyclable: |S| >= 3 and one
-    of those endpoints sees min(S) back.  The table holds (n+1)*2^n bits and
-    every query reads single bits.
+    `ends` holds one 2^n-bit int per vertex e: bit S of ends[e] is set iff
+    G[S] has a Hamiltonian path from min(S) to e.  Bit S of the int `cyc` is
+    set iff S is cyclable: |S| >= 3 and one of those endpoints sees min(S)
+    back.  The table holds (n+1)*2^n bits and every query reads single bits.
     """
 
-    def __init__(self, g: LabeledGraph, rows: bytes, cyc: bytes):
+    def __init__(self, g: LabeledGraph, ends: list[int], cyc: int):
         self.graph = g
         self.n = g.n
-        self.stride = len(cyc)
-        self.rows = rows
+        self.ends = ends
         self.cyc = cyc
         self._adj = g.adjacency_masks()
 
     def _as_mask(self, subset) -> int:
-        return subset if isinstance(subset, int) else _mask_of(subset)
+        """The subset as a vertex mask; GraphError for ids outside 0..n-1."""
+        if not isinstance(subset, int):  # a negative id maps to n, which is out of range too
+            subset = _mask_of(v if v >= 0 else self.n for v in subset)
+        if not 0 <= subset < 1 << self.n:
+            raise GraphError("subset contains invalid vertex ids")
+        return subset
 
     def cyclable(self, subset) -> bool:
-        mask = self._as_mask(subset)
-        return bool(self.cyc[mask >> 3] >> (mask & 7) & 1)
+        return bool(self.cyc >> self._as_mask(subset) & 1)
 
     def iter_cyclable(self):
         """Cyclable subsets as masks, in increasing numeric (subset-index) order."""
-        for i, byte in enumerate(self.cyc):
+        for i, byte in enumerate(self.cyc.to_bytes((self.cyc.bit_length() + 7) >> 3, "little")):
             while byte:
                 low = byte & -byte
                 byte ^= low
@@ -123,7 +126,7 @@ class CyclableTable:
     def _path_end(self, mask: int, allowed: int) -> int:
         """Lowest vertex of `allowed` at which an anchored path spanning `mask` ends."""
         for e in bits_of(mask & allowed):
-            if self.rows[e * self.stride + (mask >> 3)] >> (mask & 7) & 1:
+            if self.ends[e] >> mask & 1:
                 return e
 
     def cycle_for(self, subset) -> Cycle | None:
@@ -141,7 +144,7 @@ class CyclableTable:
         return Cycle(reversed(seq)).validate(self.graph)
 
 
-def build_cyclable_table(g: LabeledGraph, cap: int | None = None) -> CyclableTable:
+def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
     """Run the anchored Hamiltonian-path DP (Held-Karp) over every subset of V(g).
 
     ends[e] gets bit S when G[S] has a Hamiltonian path from min(S) to e,
@@ -153,8 +156,7 @@ def build_cyclable_table(g: LabeledGraph, cap: int | None = None) -> CyclableTab
     alternating direction update a vertex only after a neighbour's row grew,
     from those neighbours alone, until no row grows.
     """
-    cap = subset_cap() if cap is None else cap
-    n = g.n
+    cap, n = subset_cap(), g.n
     if n > cap:
         raise SizeCapError(
             f"subset table needs 2^{n} entries; cap is {cap} vertices")
@@ -187,14 +189,9 @@ def build_cyclable_table(g: LabeledGraph, cap: int | None = None) -> CyclableTab
         for f in nbrs[a]:
             reach |= ends[f]
         cyc |= reach & (has ^ below.pop())  # the subsets whose minimum is a
-    size = max(1, (1 << n) >> 3)
-    cyc_bytes = bytearray(cyc.to_bytes(size, "little"))
-    for a, b in g.edges():  # an edge is a two-vertex path, not a cycle
-        pair = (1 << a) | (1 << b)
-        cyc_bytes[pair >> 3] &= ~(1 << (pair & 7))
-    del cyc  # free it, and each int as it is copied, to bound peak memory
-    rows = [ends.pop(0).to_bytes(size, "little") for _ in range(n)]
-    return CyclableTable(g, b"".join(rows), bytes(cyc_bytes))
+    for a, b in g.edges():  # an edge is a two-vertex path, not a cycle: its bit is set
+        cyc ^= 1 << ((1 << a) | (1 << b))
+    return CyclableTable(g, ends, cyc)
 
 
 # -- backtracking search ------------------------------------------------------
@@ -267,26 +264,16 @@ def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[i
     and equal forced edges (so no forced edge joins two members)."""
     class_of = [-1] * m
     masks: list[int] = []
-    groups: dict[tuple, list[int]] = {}
-    for v in range(m):
-        groups.setdefault(("c", allowed[v] | (1 << v), forced[v]), []).append(v)
-    for key, vs in sorted(groups.items()):
-        if len(vs) > 1:
-            idx = len(masks)
-            masks.append(_mask_of(vs))
-            for v in vs:
-                class_of[v] = idx
-    groups = {}
-    for v in range(m):
-        if class_of[v] < 0:
-            groups.setdefault(("o", allowed[v], forced[v]), []).append(v)
-    for key, vs in sorted(groups.items()):
-        vs = [v for v in vs if class_of[v] < 0]
-        if len(vs) > 1:
-            idx = len(masks)
-            masks.append(_mask_of(vs))
-            for v in vs:
-                class_of[v] = idx
+    for closed in (1, 0):  # equal closed neighbourhoods first, then equal open ones
+        groups: dict[tuple, list[int]] = {}
+        for v in range(m):
+            if class_of[v] < 0:
+                groups.setdefault((allowed[v] | closed << v, forced[v]), []).append(v)
+        for _, vs in sorted(groups.items()):
+            if len(vs) > 1:
+                for v in vs:
+                    class_of[v] = len(masks)
+                masks.append(_mask_of(vs))
     return class_of, masks
 
 
@@ -609,7 +596,7 @@ def is_cyclable(g: LabeledGraph, subset=None) -> bool:
     return find_spanning_cycle(g, subset) is not None
 
 
-def heavy_cycles_on(g: LabeledGraph, subset, cap: int = HEAVY_SET_CAP):
+def heavy_cycles_on(g: LabeledGraph, subset):
     """(count, first witness) of cycles with vertex set exactly `subset`
     containing every heavy edge.
 
@@ -619,20 +606,17 @@ def heavy_cycles_on(g: LabeledGraph, subset, cap: int = HEAVY_SET_CAP):
     if not g.heavy_edges:
         raise GraphError("graph has no heavy edges")
     sub = set(subset)
-    for a, b in g.heavy_edges:
-        if a not in sub or b not in sub:
-            return 0, None
-    vs, adj = _local_adjacency(g, sub, cap)
+    if any(a not in sub or b not in sub for a, b in g.heavy_edges):
+        return 0, None
+    vs, adj = _local_adjacency(g, sub, HEAVY_SET_CAP)
     pos = {v: i for i, v in enumerate(vs)}
     count, tour = _spanning_cycle_search(
         adj, [(pos[a], pos[b]) for a, b in g.heavy_edges], count_all=True)
     return count, Cycle(vs[i] for i in tour).validate(g) if tour else None
 
 
-def extension_candidates(g: LabeledGraph, subset, table: CyclableTable | None = None) -> list[int]:
-    """Vertices whose addition keeps the subset cyclable."""
-    if table is not None:
-        return table.extension_candidates(subset)
+def extension_candidates(g: LabeledGraph, subset) -> list[int]:
+    """Vertices whose addition keeps the subset cyclable, found by search."""
     sub = set(subset)
     if not is_cyclable(g, sub):
         raise GraphError("subset is not cyclable")
@@ -649,30 +633,23 @@ class ExtensionVerdict:
         return self.extendible
 
 
-def is_cycle_extendible(g: LabeledGraph, table: CyclableTable | None = None,
-                        cap: int | None = None) -> ExtensionVerdict:
+def is_cycle_extendible(g: LabeledGraph, table: CyclableTable | None = None) -> ExtensionVerdict:
     """Every cyclable proper subset must extend by exactly one vertex."""
-    return is_s_cycle_extendible(g, (1,), table, cap)
+    return is_s_cycle_extendible(g, (1,), table)
 
 
 def vertex_on_triangle(g: LabeledGraph, v: int) -> bool:
     masks = g.adjacency_masks()
-    for u in g.neighbors(v):
-        if masks[v] & masks[u]:
-            return True
-    return False
+    return any(masks[v] & masks[u] for u in g.neighbors(v))
 
 
-def is_fully_cycle_extendible(g: LabeledGraph, table: CyclableTable | None = None,
-                              cap: int | None = None) -> bool:
+def is_fully_cycle_extendible(g: LabeledGraph) -> bool:
     """Cycle extendible, and every vertex lies on a triangle."""
-    if not all(vertex_on_triangle(g, v) for v in range(g.n)):
-        return False
-    return is_cycle_extendible(g, table, cap).extendible
+    return all(vertex_on_triangle(g, v) for v in range(g.n)) and is_cycle_extendible(g).extendible
 
 
-def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = None,
-                          cap: int | None = None) -> ExtensionVerdict:
+def is_s_cycle_extendible(g: LabeledGraph, s_set,
+                          table: CyclableTable | None = None) -> ExtensionVerdict:
     """Every cyclable subset that could grow by some s in s_set must do so.
 
     The chosen reading: a subset with room for no jump in the set is exempt.
@@ -688,18 +665,17 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set, table: CyclableTable | None = 
     if any(s < 1 for s in jumps):
         raise GraphError("extension lengths must be positive")
     if table is None:
-        table = build_cyclable_table(g, cap)
+        table = build_cyclable_table(g)
     n = table.n
     room = (1 << (1 << n) - 1) - 1  # one drop from every subset: all but V, mask 2^n - 1
     for _ in range(min(jumps[0], n + 1) - 1):
         room = _drop_one(room, n)
-    cyc = int.from_bytes(table.cyc, "little")
-    grown, reach = 0, cyc
+    grown, reach = 0, table.cyc
     for s in range(1, min(jumps[-1], n) + 1):
         reach = _drop_one(reach, n)
         if s in jumps:
             grown |= reach
-    bad = cyc & room & ~grown
+    bad = table.cyc & room & ~grown
     if not bad:
         return ExtensionVerdict(True, None)
     return ExtensionVerdict(False, frozenset(bits_of((bad & -bad).bit_length() - 1)))

@@ -118,10 +118,10 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
 
 # -- induced paths --------------------------------------------------------------
 
-def longest_induced_path(g: LabeledGraph, cap: int = INDUCED_PATH_CAP):
+def longest_induced_path(g: LabeledGraph):
     """(vertex count, witness path) of a maximum induced path."""
-    if g.n > cap:
-        raise SizeCapError(f"induced-path search capped at {cap} vertices")
+    if g.n > INDUCED_PATH_CAP:
+        raise SizeCapError(f"induced-path search capped at {INDUCED_PATH_CAP} vertices")
     if g.n == 0:
         return 0, ()
     masks = g.adjacency_masks()
@@ -167,11 +167,11 @@ def longest_induced_path(g: LabeledGraph, cap: int = INDUCED_PATH_CAP):
     return best_len, tuple(path)
 
 
-def is_pt_free(g: LabeledGraph, t: int, cap: int = INDUCED_PATH_CAP) -> bool:
+def is_pt_free(g: LabeledGraph, t: int) -> bool:
     """No induced path on t vertices."""
     if t < 1:
         raise GraphError("path order must be positive")
-    length, _ = longest_induced_path(g, cap)
+    length, _ = longest_induced_path(g)
     return length < t
 
 

@@ -87,8 +87,8 @@ def drop_one_by_list(x: int, has: list[int]) -> int:
     return out
 
 
-def table_by_sweeps(g: LabeledGraph) -> tuple[bytes, bytes]:
-    """(rows, cyc) of the bit-sliced anchored-path table, filled by in-place
+def table_by_sweeps(g: LabeledGraph) -> tuple[list[int], int]:
+    """(ends, cyc) of the bit-sliced anchored-path table, filled by in-place
     sweeps over every vertex in order until a sweep changes nothing."""
     n = g.n
     nbrs = [[f for f in range(n) if g.has_edge(e, f)] for e in range(n)]
@@ -115,12 +115,9 @@ def table_by_sweeps(g: LabeledGraph) -> tuple[bytes, bytes]:
         for f in nbrs[a]:
             reach |= ends[f]
         cyc |= reach & (containing(n, a) ^ below[a])
-    size = max(1, (1 << n) >> 3)
-    cyc_bytes = bytearray(cyc.to_bytes(size, "little"))
     for a, b in g.edges():
-        pair = (1 << a) | (1 << b)
-        cyc_bytes[pair >> 3] &= ~(1 << (pair & 7))
-    return b"".join(row.to_bytes(size, "little") for row in ends), bytes(cyc_bytes)
+        cyc &= ~(1 << ((1 << a) | (1 << b)))
+    return ends, cyc
 
 
 def cyclable_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> bool:

@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from hendry import (
-    Cycle, build_dn, chordal, cli, cycle_graph, cycles, encode_graph6, structure,
+    Cycle, HkSpec, build_dn, build_h_plus, build_hk, chordal, cli, cycle_graph, cycles,
+    encode_graph6, structure,
 )
 from hendry.cli import main
 
@@ -171,6 +172,27 @@ def test_capped_lemma_checks_report_null(capsys):
         assert r["verdict"] is None
         assert r["detail"].startswith("cap exceeded: ")
         assert f"{r['name']}: {r['detail']}\n" in err
+
+
+@pytest.mark.parametrize("claim, family, sizes, cap", [
+    ("2.8", build_hk, "3,3,3,3,3", "10"),      # 15 vertices, past a lowered cap
+    ("3.1", build_h_plus, "5,5,5,5,5", "24")])  # 25 vertices, past the default cap
+def test_claims_search_the_frozen_set_past_the_table_cap(capsys, monkeypatch, claim, family,
+                                                         sizes, cap):
+    # instead of a table scan, V - {z, v3} and its two one-vertex extensions
+    # are searched; claim 3.1 used to drop its extendibility check here
+    monkeypatch.setenv("HENDRY_SUBSET_CAP", cap)
+    g = family(HkSpec(3, tuple(map(int, sizes.split(",")))))
+    z, v3 = g.vertex("z"), g.vertex("v3")
+    code, stdout, _ = run_cli(capsys, "certify", "--mode", f"lemma:{claim}", "--sizes", sizes)
+    assert code == 0
+    by_name = {r["name"]: r for r in report_of(stdout)["results"]}
+    frozen = [by_name.pop(name) for name in (
+        "frozen set is cyclable", f"frozen set + vertex {z} is not cyclable",
+        f"frozen set + vertex {v3} is not cyclable")]
+    assert [r["verdict"] for r in frozen] == [True] * 3
+    assert frozen[0]["witness"] == sorted(set(range(g.n)) - {z, v3})
+    assert all(r["verdict"] for r in by_name.values())
 
 
 def test_claim_time_goes_to_the_check_that_does_the_work(capsys, monkeypatch):

@@ -72,11 +72,11 @@ def test_table_matches_permutation_oracle():
         assert {m for m in range(1 << g.n) if t.cyclable(m)} == oracle
 
 
-def _bitset(masks, n) -> bytes:
-    out = bytearray(max(1, (1 << n) >> 3))
+def _bitset(masks) -> int:
+    out = 0
     for mask in masks:
-        out[mask >> 3] |= 1 << (mask & 7)
-    return bytes(out)
+        out |= 1 << mask
+    return out
 
 
 def assert_table_matches_path_dp(g, check_cycles=True):
@@ -85,10 +85,10 @@ def assert_table_matches_path_dp(g, check_cycles=True):
     t = build_cyclable_table(g)
     ends = anchored_path_ends(g)
     for e in range(g.n):
-        want = _bitset((m for m, word in enumerate(ends) if word >> e & 1), g.n)
-        assert t.rows[e * t.stride:(e + 1) * t.stride] == want, f"row {e}"
+        want = _bitset(m for m, word in enumerate(ends) if word >> e & 1)
+        assert t.ends[e] == want, f"row {e}"
     cyclable = [m for m in range(1 << g.n) if cyclable_from_ends(g, ends, m)]
-    assert t.cyc == _bitset(cyclable, g.n)
+    assert t.cyc == _bitset(cyclable)
     assert list(t.iter_cyclable()) == cyclable
     if check_cycles:
         for mask in cyclable:
@@ -115,8 +115,7 @@ def test_derived_masks_match_byte_patterns():
         for e in range(n):
             below = containing(n, e) & lower & full
             lower |= containing(n, e)
-            row = (below | 1 << (1 << e)).to_bytes(t.stride, "little")
-            assert t.rows[e * t.stride:(e + 1) * t.stride] == row
+            assert t.ends[e] == below | 1 << (1 << e)
 
 
 def test_streamed_drop_matches_mask_list():
@@ -140,14 +139,14 @@ def _census_family_members(max_n: int):
 
 
 def test_table_matches_sweep_fill():
-    """The pending-neighbour fill reaches the sweep fill's fixed point, byte for byte."""
+    """The pending-neighbour fill reaches the sweep fill's fixed point, bit for bit."""
     rng = random.Random(23)
     graphs = [gnp(11 + i % 6, rng.choice((0.3, 0.5, 0.7)), rng) for i in range(30)]
     graphs += _census_family_members(20)
     graphs += [complete_graph(n) for n in (0, 1, 2)] + [path_graph(2), LabeledGraph(2)]
     for g in graphs:
         t = build_cyclable_table(g)
-        assert (t.rows, t.cyc) == table_by_sweeps(g), g.n
+        assert (t.ends, t.cyc) == table_by_sweeps(g), g.n
 
 
 def test_extendibility_peak_memory_holds_no_mask_list():
@@ -240,6 +239,16 @@ def test_extension_candidates_k5():
     assert cands == [3, 4]
     with pytest.raises(GraphError):
         extension_candidates(path_graph(4), {0, 1, 2})
+
+
+def test_table_queries_reject_out_of_range_ids():
+    t4, t2 = build_cyclable_table(complete_graph(4)), build_cyclable_table(complete_graph(2))
+    for t, bad in ((t4, {0, 1, 9}), (t4, {0, 1, -1}), (t4, 0b10111), (t4, -1),
+                   (t2, {0, 1, 2}), (t2, 0b111)):
+        for query in (t.cyclable, t.extension_candidates, t.cycle_for):
+            with pytest.raises(GraphError):
+                query(bad)
+    assert t4.cyclable({0, 1, 3}) and t4.cyclable(0b1111) and not t2.cyclable({0, 1})
 
 
 def test_hk_witness_has_no_extension():

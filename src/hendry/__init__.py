@@ -40,7 +40,6 @@ from .cycles import (
     CyclableTable,
     ExtensionVerdict,
     build_cyclable_table,
-    extension_candidates,
     find_spanning_cycle,
     heavy_cycles_on,
     is_cyclable,

@@ -35,17 +35,12 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+def _json_default(obj):
+    """json.dumps hook: a cycle as its vertex list, a set sorted, anything else by repr."""
     if isinstance(obj, Cycle):
         return list(obj.vertices)
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
     return repr(obj)
 
 
@@ -122,11 +117,11 @@ def _emit(report: dict, results: list[CheckResult]) -> int:
             print(f"{r.name}: {r.detail}", file=sys.stderr)
     results = sorted(results, key=lambda r: r.name)
     report["results"] = [
-        {"name": r.name, "verdict": r.verdict, "witness": jsonable(r.witness),
+        {"name": r.name, "verdict": r.verdict, "witness": r.witness,
          "detail": r.detail, "elapsed_ms": round(r.elapsed_ms, 3)}
         for r in results
     ]
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
     if any(r.verdict is None for r in results):
         return EXIT_CAP
     if any(r.verdict is False for r in results):
@@ -234,13 +229,13 @@ def cmd_certify(args) -> int:
         run = ClaimRun()
         run.check(name, ext_fn)
         report = {"command": "certify", "input": desc, "version": __version__,
-                  "parameters": jsonable(params)}
+                  "parameters": params}
         return _emit(report, run.results)
     if mode.startswith("lemma:"):
         claim_id = mode[len("lemma:"):]
         run = run_claim(claim_id, params)
         report = {"command": "certify", "input": f"lemma:{claim_id}",
-                  "version": __version__, "parameters": jsonable(params)}
+                  "version": __version__, "parameters": params}
         return _emit(report, run.results)
     raise GraphError(f"unknown certify mode {mode!r}")
 
@@ -271,7 +266,7 @@ def cmd_model(args) -> int:
     if args.verify:
         run.check("model-verifies", lambda: model_check(model, g))
     report = {"command": "model", "input": desc, "version": __version__,
-              "parameters": {"n": g.n}, "model": jsonable(payload)}
+              "parameters": {"n": g.n}, "model": payload}
     return _emit(report, run.results)
 
 

@@ -60,6 +60,8 @@ class LabeledGraph:
 
         heavy = []
         for u, v in heavy_edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"heavy edge ({u},{v}) out of range for n={n}")
             e = _norm_edge(u, v)
             if e[1] not in self._adj[e[0]]:
                 raise GraphError(f"heavy edge {e} is not an edge of the graph")

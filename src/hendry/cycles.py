@@ -1,17 +1,18 @@
 """Exact cyclability engine: which vertex subsets carry a spanning cycle.
 
-Two exact mechanisms back every predicate here:
+Two exact mechanisms back every predicate here, one per kind of question:
 
-* a subset dynamic program over Hamiltonian paths anchored at the minimum
-  vertex of each subset (the cyclable table), bit-sliced into one 2^n-bit
-  integer per path endpoint and bounded by a hard size cap; its subset masks
-  are derived by shifts where they are used, its fill updates a vertex only
-  from the neighbours whose rows grew, and the table keeps the fill's ints
-  and the cyclable int as they are, so builds and scans never convert; and
-* a backtracking search for cycles spanning a fixed vertex set, with forced
-  edges (heavy edges, or edges implied by degree-2 vertices) propagated up
-  front, plus degree, connectivity and twin-symmetry pruning.  The search is
-  exhaustive, so a miss is a proof of nonexistence.
+* whole-graph extendibility scans read a subset dynamic program over
+  Hamiltonian paths anchored at the minimum vertex of each subset (the
+  cyclable table), bit-sliced into one 2^n-bit integer per path endpoint and
+  bounded by a hard size cap; its subset masks are derived by shifts where
+  they are used, its fill updates a vertex only from the neighbours whose
+  rows grew, and the scans read the fill's ints as they are; and
+* a question about one set (is it cyclable, which cycle spans it) goes to a
+  backtracking search for cycles spanning that set, with forced edges (heavy
+  edges, or edges implied by degree-2 vertices) propagated up front, plus
+  degree, connectivity and twin-symmetry pruning.  The search is exhaustive,
+  so a miss is a proof of nonexistence.
 
 Before an existence search, the set is kernelized: segments that every
 spanning cycle must cross in one piece are contracted to forced pairs, and a
@@ -82,66 +83,27 @@ def _drop_one(x: int, n: int) -> int:
 
 
 class CyclableTable:
-    """Per-subset Hamiltonicity oracle for one graph, stored bit-sliced.
+    """Per-subset Hamiltonicity bits for one graph, read by the extendibility scans.
 
     `ends` holds one 2^n-bit int per vertex e: bit S of ends[e] is set iff
     G[S] has a Hamiltonian path from min(S) to e.  Bit S of the int `cyc` is
     set iff S is cyclable: |S| >= 3 and one of those endpoints sees min(S)
-    back.  The table holds (n+1)*2^n bits and every query reads single bits.
+    back.  Whole-graph scans read these ints; a question about a single set
+    (is it cyclable, which cycle spans it) goes to find_spanning_cycle.
     """
 
-    def __init__(self, g: LabeledGraph, ends: list[int], cyc: int):
-        self.graph = g
-        self.n = g.n
+    def __init__(self, n: int, ends: list[int], cyc: int):
+        self.n = n
         self.ends = ends
         self.cyc = cyc
-        self._adj = g.adjacency_masks()
 
-    def _as_mask(self, subset) -> int:
-        """The subset as a vertex mask; GraphError for ids outside 0..n-1."""
+    def cyclable(self, subset) -> bool:
+        """Bit `subset` (a vertex mask or ids) of `cyc`; GraphError for ids outside 0..n-1."""
         if not isinstance(subset, int):  # a negative id maps to n, which is out of range too
             subset = _mask_of(v if v >= 0 else self.n for v in subset)
         if not 0 <= subset < 1 << self.n:
             raise GraphError("subset contains invalid vertex ids")
-        return subset
-
-    def cyclable(self, subset) -> bool:
-        return bool(self.cyc >> self._as_mask(subset) & 1)
-
-    def iter_cyclable(self):
-        """Cyclable subsets as masks, in increasing numeric (subset-index) order."""
-        for i, byte in enumerate(self.cyc.to_bytes((self.cyc.bit_length() + 7) >> 3, "little")):
-            while byte:
-                low = byte & -byte
-                byte ^= low
-                yield (i << 3) | (low.bit_length() - 1)
-
-    def extension_candidates(self, subset) -> list[int]:
-        mask = self._as_mask(subset)
-        if not self.cyclable(mask):
-            raise GraphError("subset is not cyclable")
-        return [v for v in range(self.n)
-                if not (mask >> v) & 1 and self.cyclable(mask | (1 << v))]
-
-    def _path_end(self, mask: int, allowed: int) -> int:
-        """Lowest vertex of `allowed` at which an anchored path spanning `mask` ends."""
-        for e in bits_of(mask & allowed):
-            if self.ends[e] >> mask & 1:
-                return e
-
-    def cycle_for(self, subset) -> Cycle | None:
-        """An explicit spanning cycle of the subset, rebuilt from the table."""
-        mask = self._as_mask(subset)
-        if not self.cyclable(mask):
-            return None
-        anchor = (mask & -mask).bit_length() - 1
-        cur = self._path_end(mask, self._adj[anchor])
-        seq = [cur]
-        while cur != anchor:
-            mask ^= 1 << cur
-            cur = self._path_end(mask, self._adj[cur])
-            seq.append(cur)
-        return Cycle(reversed(seq)).validate(self.graph)
+        return bool(self.cyc >> subset & 1)
 
 
 def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
@@ -191,7 +153,7 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
         cyc |= reach & (has ^ below.pop())  # the subsets whose minimum is a
     for a, b in g.edges():  # an edge is a two-vertex path, not a cycle: its bit is set
         cyc ^= 1 << ((1 << a) | (1 << b))
-    return CyclableTable(g, ends, cyc)
+    return CyclableTable(n, ends, cyc)
 
 
 # -- backtracking search ------------------------------------------------------
@@ -613,15 +575,6 @@ def heavy_cycles_on(g: LabeledGraph, subset):
     count, tour = _spanning_cycle_search(
         adj, [(pos[a], pos[b]) for a, b in g.heavy_edges], count_all=True)
     return count, Cycle(vs[i] for i in tour).validate(g) if tour else None
-
-
-def extension_candidates(g: LabeledGraph, subset) -> list[int]:
-    """Vertices whose addition keeps the subset cyclable, found by search."""
-    sub = set(subset)
-    if not is_cyclable(g, sub):
-        raise GraphError("subset is not cyclable")
-    return [v for v in range(g.n)
-            if v not in sub and is_cyclable(g, sub | {v})]
 
 
 @dataclass(frozen=True)

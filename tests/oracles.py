@@ -126,22 +126,6 @@ def cyclable_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> bool:
     return mask.bit_count() >= 3 and bool(ends[mask] & g.adjacency_masks()[anchor])
 
 
-def cycle_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> list[int]:
-    """Walk back from the lowest path end that closes the cycle, always
-    stepping to the lowest predecessor."""
-    adj = g.adjacency_masks()
-    anchor = (mask & -mask).bit_length() - 1
-    end = ends[mask] & adj[anchor]
-    cur = (end & -end).bit_length() - 1
-    seq = [cur]
-    while cur != anchor:
-        mask ^= 1 << cur
-        preds = ends[mask] & adj[cur]
-        cur = (preds & -preds).bit_length() - 1
-        seq.append(cur)
-    return seq[::-1]
-
-
 def small_graphs(max_n: int = 10):
     """Hypothesis strategy: labeled graphs on 1..max_n vertices."""
     from hypothesis import strategies as st

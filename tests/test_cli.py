@@ -109,7 +109,9 @@ def test_malformed_sidecar_is_usage_error(tmp_path, capsys):
                 '{"n": 4, "heavy_edges": [[0]]}',
                 '{"n": 4, "heavy_edges": [["0", "1"]]}',
                 '{"n": 4, "roles": "abcd"}',
-                '{"n": 4, "roles": [1, 2, 3, 4]}'):
+                '{"n": 4, "roles": [1, 2, 3, 4]}',
+                '{"n": 4, "heavy_edges": [[7, 8]]}',
+                '{"n": 4, "heavy_edges": [[-1, 0]]}'):
         side.write_text(raw)
         code, stdout, err = run_cli(capsys, "check", str(g6), "--sidecar", str(side),
                                     "--chordal")

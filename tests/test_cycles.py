@@ -23,7 +23,6 @@ from hendry import (
     complete_graph,
     cycle_graph,
     cycles,
-    extension_candidates,
     find_spanning_cycle,
     heavy_cycles_on,
     is_cyclable,
@@ -35,12 +34,12 @@ from hendry import (
     subset_cap,
     witness_long_heavy_cycle,
 )
+from hendry.core import bits_of
 from oracles import (
     anchored_path_ends,
     brute_force_s_extendible,
     chained_classes_graph,
     containing,
-    cycle_from_ends,
     cyclable_from_ends,
     drop_one_by_list,
     gnp,
@@ -79,20 +78,14 @@ def _bitset(masks) -> int:
     return out
 
 
-def assert_table_matches_path_dp(g, check_cycles=True):
-    """Every row bit and cyclable bit, and every rebuilt cycle, against the
-    per-mask DP oracle."""
+def assert_table_matches_path_dp(g):
+    """Every row bit and cyclable bit against the per-mask DP oracle."""
     t = build_cyclable_table(g)
     ends = anchored_path_ends(g)
     for e in range(g.n):
         want = _bitset(m for m, word in enumerate(ends) if word >> e & 1)
         assert t.ends[e] == want, f"row {e}"
-    cyclable = [m for m in range(1 << g.n) if cyclable_from_ends(g, ends, m)]
-    assert t.cyc == _bitset(cyclable)
-    assert list(t.iter_cyclable()) == cyclable
-    if check_cycles:
-        for mask in cyclable:
-            assert list(t.cycle_for(mask)) == cycle_from_ends(g, ends, mask)
+    assert t.cyc == _bitset(m for m in range(1 << g.n) if cyclable_from_ends(g, ends, m))
 
 
 def test_table_matches_path_dp_oracle():
@@ -101,7 +94,7 @@ def test_table_matches_path_dp_oracle():
         n = 1 + i % 10
         assert_table_matches_path_dp(gnp(n, rng.choice((0.3, 0.5, 0.7)), rng))
     assert_table_matches_path_dp(build_gk(3))
-    assert_table_matches_path_dp(build_s(3), check_cycles=False)
+    assert_table_matches_path_dp(build_s(3))
 
 
 def test_derived_masks_match_byte_patterns():
@@ -224,31 +217,30 @@ def test_subdivided_and_center_pasted_families_hamiltonian():
     assert is_cyclable(build_jk(3, (3,) * 5, 6))
 
 
-def test_table_cycle_reconstruction():
+def test_search_cycles_for_cyclable_sets():
+    # the first 200 cyclable sets of the table each get a validated spanning cycle
     g = build_hk(HkSpec.uniform(3))
     t = build_cyclable_table(g)
-    for mask in list(t.iter_cyclable())[:200]:
-        c = t.cycle_for(mask)
-        assert c is not None
-        assert c.vertex_set == frozenset(v for v in range(g.n) if (mask >> v) & 1)
-
-
-def test_extension_candidates_k5():
-    k5 = complete_graph(5)
-    cands = extension_candidates(k5, {0, 1, 2})
-    assert cands == [3, 4]
-    with pytest.raises(GraphError):
-        extension_candidates(path_graph(4), {0, 1, 2})
+    masks = bits_of(t.cyc)[:200]
+    assert len(masks) == 200
+    for mask in masks:
+        vs = frozenset(bits_of(mask))
+        c = find_spanning_cycle(g, vs)
+        assert c is not None and c.vertex_set == vs
 
 
 def test_table_queries_reject_out_of_range_ids():
     t4, t2 = build_cyclable_table(complete_graph(4)), build_cyclable_table(complete_graph(2))
     for t, bad in ((t4, {0, 1, 9}), (t4, {0, 1, -1}), (t4, 0b10111), (t4, -1),
                    (t2, {0, 1, 2}), (t2, 0b111)):
-        for query in (t.cyclable, t.extension_candidates, t.cycle_for):
-            with pytest.raises(GraphError):
-                query(bad)
+        with pytest.raises(GraphError):
+            t.cyclable(bad)
     assert t4.cyclable({0, 1, 3}) and t4.cyclable(0b1111) and not t2.cyclable({0, 1})
+
+
+def _no_vertex_extends(g, subset):
+    return all(find_spanning_cycle(g, set(subset) | {v}) is None
+               for v in range(g.n) if v not in subset)
 
 
 def test_hk_witness_has_no_extension():
@@ -256,14 +248,14 @@ def test_hk_witness_has_no_extension():
     t = build_cyclable_table(h)
     frozen = frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
     assert t.cyclable(frozen)
-    assert t.extension_candidates(frozen) == []
-    assert extension_candidates(h, frozen) == []
+    assert _no_vertex_extends(h, frozen)
 
 
 def test_jk_lifted_long_cycle_has_no_extension():
     j = build_jk(3, (3,) * 5, 6)
     lifted = lift_cycle(witness_long_heavy_cycle(3), j)
-    assert extension_candidates(j, lifted.vertex_set) == []
+    assert find_spanning_cycle(j, lifted.vertex_set) is not None
+    assert _no_vertex_extends(j, lifted.vertex_set)
 
 
 def test_targeted_extension_emptiness_k3_to_5():
@@ -365,8 +357,8 @@ def test_cyclable_sets_are_two_connected():
     for _ in range(30):
         g = gnp(rng.randint(4, 7), 0.5, rng)
         t = build_cyclable_table(g)
-        for mask in t.iter_cyclable():
-            vs = [v for v in range(g.n) if (mask >> v) & 1]
+        for mask in bits_of(t.cyc):
+            vs = bits_of(mask)
             sub, _ = g.induced(vs)
             assert len(vs) >= 3
             assert vertex_connectivity(sub).kappa >= 2

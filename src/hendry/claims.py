@@ -163,7 +163,7 @@ def _claim_2_8(params) -> tuple[ClaimRun, LabeledGraph]:
     h = build_hk(spec)
     run.check(f"hk{spec.clique_sizes} Hamiltonian", lambda: _lifted_ham(k, h))
     expect = frozenset(range(h.n)) - {h.vertex("z"), h.vertex(f"v{k}")}
-    if h.n <= cycles.subset_cap():
+    if cycles.table_fits(h):
         verdict = None
 
         def scan():
@@ -216,7 +216,7 @@ def claim_3_1(params) -> ClaimRun:
     run.check("h_plus strongly chordal", lambda: chordal.is_strongly_chordal(hp))
     run.check("h_plus Hamiltonian", lambda: _lifted_ham(3, hp))
     expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
-    if hp.n <= cycles.subset_cap():
+    if cycles.table_fits(hp):
         def scan():
             verdict = cycles.is_cycle_extendible(hp)
             return (not verdict.extendible and verdict.witness == expect,

@@ -2,12 +2,15 @@
 
 Two exact mechanisms back every predicate here, one per kind of question:
 
-* whole-graph extendibility scans read a subset dynamic program over
-  Hamiltonian paths anchored at the minimum vertex of each subset (the
-  cyclable table), bit-sliced into one 2^n-bit integer per path endpoint and
-  bounded by a hard size cap; its subset masks are derived by shifts where
-  they are used, its fill updates a vertex only from the neighbours whose
-  rows grew, and the scans read the fill's ints as they are; and
+* whole-graph extendibility scans read a dynamic program over anchored
+  Hamiltonian paths (the cyclable table) on the twin quotient: twins can be
+  swapped by an automorphism, so a set's cyclability depends only on how
+  many vertices it takes from each twin class, and the table has one cell per
+  such count vector (2^n cells when there are no twins), bit-sliced into one
+  integer per class and bounded by a cap on the cell count; its masks are
+  derived by shifts where they are used, its fill updates a class only from
+  the neighbours whose rows grew, and the scans read the fill's ints as they
+  are; and
 * a question about one set (is it cyclable, which cycle spans it) goes to a
   backtracking search for cycles spanning that set, with forced edges (heavy
   edges, or edges implied by degree-2 vertices) propagated up front, plus
@@ -28,11 +31,13 @@ choice is coupled across segments.  Counting (heavy_cycles_on) runs on the
 set itself, since contraction changes cycle counts.
 
 Cycle extendibility is decided on vertex subsets: a cycle with vertex set S
-exists iff S is cyclable, and extending by s vertices is a superset question.
+exists iff S is cyclable, and extending by s vertices is a superset question,
+asked of count vectors.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,7 +50,8 @@ HEAVY_SET_CAP = 20
 
 
 def subset_cap() -> int:
-    """Current cap for full subset tables (HENDRY_SUBSET_CAP, bounded at 26)."""
+    """Current cap for cyclable tables, as log2 of their cell count
+    (HENDRY_SUBSET_CAP, bounded at 26)."""
     raw = os.environ.get("HENDRY_SUBSET_CAP")
     if raw is None:
         return DEFAULT_SUBSET_CAP
@@ -63,74 +69,137 @@ def _mask_of(vertices) -> int:
     return m
 
 
-# -- subset dynamic program ---------------------------------------------------
-
-def _containing_masks(n: int):
-    """(v, the subsets that contain v) for v = n - 1 down to 0, where bit S of
-    a 2^n-bit int stands for vertex mask S; each is one shift from the last."""
-    has = (1 << (1 << n)) - 1
-    for v in reversed(range(n)):
-        has ^= has >> (1 << v)
-        yield v, has
-
-
-def _drop_one(x: int, n: int) -> int:
-    """Subsets T such that T plus one vertex outside T is in x."""
-    out = 0
-    for v, has in _containing_masks(n):
-        out |= (x & has) >> (1 << v)
-    return out
-
+# -- twin-quotient table --------------------------------------------------------
 
 class CyclableTable:
-    """Per-subset Hamiltonicity bits for one graph, read by the extendibility scans.
+    """Hamiltonicity bits for one graph, one cell per twin-class count vector.
 
-    `ends` holds one 2^n-bit int per vertex e: bit S of ends[e] is set iff
-    G[S] has a Hamiltonian path from min(S) to e.  Bit S of the int `cyc` is
-    set iff S is cyclable: |S| >= 3 and one of those endpoints sees min(S)
-    back.  Whole-graph scans read these ints; a question about a single set
-    (is it cyclable, which cycle spans it) goes to find_spanning_cycle.
+    Twins (equal closed or equal open neighbourhoods) can be swapped by an
+    automorphism that fixes every other vertex, so whether a set S is
+    cyclable depends only on how many vertices S takes from each twin class.
+    `classes` holds the classes as member masks, numbered by their lowest
+    member; class i counts in digit i of a mixed-radix cell number, with
+    stride `strides[i]` = prod_{j<i} (|C_j|+1).  The representative set of a
+    cell takes the c_i lowest members of each class; its anchor is its
+    lowest vertex.  With every class a single vertex, cell c is vertex mask c.
+
+    `ends` holds one `cells`-bit int per class e: bit c of ends[e] is set iff
+    the representative set of c has a Hamiltonian path from its anchor to a
+    member of class e other than the anchor (or is the anchor alone).  Bit c
+    of the int `cyc` is set iff the representative set is cyclable.
+    Whole-graph scans read these ints; a question about a single set (which
+    cycle spans it) goes to find_spanning_cycle.
     """
 
-    def __init__(self, n: int, ends: list[int], cyc: int):
-        self.n = n
-        self.ends = ends
-        self.cyc = cyc
+    def __init__(self, n: int, classes: list[int]):
+        self.n, self.classes = n, classes
+        self.strides, self.cells = [], 1
+        for m in classes:
+            self.strides.append(self.cells)
+            self.cells *= m.bit_count() + 1
+        self.ends: list[int] = []
+        self.cyc = 0
 
-    def cyclable(self, subset) -> bool:
-        """Bit `subset` (a vertex mask or ids) of `cyc`; GraphError for ids outside 0..n-1."""
+    def cell(self, subset) -> int:
+        """The cell of `subset` (a vertex mask or ids); GraphError for ids outside 0..n-1."""
         if not isinstance(subset, int):  # a negative id maps to n, which is out of range too
             subset = _mask_of(v if v >= 0 else self.n for v in subset)
         if not 0 <= subset < 1 << self.n:
             raise GraphError("subset contains invalid vertex ids")
-        return bool(self.cyc >> subset & 1)
+        return sum((subset & m).bit_count() * w for m, w in zip(self.classes, self.strides))
+
+    def representative(self, cell: int) -> list[int]:
+        """The representative set of `cell`, sorted: the numerically smallest set in it."""
+        out = []
+        for m, w in zip(self.classes, self.strides):
+            out += bits_of(m)[:cell // w % (m.bit_count() + 1)]
+        return sorted(out)
+
+    def cyclable(self, subset) -> bool:
+        """Is `subset` (a vertex mask or ids) cyclable?"""
+        return bool(self.cyc >> self.cell(subset) & 1)
+
+
+def _twin_quotient(g: LabeledGraph) -> CyclableTable:
+    """g's empty table: its twin classes (true twins first, then false twins
+    among the rest, singletons included), numbered by lowest member."""
+    class_of, masks = _twin_classes(list(g.adjacency_masks()), [0] * g.n, g.n)
+    masks += [1 << v for v in range(g.n) if class_of[v] < 0]
+    return CyclableTable(g.n, sorted(masks, key=lambda m: m & -m))
+
+
+def table_fits(g: LabeledGraph) -> bool:
+    """Does g's cyclable table fit the cap of 2^subset_cap() cells?"""
+    return _twin_quotient(g).cells <= 1 << subset_cap()
+
+
+def _digit_masks(table: CyclableTable):
+    """(i, z, one, top, low) for each class i from the top down: z holds the
+    cells whose digits 0..i are all 0, one and top are z with digit i at 1
+    and at its largest value, and low holds the cells whose digits below i
+    are all 0 (z with every value of digit i), each derived by shifts."""
+    z = 1
+    for i in reversed(range(len(table.classes))):
+        one = top = z << table.strides[i]
+        low = z | one
+        for _ in range(table.classes[i].bit_count() - 1):
+            top <<= table.strides[i]
+            low |= top
+        yield i, z, one, top, low
+        z = low
+
+
+def _drops(xs: list[int], steps: list[int], table: CyclableTable) -> list[list[int]]:
+    """For each x and its step count m, [x, D(x), ..., D^m(x)], where D(x)
+    holds the cells one vertex short of a cell of x.
+
+    Dropping t vertices takes some a_i of them from each class i, so the
+    classes are visited once, top down, and each class's mask is derived
+    once for every x and step: D^t gains the class-i drops of D^(t-1),
+    which already holds its own class-i drops.
+    """
+    chains = [[x] + [0] * m for x, m in zip(xs, steps)]
+    for i, z, _, top, _ in _digit_masks(table):
+        w, keep = table.strides[i], top - z  # keep: digit i below its top
+        for ys in chains:
+            for t in range(1, len(ys)):
+                ys[t] |= (ys[t - 1] >> w) & keep
+    return chains
 
 
 def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
-    """Run the anchored Hamiltonian-path DP (Held-Karp) over every subset of V(g).
+    """Run the anchored Hamiltonian-path DP (Held-Karp) over every count
+    vector of g's twin classes.
 
-    ends[e] gets bit S when G[S] has a Hamiltonian path from min(S) to e,
-    which (unless S = {e}) extends a path to a neighbour f spanning S - {e}:
-    OR_f ends[f] shifted left by 2^e adds e to every subset, and masking to
-    the subsets that contain e and have a smaller minimum drops the carries.
-    The update is a union of one term per neighbour and only grows rows, so
-    the least fixed point does not depend on the order of updates: sweeps of
-    alternating direction update a vertex only after a neighbour's row grew,
-    from those neighbours alone, until no row grows.
+    ends[e] gets bit c when the representative set of c has a Hamiltonian
+    path from its anchor to a member v of class e, which (unless the set is
+    the anchor alone) extends a path to a neighbour of v spanning the set
+    minus v, whose cell is c minus one class-e vertex.  Class f is a
+    neighbour of class e when their members are adjacent; a class of true
+    twins is its own neighbour.  OR_f ends[f] shifted left by stride[e] adds
+    a class-e vertex to every cell, and masking to the cells where class e is
+    nonempty and not the anchor alone drops the carries.  The update is a
+    union of one term per neighbour and only grows rows, so the least fixed
+    point does not depend on the order of updates: sweeps of alternating
+    direction update a class only after a neighbour's row grew, from those
+    neighbours alone, until no row grows.
     """
-    cap, n = subset_cap(), g.n
-    if n > cap:
+    table, cap = _twin_quotient(g), subset_cap()
+    classes, strides, cells = table.classes, table.strides, table.cells
+    if cells > 1 << cap:
         raise SizeCapError(
-            f"subset table needs 2^{n} entries; cap is {cap} vertices")
-    stale = list(g.adjacency_masks())  # stale[e]: neighbours grown since e's update
+            f"cyclable table needs {cells} cells (2^{math.log2(cells):.2f}); "
+            f"cap is 2^{cap} cells")
+    adj = g.adjacency_masks()
+    stale = [_mask_of(f for f, m in enumerate(classes) if adj[(c & -c).bit_length() - 1] & m)
+             for c in classes]  # stale[e]: neighbour classes grown since e's update
     nbrs = [bits_of(m) for m in stale]
-    below, low = [0] * n, 1  # subsets containing e whose minimum is below e; with none below e
-    for e, has in _containing_masks(n):
-        mins = low << (1 << e)  # subsets whose minimum is e
-        below[e] = has ^ mins
-        low |= mins
-    ends, order = [1 << (1 << e) for e in range(n)], list(range(n))
-    has = mins = low = 0  # free the masks before the fill
+    # grow[e]: the cells where a class-e vertex can come last: all but those
+    # with digit e = 0 (one - z) and those with digit e = 1 over lower zeros
+    full = (1 << cells) - 1
+    grow = [full ^ (one - z) ^ one for _, z, one, _, _ in _digit_masks(table)][::-1]
+    ends, order = [1 << w for w in strides], list(range(len(classes)))
+    full = 0  # free the mask before the fill
     while any(stale):
         for e in order:
             if stale[e]:
@@ -138,22 +207,28 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
                 for f in bits_of(stale[e]):
                     reach |= ends[f]
                 stale[e] = 0
-                grown = ends[e] | (reach << (1 << e)) & below[e]
+                grown = ends[e] | (reach << strides[e]) & grow[e]
                 if grown != ends[e]:
                     ends[e] = grown
                     for u in nbrs[e]:
                         stale[u] |= 1 << e
         order.reverse()
-    # S is cyclable when a path spanning S ends at a neighbour of a = min(S)
-    cyc = grown = 0  # grown: free the fill's last candidate row
-    for a, has in _containing_masks(n):
+    # S is cyclable when a path spanning S ends at a neighbour of its anchor
+    cyc = grown = grow = 0  # grown: free the fill's last candidate row
+    for a, z, _, _, low in _digit_masks(table):
         reach = 0
         for f in nbrs[a]:
             reach |= ends[f]
-        cyc |= reach & (has ^ below.pop())  # the subsets whose minimum is a
-    for a, b in g.edges():  # an edge is a two-vertex path, not a cycle: its bit is set
-        cyc ^= 1 << ((1 << a) | (1 << b))
-    return CyclableTable(n, ends, cyc)
+        cyc |= reach & (low ^ z)  # the cells whose anchor is in class a
+    # a two-vertex path is not a cycle, nor is the one-vertex path of a class
+    # of true twins, yet the loop set their bits: clear them all in one pass
+    small = [w + strides[f] for a, w in enumerate(strides) for f in nbrs[a] if f >= a]
+    small += [w for a, w in enumerate(strides) if a in nbrs[a]]
+    clear = bytearray(cells // 8 + 1)
+    for c in small:
+        clear[c >> 3] |= 1 << (c & 7)
+    table.ends, table.cyc = ends, cyc ^ int.from_bytes(clear, "little")
+    return table
 
 
 # -- backtracking search ------------------------------------------------------
@@ -512,15 +587,22 @@ def _kernelize(adj: list[int]) -> _Kernel:
     return _Kernel(kadj, forced, members, plain, adj, pastes, segments)
 
 
-def _local_adjacency(g: LabeledGraph, subset, cap: int) -> tuple[list[int], list[int]]:
-    """(sorted subset, adjacency of G[subset] as masks over positions in it)."""
+def _members(g: LabeledGraph, subset, cap: int) -> list[int]:
+    """The sorted ids of `subset`, checked against g and the cap."""
     vs = sorted(set(subset))
     if any(not 0 <= v < g.n for v in vs):
         raise GraphError("subset contains invalid vertex ids")
     if len(vs) > cap:
         raise SizeCapError(
             f"spanning-cycle search capped at {cap} vertices, got {len(vs)}")
-    pos = {v: i for i, v in enumerate(vs)}
+    return vs
+
+
+def _local_adjacency(g: LabeledGraph, vs: list[int]) -> list[int]:
+    """Adjacency of G[vs] as masks over positions in the sorted list vs."""
+    pos = [0] * g.n
+    for i, v in enumerate(vs):
+        pos[v] = i
     sub_mask = _mask_of(vs)
     adj = g.adjacency_masks()
     local_adj = []
@@ -532,7 +614,7 @@ def _local_adjacency(g: LabeledGraph, subset, cap: int) -> tuple[list[int], list
             av ^= bit
             mask |= 1 << pos[bit.bit_length() - 1]
         local_adj.append(mask)
-    return vs, local_adj
+    return local_adj
 
 
 # -- public operations ---------------------------------------------------------
@@ -545,9 +627,12 @@ def find_spanning_cycle(g: LabeledGraph, subset=None, cap: int = BACKTRACK_CAP) 
     chained tight classes, then twin symmetry), so the blow-ups answer in
     milliseconds.  The cap bounds the set before kernelization.
     """
-    vs, adj = _local_adjacency(g, range(g.n) if subset is None else subset, cap)
+    vs = _members(g, range(g.n) if subset is None else subset, cap)
+    if len(vs) < 3:
+        return None
+    adj = _local_adjacency(g, vs)
     if any(nb.bit_count() < 2 for nb in adj):
-        return None  # also every set of fewer than three vertices
+        return None
     kernel = _kernelize(adj)
     _, tour = _spanning_cycle_search(kernel.adj, kernel.forced, count_all=False)
     return Cycle(vs[i] for i in kernel.lift(tour)).validate(g) if tour else None
@@ -570,10 +655,10 @@ def heavy_cycles_on(g: LabeledGraph, subset):
     sub = set(subset)
     if any(a not in sub or b not in sub for a, b in g.heavy_edges):
         return 0, None
-    vs, adj = _local_adjacency(g, sub, HEAVY_SET_CAP)
-    pos = {v: i for i, v in enumerate(vs)}
+    vs = _members(g, sub, HEAVY_SET_CAP)
     count, tour = _spanning_cycle_search(
-        adj, [(pos[a], pos[b]) for a, b in g.heavy_edges], count_all=True)
+        _local_adjacency(g, vs), [(vs.index(a), vs.index(b)) for a, b in g.heavy_edges],
+        count_all=True)
     return count, Cycle(vs[i] for i in tour).validate(g) if tour else None
 
 
@@ -608,9 +693,12 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set,
     The chosen reading: a subset with room for no jump in the set is exempt.
     Decided for all subsets at once: with D(X) the subsets one vertex short
     of a member of X, the failures are cyc & D^(min s)(all) & ~OR_s D^s(cyc);
-    jumps past n are clamped, so any jumps cost at most 2n drop steps.
-    The witness is the numerically smallest failure.  With s_set = {1} this
-    coincides with plain cycle extendibility.
+    jumps past n - 3 extend no cyclable set and are dropped.  One pass over
+    the classes computes every drop step of both chains, holding one int per
+    step (fewer than 2n).  Failing is invariant under twin swaps, so the
+    witness, the numerically smallest failure, is the smallest
+    representative set of a failing cell.  With s_set = {1} this coincides
+    with plain cycle extendibility.
     """
     jumps = sorted(set(s_set))
     if not jumps:
@@ -619,16 +707,40 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set,
         raise GraphError("extension lengths must be positive")
     if table is None:
         table = build_cyclable_table(g)
-    n = table.n
-    room = (1 << (1 << n) - 1) - 1  # one drop from every subset: all but V, mask 2^n - 1
-    for _ in range(min(jumps[0], n + 1) - 1):
-        room = _drop_one(room, n)
-    grown, reach = 0, table.cyc
-    for s in range(1, min(jumps[-1], n) + 1):
-        reach = _drop_one(reach, n)
-        if s in jumps:
-            grown |= reach
+    most = table.n - 3  # a cyclable set has 3 vertices or more: no longer jump applies
+    if jumps[0] > most:
+        return ExtensionVerdict(True, None)
+    rooms, reaches = _drops([(1 << table.cells - 1) - 1, table.cyc],  # every cell but V's
+                            [jumps[0] - 1, min(jumps[-1], most)], table)
+    room, grown = rooms[-1], 0
+    for s in jumps:
+        if s < len(reaches):
+            grown |= reaches[s]
+    rooms = reaches = None  # free the chains
     bad = table.cyc & room & ~grown
     if not bad:
         return ExtensionVerdict(True, None)
-    return ExtensionVerdict(False, frozenset(bits_of((bad & -bad).bit_length() - 1)))
+    return ExtensionVerdict(False, frozenset(table.representative(_smallest_cell(table, bad))))
+
+
+def _smallest_cell(table: CyclableTable, cand: int) -> int:
+    """The cell of `cand` whose representative set is numerically smallest.
+
+    Deciding vertices from the highest down, vertex v (rank t in its class)
+    is left out whenever some candidate cell takes at most t class members.
+    """
+    rank = {}
+    for i, m in enumerate(table.classes):
+        for t, v in enumerate(bits_of(m)):
+            rank[v] = i, t
+    for v in reversed(range(table.n)):
+        if not cand & (cand - 1):
+            break
+        i, t = rank[v]
+        w = table.strides[i]
+        z, span = 1, w * (table.classes[i].bit_count() + 1)
+        while span < table.cells:  # z: the cells whose digits 0..i are all 0, and more past the top
+            z |= z << span
+            span <<= 1
+        cand = cand & (z << (t + 1) * w) - z or cand
+    return cand.bit_length() - 1

@@ -87,9 +87,43 @@ def drop_one_by_list(x: int, has: list[int]) -> int:
     return out
 
 
+def representative_masks(classes: list[int]) -> list[int]:
+    """The vertex mask of every cell's representative set, in cell order.
+
+    Cells are the count vectors over `classes` (member masks) in mixed radix,
+    class 0 the lowest digit; a representative takes the lowest members of
+    each class."""
+    members = [[v for v in range(m.bit_length()) if m >> v & 1] for m in reversed(classes)]
+    out = []
+    for counts in itertools.product(*(range(len(ms) + 1) for ms in members)):
+        mask = 0
+        for ms, c in zip(members, counts):
+            for v in ms[:c]:
+                mask |= 1 << v
+        out.append(mask)
+    return out
+
+
+def drop_one_by_cells(x: int, sizes: list[int]) -> int:
+    """Cells T such that T plus one vertex of some class is a cell of x, with
+    each cell decoded into its count vector (class i has sizes[i] members)."""
+    vectors = list(itertools.product(*(range(s + 1) for s in reversed(sizes))))
+    index = {vec: i for i, vec in enumerate(vectors)}
+    out = 0
+    for i, vec in enumerate(vectors):
+        for d, s in enumerate(reversed(sizes)):
+            up = vec[:d] + (vec[d] + 1,) + vec[d + 1:]
+            if vec[d] < s and x >> index[up] & 1:
+                out |= 1 << i
+                break
+    return out
+
+
 def table_by_sweeps(g: LabeledGraph) -> tuple[list[int], int]:
-    """(ends, cyc) of the bit-sliced anchored-path table, filled by in-place
-    sweeps over every vertex in order until a sweep changes nothing."""
+    """(ends, cyc) of the per-vertex bit-sliced anchored-path table, one
+    2^n-bit int per vertex (bit S for vertex mask S), filled by in-place
+    sweeps over every vertex in order until a sweep changes nothing.  On a
+    graph without twins it equals the twin-quotient table."""
     n = g.n
     nbrs = [[f for f in range(n) if g.has_edge(e, f)] for e in range(n)]
     below = []
@@ -120,10 +154,19 @@ def table_by_sweeps(g: LabeledGraph) -> tuple[list[int], int]:
     return ends, cyc
 
 
-def cyclable_from_ends(g: LabeledGraph, ends: list[int], mask: int) -> bool:
-    """S is cyclable iff |S| >= 3 and some path end sees min(S) back."""
-    anchor = (mask & -mask).bit_length() - 1
-    return mask.bit_count() >= 3 and bool(ends[mask] & g.adjacency_masks()[anchor])
+def relabeled(g: LabeledGraph, rng) -> LabeledGraph:
+    """g with its vertex ids shuffled, so that twin classes stop being runs of ids."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return LabeledGraph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def twin_blowups(max_base: int = 5):
+    """Hypothesis strategy: relabeled twin blow-ups of G(2..max_base, p)."""
+    from hypothesis import strategies as st
+    return st.builds(lambda rng, n, p: relabeled(twin_blowup(rng, n, p), rng),
+                     st.randoms(use_true_random=False), st.integers(2, max_base),
+                     st.sampled_from((0.3, 0.5, 0.8)))
 
 
 def small_graphs(max_n: int = 10):

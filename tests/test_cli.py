@@ -177,8 +177,8 @@ def test_capped_lemma_checks_report_null(capsys):
 
 
 @pytest.mark.parametrize("claim, family, sizes, cap", [
-    ("2.8", build_hk, "3,3,3,3,3", "10"),      # 15 vertices, past a lowered cap
-    ("3.1", build_h_plus, "5,5,5,5,5", "24")])  # 25 vertices, past the default cap
+    ("2.8", build_hk, "3,3,3,3,3", "10"),      # 2^15 cells, past a lowered cap
+    ("3.1", build_h_plus, "5,5,5,5,5", "19")])  # 25 vertices in 2^20 cells, past a lowered cap
 def test_claims_search_the_frozen_set_past_the_table_cap(capsys, monkeypatch, claim, family,
                                                          sizes, cap):
     # instead of a table scan, V - {z, v3} and its two one-vertex extensions

@@ -40,14 +40,17 @@ from oracles import (
     brute_force_s_extendible,
     chained_classes_graph,
     containing,
-    cyclable_from_ends,
+    drop_one_by_cells,
     drop_one_by_list,
     gnp,
     pasted_graph,
     permutation_count_heavy_cycles,
     permutation_cyclable_sets,
     permutation_hamiltonian,
+    relabeled,
+    representative_masks,
     table_by_sweeps,
+    twin_blowup,
 )
 
 
@@ -71,21 +74,43 @@ def test_table_matches_permutation_oracle():
         assert {m for m in range(1 << g.n) if t.cyclable(m)} == oracle
 
 
-def _bitset(masks) -> int:
-    out = 0
-    for mask in masks:
-        out |= 1 << mask
-    return out
+def assert_twin_classes(g, t):
+    """t.classes partition V(g) into twin classes, numbered by lowest member."""
+    adj = g.adjacency_masks()
+    assert sum(t.classes) == (1 << g.n) - 1 and sum(m.bit_count() for m in t.classes) == g.n
+    lows = [m & -m for m in t.classes]
+    assert lows == sorted(lows)
+    for m in t.classes:
+        vs = bits_of(m)
+        closed = {adj[v] | 1 << v for v in vs}
+        opened = {adj[v] for v in vs}
+        assert len(closed) == 1 or len(opened) == 1, vs
+
+
+def assert_cells_match(g, t, path_ends):
+    """Every row bit and cyclable bit of t against the per-mask DP read at the
+    cell's representative set: path_ends(mask) has bit v iff G[mask] has a
+    Hamiltonian path from min(mask) to v (the anchor alone for |mask| = 1)."""
+    assert_twin_classes(g, t)
+    adj = g.adjacency_masks()
+    class_of = {v: e for e, m in enumerate(t.classes) for v in bits_of(m)}
+    rows = [bytearray(t.cells // 8 + 1) for _ in t.classes]
+    cyc = bytearray(t.cells // 8 + 1)
+    reps = representative_masks(t.classes)
+    assert len(reps) == t.cells
+    for cell, rep in enumerate(reps):
+        word = path_ends(rep)
+        for v in bits_of(word):
+            rows[class_of[v]][cell >> 3] |= 1 << (cell & 7)
+        if rep.bit_count() >= 3 and word & adj[(rep & -rep).bit_length() - 1]:
+            cyc[cell >> 3] |= 1 << (cell & 7)
+    assert t.ends == [int.from_bytes(r, "little") for r in rows]
+    assert t.cyc == int.from_bytes(cyc, "little")
 
 
 def assert_table_matches_path_dp(g):
-    """Every row bit and cyclable bit against the per-mask DP oracle."""
-    t = build_cyclable_table(g)
-    ends = anchored_path_ends(g)
-    for e in range(g.n):
-        want = _bitset(m for m, word in enumerate(ends) if word >> e & 1)
-        assert t.ends[e] == want, f"row {e}"
-    assert t.cyc == _bitset(m for m in range(1 << g.n) if cyclable_from_ends(g, ends, m))
+    """Every cell of the table against the per-mask DP oracle."""
+    assert_cells_match(g, build_cyclable_table(g), anchored_path_ends(g).__getitem__)
 
 
 def test_table_matches_path_dp_oracle():
@@ -97,27 +122,20 @@ def test_table_matches_path_dp_oracle():
     assert_table_matches_path_dp(build_s(3))
 
 
-def test_derived_masks_match_byte_patterns():
-    for n in range(13):
-        full = (1 << (1 << n)) - 1
-        assert list(cycles._containing_masks(n)) == [
-            (v, containing(n, v) & full) for v in reversed(range(n))]
-        # on K_n the row of e is every subset with e and a smaller minimum, plus {e}
-        t = build_cyclable_table(complete_graph(n))
-        lower = 0
-        for e in range(n):
-            below = containing(n, e) & lower & full
-            lower |= containing(n, e)
-            assert t.ends[e] == below | 1 << (1 << e)
-
-
-def test_streamed_drop_matches_mask_list():
-    rng = random.Random(17)
-    for n in range(13):
-        has = [containing(n, v) for v in range(n)]
-        for density in (0.05, 0.5, 0.95, 1.0):
-            x = sum(1 << s for s in range(1 << n) if rng.random() < density)
-            assert cycles._drop_one(x, n) == drop_one_by_list(x, has)
+def test_quotient_matches_per_mask_dp_on_twin_rich_graphs():
+    """Cell by cell against the per-mask DP, on graphs with many twins, with
+    their ids shuffled so that classes are not runs of ids."""
+    rng = random.Random(29)
+    graphs = [twin_blowup(rng, rng.randint(2, 6), rng.choice((0.3, 0.5, 0.8))) for _ in range(60)]
+    graphs += [pasted_graph(rng, rng.randint(3, 6), rng.randint(8, 12)) for _ in range(20)]
+    graphs += [chained_classes_graph(rng, rng.randint(5, 6)) for _ in range(20)]
+    graphs = [h for g in graphs if g.n <= 13 for h in (g, relabeled(g, rng))]
+    shrunk = 0
+    for g in graphs:
+        t = build_cyclable_table(g)
+        shrunk += t.cells < 1 << g.n
+        assert_cells_match(g, t, anchored_path_ends(g).__getitem__)
+    assert shrunk > len(graphs) // 2
 
 
 def _census_family_members(max_n: int):
@@ -131,15 +149,103 @@ def _census_family_members(max_n: int):
     return [g for g in out if g.n <= max_n]
 
 
+def _sweep_path_ends(rows, n):
+    """path_ends for assert_cells_match, read from the sweep fill's 2^n-bit rows."""
+    rows = [r.to_bytes((1 << n) // 8 + 1, "little") for r in rows]
+
+    def path_ends(mask):
+        return sum(1 << v for v in bits_of(mask) if rows[v][mask >> 3] >> (mask & 7) & 1)
+    return path_ends
+
+
 def test_table_matches_sweep_fill():
-    """The pending-neighbour fill reaches the sweep fill's fixed point, bit for bit."""
+    """The pending-neighbour fill reaches the sweep fill's fixed point, on the
+    census members and on twin-free and twin-rich random graphs: bit for bit
+    without twins (cell c is vertex mask c), else cell by cell up to 2^15 cells."""
     rng = random.Random(23)
     graphs = [gnp(11 + i % 6, rng.choice((0.3, 0.5, 0.7)), rng) for i in range(30)]
+    graphs += [twin_blowup(rng, rng.randint(5, 8), rng.choice((0.3, 0.5, 0.8))) for _ in range(12)]
     graphs += _census_family_members(20)
     graphs += [complete_graph(n) for n in (0, 1, 2)] + [path_graph(2), LabeledGraph(2)]
+    twins = 0
     for g in graphs:
         t = build_cyclable_table(g)
-        assert (t.ends, t.cyc) == table_by_sweeps(g), g.n
+        ends, cyc = table_by_sweeps(g)
+        if t.cells == 1 << g.n:
+            assert (t.ends, t.cyc) == (ends, cyc), g.n
+        elif t.cells <= 1 << 15:
+            twins += 1
+            assert_cells_match(g, t, _sweep_path_ends(ends, g.n))
+    assert twins >= 20, twins
+
+
+def _cell_masks(sizes):
+    """(z, one, top, low) of every class from the top down, built cell by cell."""
+    vectors = list(itertools.product(*(range(s + 1) for s in reversed(sizes))))
+    out = []
+    for i in reversed(range(len(sizes))):
+        d = len(sizes) - 1 - i  # class i's place in each vector
+        def mask(pred):
+            return sum(1 << c for c, vec in enumerate(vectors) if pred(vec))
+        out.append((mask(lambda v: not any(v[d:])),
+                    mask(lambda v: v[d] == 1 and not any(v[d + 1:])),
+                    mask(lambda v: v[d] == sizes[i] and not any(v[d + 1:])),
+                    mask(lambda v: not any(v[d + 1:]))))
+    return out
+
+
+def _layout(sizes):
+    """An empty table whose classes are runs of consecutive ids of the given sizes."""
+    classes, v = [], 0
+    for size in sizes:
+        classes.append(((1 << size) - 1) << v)
+        v += size
+    return cycles.CyclableTable(v, classes)
+
+
+def test_derived_masks_match_byte_patterns():
+    # without twins, z of vertex i is the subsets that miss 0..i, from the
+    # byte patterns; with classes, every mask is checked cell by cell
+    for n in range(13):
+        full, union, z = (1 << (1 << n)) - 1, 0, []
+        for i in range(n):
+            union |= containing(n, i)
+            z.append(full & ~union)
+        got = [(i, z_i) for i, z_i, _, _, _ in cycles._digit_masks(_layout([1] * n))]
+        assert got == [(i, z[i]) for i in reversed(range(n))]
+    rng = random.Random(3)
+    for sizes in [[rng.randint(1, 4) for _ in range(rng.randint(1, 6))] for _ in range(40)]:
+        got = [(z, one, top, low) for _, z, one, top, low in cycles._digit_masks(_layout(sizes))]
+        assert got == _cell_masks(sizes), sizes
+    for n in range(13):
+        # K_n is one class of true twins: a path from the anchor ends at
+        # another member, or is the anchor alone; n + 1 cells
+        t = build_cyclable_table(complete_graph(n))
+        assert t.cells == n + 1 and len(t.classes) == min(n, 1)
+        assert t.ends == ([] if n == 0 else [(1 << (n + 1)) - 2])
+        assert t.cyc == sum(1 << c for c in range(3, n + 1))
+
+
+def test_streamed_drop_matches_mask_list():
+    # without twins, against the drop by the list of "contains v" masks; with
+    # classes, against the drop by decoded count vectors
+    rng = random.Random(17)
+    for n in range(13):
+        has = [containing(n, v) for v in range(n)]
+        xs = [sum(1 << s for s in range(1 << n) if rng.random() < density)
+              for density in (0.05, 0.5, 0.95, 1.0)]
+        for x, (_, dx) in zip(xs, cycles._drops(xs, [1] * 4, _layout([1] * n))):
+            assert dx == drop_one_by_list(x, has)
+    for sizes in [[rng.randint(1, 4) for _ in range(rng.randint(1, 5))] for _ in range(30)]:
+        t = _layout(sizes)
+        xs = [sum(1 << c for c in range(t.cells) if rng.random() < density)
+              for density in (0.05, 0.5, 1.0)]
+        steps = [rng.randint(0, 4) for _ in xs]
+        for x, m, chain in zip(xs, steps, cycles._drops(xs, steps, t)):
+            want = [x]
+            for _ in range(m):
+                want.append(drop_one_by_cells(want[-1], sizes))
+            assert chain == want, sizes
 
 
 def test_extendibility_peak_memory_holds_no_mask_list():
@@ -221,7 +327,8 @@ def test_search_cycles_for_cyclable_sets():
     # the first 200 cyclable sets of the table each get a validated spanning cycle
     g = build_hk(HkSpec.uniform(3))
     t = build_cyclable_table(g)
-    masks = bits_of(t.cyc)[:200]
+    reps = representative_masks(t.classes)
+    masks = [reps[cell] for cell in bits_of(t.cyc)[:200]]
     assert len(masks) == 200
     for mask in masks:
         vs = frozenset(bits_of(mask))
@@ -335,6 +442,28 @@ def test_s_extendibility_matches_brute_force():
             assert got_mask == want_wit  # same lex-first witness
 
 
+def test_s_extendibility_witnesses_on_twin_rich_graphs():
+    """Verdicts and the numerically smallest witness against brute force, on
+    twin blow-ups and pasted graphs whose ids are shuffled, so that the
+    smallest representative is not always the lowest failing cell."""
+    rng = random.Random(78)
+    failed = 0
+    for i in range(90):
+        g = twin_blowup(rng, rng.randint(2, 5), rng.choice((0.4, 0.6, 0.8))) if i % 3 else \
+            pasted_graph(rng, 4, 8)
+        if g.n > 8:
+            continue
+        g = relabeled(g, rng)
+        for s_set in ({1}, {1, 2}, {2, 3}, {1, 3}):
+            want_ok, want_wit = brute_force_s_extendible(g, s_set)
+            got = is_s_cycle_extendible(g, s_set)
+            assert got.extendible == want_ok
+            if not want_ok:
+                failed += 1
+                assert sum(1 << v for v in got.witness) == want_wit
+    assert failed >= 50, failed
+
+
 def test_jk_full_table_has_unique_frozen_set():
     j = build_jk(3, (3,) * 5, 6)
     verdict = is_cycle_extendible(j)
@@ -357,8 +486,9 @@ def test_cyclable_sets_are_two_connected():
     for _ in range(30):
         g = gnp(rng.randint(4, 7), 0.5, rng)
         t = build_cyclable_table(g)
-        for mask in bits_of(t.cyc):
-            vs = bits_of(mask)
+        reps = representative_masks(t.classes)
+        for cell in bits_of(t.cyc):
+            vs = bits_of(reps[cell])
             sub, _ = g.induced(vs)
             assert len(vs) >= 3
             assert vertex_connectivity(sub).kappa >= 2
@@ -466,8 +596,8 @@ def test_heavy_count_exact_small():
 
 def test_size_caps():
     big = complete_graph(41)
-    with pytest.raises(SizeCapError):
-        build_cyclable_table(big)
+    with pytest.raises(SizeCapError, match="2199023255552 cells"):  # P_41 has no twins
+        build_cyclable_table(path_graph(41))
     with pytest.raises(SizeCapError):
         is_cyclable(big)
     with pytest.raises(SizeCapError):
@@ -478,7 +608,9 @@ def test_subset_cap_env(monkeypatch):
     monkeypatch.setenv("HENDRY_SUBSET_CAP", "10")
     assert subset_cap() == 10
     with pytest.raises(SizeCapError):
-        build_cyclable_table(complete_graph(11))
+        build_cyclable_table(path_graph(11))  # 2^11 cells
+    assert build_cyclable_table(path_graph(10)).cells == 1 << 10
+    assert build_cyclable_table(complete_graph(60)).cells == 61  # one class
     monkeypatch.setenv("HENDRY_SUBSET_CAP", "99")
     assert subset_cap() == 26
     monkeypatch.setenv("HENDRY_SUBSET_CAP", "zzz")

@@ -23,7 +23,9 @@ from .families import (
     build_hkm,
     build_jk,
     build_s,
+    default_clique_sizes,
     gk_reference_elimination_order,
+    jk_x_order,
     lift_cycle,
     witness_heavy_ham_cycle,
     witness_long_heavy_cycle,
@@ -70,9 +72,7 @@ class ClaimRun:
 
 def _sizes(params, k):
     sizes = params.get("sizes")
-    if sizes is None:
-        return (3,) * (2 * k - 1)
-    return tuple(sizes)
+    return default_clique_sizes(k) if sizes is None else tuple(sizes)
 
 
 def _lifted_ham(k, h):
@@ -298,7 +298,7 @@ def claim_3_6(params) -> ClaimRun:
     leaves, branch, maxdeg = treemodel.tree_stats(model.host)
     run.check(f"hk host: {2 * k - 1} leaves, {2 * k - 3} branch vertices, degree <= 3",
               lambda: ((leaves, branch, maxdeg) == (2 * k - 1, 2 * k - 3, 3), (leaves, branch, maxdeg)))
-    x_order = k + 3 if params.get("x_order") is None else params["x_order"]
+    x_order = jk_x_order(k, params.get("x_order"))
     j = build_jk(k, spec.clique_sizes, x_order)
     jmodel = treemodel.explicit_model_jk(k, spec.clique_sizes, x_order, j)
     run.check(f"jk model verifies (k={k})", lambda: model_check(jmodel, j))

@@ -26,6 +26,8 @@ from .families import (
     build_hkm,
     build_jk,
     build_s,
+    default_clique_sizes,
+    jk_x_order,
 )
 from .graph6 import load_graph, save_graph
 
@@ -46,7 +48,7 @@ def _json_default(obj):
 
 def _parse_sizes(raw, k):
     if raw is None:
-        return (3,) * (2 * k - 1)
+        return default_clique_sizes(k)
     try:
         return tuple(int(x) for x in raw.split(","))
     except ValueError:
@@ -91,7 +93,7 @@ def _build_family(args) -> tuple[LabeledGraph, str]:
     if fam == "jk":
         k = _need(args, "--k")
         sizes = _parse_sizes(args.sizes, k)
-        x_order = args.x_order if args.x_order is not None else k + 3
+        x_order = jk_x_order(k, args.x_order)
         return build_jk(k, sizes, x_order), f"jk(k={k}, sizes={sizes}, x_order={x_order})"
     if fam == "dn":
         n = _need(args, "--n")
@@ -250,7 +252,7 @@ def cmd_model(args) -> int:
     elif args.family == "jk":
         k = _need(args, "--k")
         sizes = _parse_sizes(args.sizes, k)
-        x_order = args.x_order if args.x_order is not None else k + 3
+        x_order = jk_x_order(k, args.x_order)
         g, desc = build_jk(k, sizes, x_order), f"jk(k={k})"
         model = treemodel.explicit_model_jk(k, sizes, x_order, g)
     elif args.input:

@@ -13,9 +13,10 @@ Two exact mechanisms back every predicate here, one per kind of question:
   are; and
 * a question about one set (is it cyclable, which cycle spans it) goes to a
   backtracking search for cycles spanning that set, with forced edges (heavy
-  edges, or edges implied by degree-2 vertices) propagated up front, plus
-  degree, connectivity and twin-symmetry pruning.  The search is exhaustive,
-  so a miss is a proof of nonexistence.
+  edges, or edges implied by degree-2 vertices) propagated up front, then
+  pruned by a degree bound on independent twin classes, the connectivity of
+  the unexplored region and twin symmetry.  The search is exhaustive, so a
+  miss is a proof of nonexistence.
 
 Before an existence search, the set is kernelized: segments that every
 spanning cycle must cross in one piece are contracted to forced pairs, and a
@@ -267,35 +268,6 @@ def _propagate_forced(allowed: list[int], forced: list[int], m: int) -> bool:
     return True
 
 
-def _forced_cycle_check(forced: list[int], m: int):
-    """(verdict, cycle): verdict False kills the search; cycle is a full tour."""
-    seen = [False] * m
-    for s in range(m):
-        if seen[s] or not forced[s]:
-            continue
-        if forced[s].bit_count() == 2:
-            # walk the forced chain both ways; detect closure
-            seq = [s]
-            seen[s] = True
-            prev, cur = s, (forced[s] & -forced[s]).bit_length() - 1
-            closed = False
-            while True:
-                if cur == s:
-                    closed = True
-                    break
-                seq.append(cur)
-                seen[cur] = True
-                nxt_mask = forced[cur] & ~(1 << prev)
-                if not nxt_mask or forced[cur].bit_count() < 2:
-                    break
-                prev, cur = cur, (nxt_mask & -nxt_mask).bit_length() - 1
-            if closed:
-                if len(seq) == m:
-                    return True, seq
-                return False, None
-    return True, None
-
-
 def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[int], list[int]]:
     """Interchangeable-vertex classes: equal closed or equal open neighborhoods
     and equal forced edges (so no forced edge joins two members)."""
@@ -317,9 +289,15 @@ def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[i
 def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
     """Count (or find) cycles through every vertex and all forced pairs.
 
-    Returns (count, tour) where tour is a local-id sequence or None.  In
-    existence mode (count_all=False) the count is capped at 1 and twin
-    symmetry prunes the search.
+    Returns (count, tour) where tour is a local-id sequence or None.  Forced
+    edges are propagated first, and forced edges closing a short cycle end
+    the search.  The DFS starts at a vertex of least degree and takes forced
+    edges when it has them; it prunes when an independent class with one
+    shared neighbourhood needs more edges than that neighbourhood has left,
+    or when the unexplored region is not connected to both ends of the path.
+    Counting mode (count_all=True) counts each cycle in the direction whose
+    second vertex is below its last.  In existence mode the count is capped
+    at 1 and twin symmetry prunes the search too.
     """
     m = len(adj_masks)
     if m < 3:
@@ -334,11 +312,14 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
             return 0, None
     if not _propagate_forced(allowed, forced, m):
         return 0, None
-    ok, tour = _forced_cycle_check(forced, m)
-    if not ok:
-        return 0, None
-    if tour is not None:
-        return 1, tour
+    # forced edges closing a cycle short of all m vertices leave no tour; a
+    # forced tour of all of them is left to the DFS, which follows forced edges
+    full = (1 << m) - 1
+    two = [v for v in range(m) if forced[v].bit_count() == 2]
+    if two:
+        comp = reach(forced, 1 << two[0], full)
+        if comp != full and all(forced[u].bit_count() == 2 for u in bits_of(comp)):
+            return 0, None
 
     if count_all:
         class_of, class_masks = [-1] * m, []
@@ -355,10 +336,7 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
         if amask.bit_count() >= 2:
             indep_classes.append((amask, nmask))
 
-    full = (1 << m) - 1
-    start = 0
-    if not count_all:
-        start = min(range(m), key=lambda v: (allowed[v].bit_count(), v))
+    start = min(range(m), key=lambda v: (allowed[v].bit_count(), v))
     start_bit = 1 << start
 
     found = [0, None]
@@ -400,19 +378,6 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
             else:
                 cap += ((nmask >> v) & 1) + ((nmask >> start) & 1)
             if 2 * u_cnt > cap:
-                return False
-
-        # every unvisited vertex still needs two usable connections
-        rr = rest
-        while rr:
-            bit = rr & -rr
-            rr ^= bit
-            u = bit.bit_length() - 1
-            au = allowed[u]
-            avail = (au & rest & ~bit).bit_count() + ((au >> v) & 1)
-            if v != start:
-                avail += (au >> start) & 1
-            if avail < 2:
                 return False
 
         # the unexplored region plus both chain ends must be one piece
@@ -652,7 +617,7 @@ def heavy_cycles_on(g: LabeledGraph, subset):
     """
     if not g.heavy_edges:
         raise GraphError("graph has no heavy edges")
-    sub = set(subset)
+    sub = set(_members(g, subset, g.n))  # ids checked before the heavy test, the cap after
     if any(a not in sub or b not in sub for a, b in g.heavy_edges):
         return 0, None
     vs = _members(g, sub, HEAVY_SET_CAP)

@@ -37,6 +37,16 @@ def heavy_edge_names(k: int) -> list[tuple[str, str]]:
             + [(f"x{i}", f"v{i}") for i in range(1, k)])
 
 
+def default_clique_sizes(k: int) -> tuple[int, ...]:
+    """The default pasted clique orders: a triangle on each of the 2k-1 heavy edges."""
+    return (3,) * (2 * k - 1)
+
+
+def jk_x_order(k: int, x_order: int | None = None) -> int:
+    """jk's center clique order: x_order, or by default the least allowed, k+3."""
+    return k + 3 if x_order is None else x_order
+
+
 def build_gk(k: int) -> LabeledGraph:
     """The base graph on 3k+1 vertices: K_k joined to the odd path."""
     if k < 1:
@@ -68,8 +78,8 @@ class HkSpec:
             raise GraphError("every pasted clique must have order >= 3")
 
     @classmethod
-    def uniform(cls, k: int, size: int = 3) -> "HkSpec":
-        return cls(k, (size,) * (2 * k - 1))
+    def uniform(cls, k: int) -> "HkSpec":
+        return cls(k, default_clique_sizes(k))
 
     @property
     def n_result(self) -> int:
@@ -189,8 +199,8 @@ def build_hkm(k: int, m: int, clique_sizes) -> LabeledGraph:
 
 def build_jk(k: int, clique_sizes, x_order: int) -> LabeledGraph:
     """hk plus a clique of order x_order pasted onto {x1..xk, z, vk}."""
-    if x_order < k + 3:
-        raise GraphError(f"x_order must be at least k+3 = {k + 3}, got {x_order}")
+    if x_order < jk_x_order(k):
+        raise GraphError(f"x_order must be at least k+3 = {jk_x_order(k)}, got {x_order}")
     g = build_hk(HkSpec(k, tuple(clique_sizes)))
     anchor = [g.vertex(f"x{i}") for i in range(1, k + 1)]
     anchor += [g.vertex("z"), g.vertex(f"v{k}")]

@@ -42,9 +42,6 @@ class HostTree:
     def degree(self, node):
         return self._adj[node].bit_count()
 
-    def neighbors(self, node):
-        return frozenset(v for v in range(self.n_nodes) if self._adj[node] >> v & 1)
-
     def node(self, label: str) -> int:
         try:
             return self.labels.index(label)

@@ -185,15 +185,31 @@ def test_claims_search_the_frozen_set_past_the_table_cap(capsys, monkeypatch, cl
     # are searched; claim 3.1 used to drop its extendibility check here
     monkeypatch.setenv("HENDRY_SUBSET_CAP", cap)
     g = family(HkSpec(3, tuple(map(int, sizes.split(",")))))
-    z, v3 = g.vertex("z"), g.vertex("v3")
-    code, stdout, _ = run_cli(capsys, "certify", "--mode", f"lemma:{claim}", "--sizes", sizes)
+    assert_frozen_set_searched(
+        g, 3, *run_cli(capsys, "certify", "--mode", f"lemma:{claim}", "--sizes", sizes)[:2])
+
+
+def test_claim_2_8_searches_the_frozen_set_at_the_default_cap(capsys, monkeypatch):
+    # hk(5) has 25 vertices and no twins, so its table has 2^25 cells: the
+    # frozen-set search is the only way to certify it at the default cap
+    monkeypatch.delenv("HENDRY_SUBSET_CAP", raising=False)
+    g = build_hk(HkSpec.uniform(5))
+    assert not cycles.table_fits(g)
+    assert_frozen_set_searched(
+        g, 5, *run_cli(capsys, "certify", "--mode", "lemma:2.8", "--k", "5")[:2])
+
+
+def assert_frozen_set_searched(g, k, code, stdout):
+    """The report holds V - {z, vk} as cyclable, neither one-vertex extension
+    as cyclable, and every other check true; the run exits 0."""
+    z, vk = g.vertex("z"), g.vertex(f"v{k}")
     assert code == 0
     by_name = {r["name"]: r for r in report_of(stdout)["results"]}
     frozen = [by_name.pop(name) for name in (
         "frozen set is cyclable", f"frozen set + vertex {z} is not cyclable",
-        f"frozen set + vertex {v3} is not cyclable")]
+        f"frozen set + vertex {vk} is not cyclable")]
     assert [r["verdict"] for r in frozen] == [True] * 3
-    assert frozen[0]["witness"] == sorted(set(range(g.n)) - {z, v3})
+    assert frozen[0]["witness"] == sorted(set(range(g.n)) - {z, vk})
     assert all(r["verdict"] for r in by_name.values())
 
 

@@ -316,6 +316,11 @@ def test_hamiltonian_cycle_certificates():
     c = find_spanning_cycle(s)
     assert c is not None and len(c) == 16
     assert find_spanning_cycle(path_graph(5)) is None
+    # every edge of C_n is forced: the search follows them to the tour
+    for n in range(3, 15):
+        cn = cycle_graph(n)
+        c = find_spanning_cycle(cn)
+        assert c is not None and c.validate(cn).vertex_set == frozenset(range(n))
 
 
 def test_subdivided_and_center_pasted_families_hamiltonian():
@@ -584,6 +589,16 @@ def test_heavy_cycles_requires_heavy_edges():
         heavy_cycles_on(complete_graph(4), {0, 1, 2, 3})
 
 
+def test_heavy_cycles_reject_out_of_range_ids():
+    g = build_gk(3)
+    for bad in ({0, 1, 999}, {-5, 0}):
+        with pytest.raises(GraphError):
+            heavy_cycles_on(g, bad)
+    # the cap still applies only once every heavy edge is inside the set
+    g7 = build_gk(7)
+    assert heavy_cycles_on(g7, set(range(g7.n)) - {g7.vertex("x1")}) == (0, None)
+
+
 def test_heavy_count_exact_small():
     # triangle with one heavy edge: exactly one cycle uses it
     g = LabeledGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)],
@@ -592,6 +607,11 @@ def test_heavy_count_exact_small():
     assert count == 1
     count, _ = heavy_cycles_on(g, {0, 1, 2, 3})
     assert count == 0  # no 4-cycle through the chord 0-2
+    # heavy edges forming a whole 5-cycle of K5 leave exactly that cycle
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    g = LabeledGraph(5, complete_graph(5).edges(), heavy_edges=ring)
+    count, wit = heavy_cycles_on(g, range(5))
+    assert count == 1 and wit.edge_set() == {tuple(sorted(e)) for e in ring}
 
 
 def test_size_caps():
@@ -708,6 +728,11 @@ def test_kernel_regressions():
     # contracting both would leave two vertices
     k4_minus = LabeledGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert find_spanning_cycle(k4_minus) is not None
+    # degree-2 vertices 0 and 1 force the triangle 0-1-2, closed short of the
+    # K5 on 3..7 that 2 also sees
+    tri = LabeledGraph(8, [(0, 1), (1, 2), (0, 2)] + [(2, a) for a in (3, 4, 5)]
+                       + [(a, b) for a in range(3, 8) for b in range(a + 1, 8)])
+    assert find_spanning_cycle(tri) is None
     # two tight classes on {0,1,x} and {2,3,x} (x = 4) chain into all of V
     chain = LabeledGraph(9, [(t, a) for t in (5, 6) for a in (0, 1, 4)]
                          + [(t, a) for t in (7, 8) for a in (2, 3, 4)] + [(0, 2)])

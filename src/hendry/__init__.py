@@ -40,8 +40,8 @@ from .cycles import (
     CyclableTable,
     ExtensionVerdict,
     build_cyclable_table,
+    find_heavy_cycle,
     find_spanning_cycle,
-    heavy_cycles_on,
     is_cyclable,
     is_cycle_extendible,
     is_fully_cycle_extendible,

@@ -65,6 +65,8 @@ class LabeledGraph:
             e = _norm_edge(u, v)
             if e[1] not in self._adj[e[0]]:
                 raise GraphError(f"heavy edge {e} is not an edge of the graph")
+            if e in heavy:
+                raise GraphError(f"repeated heavy edge {e}")
             heavy.append(e)
         self.heavy_edges = tuple(heavy)
 

@@ -12,8 +12,8 @@ Two exact mechanisms back every predicate here, one per kind of question:
   the neighbours whose rows grew, and the scans read the fill's ints as they
   are; and
 * a question about one set (is it cyclable, which cycle spans it) goes to a
-  backtracking search for cycles spanning that set, with forced edges (heavy
-  edges, or edges implied by degree-2 vertices) propagated up front, then
+  backtracking search for cycles spanning that set, with forced edges (from
+  the kernel, or implied by degree-2 vertices) propagated up front, then
   pruned by a degree bound on independent twin classes, the connectivity of
   the unexplored region and twin symmetry.  The search is exhaustive, so a
   miss is a proof of nonexistence.
@@ -28,8 +28,9 @@ whose sets share exactly one vertex x: x must end both alternating paths, so
 A+T+A'+T' is one segment, contracted to its two end sets A-x and A'-x joined
 by a forced edge (in s(k) this is each F_i+x_i+T_i+F'_i+T'_i).  A lone tight
 class is left to the search: both of its ends come from one set, and that
-choice is coupled across segments.  Counting (heavy_cycles_on) runs on the
-set itself, since contraction changes cycle counts.
+choice is coupled across segments.  A heavy-cycle question is the same
+search on the set with a triangle pasted on each heavy edge, which the paste
+rule contracts straight back into forced pairs.
 
 Cycle extendibility is decided on vertex subsets: a cycle with vertex set S
 exists iff S is cyclable, and extending by s vertices is a superset question,
@@ -47,7 +48,6 @@ from .core import Cycle, GraphError, LabeledGraph, SizeCapError, bits_of, reach
 DEFAULT_SUBSET_CAP = 24
 HARD_SUBSET_CAP = 26
 BACKTRACK_CAP = 40
-HEAVY_SET_CAP = 20
 
 
 def subset_cap() -> int:
@@ -286,22 +286,20 @@ def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[i
     return class_of, masks
 
 
-def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
-    """Count (or find) cycles through every vertex and all forced pairs.
+def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | None:
+    """A cycle through every vertex and all forced pairs, as a local-id tour,
+    or None when there is none.
 
-    Returns (count, tour) where tour is a local-id sequence or None.  Forced
-    edges are propagated first, and forced edges closing a short cycle end
-    the search.  The DFS starts at a vertex of least degree and takes forced
-    edges when it has them; it prunes when an independent class with one
-    shared neighbourhood needs more edges than that neighbourhood has left,
-    or when the unexplored region is not connected to both ends of the path.
-    Counting mode (count_all=True) counts each cycle in the direction whose
-    second vertex is below its last.  In existence mode the count is capped
-    at 1 and twin symmetry prunes the search too.
+    Forced edges are propagated first, and forced edges closing a short cycle
+    end the search.  The DFS starts at a vertex of least degree and takes
+    forced edges when it has them; it prunes when an independent class with
+    one shared neighbourhood needs more edges than that neighbourhood has
+    left, when the unexplored region is not connected to both ends of the
+    path, and by twin symmetry (only the lowest unvisited twin is tried).
     """
     m = len(adj_masks)
     if m < 3:
-        return 0, None
+        return None
     allowed = list(adj_masks)
     forced = [0] * m
     for a, b in forced_pairs:
@@ -309,9 +307,9 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
         forced[b] |= 1 << a
     for v in range(m):
         if forced[v] & ~allowed[v]:
-            return 0, None
+            return None
     if not _propagate_forced(allowed, forced, m):
-        return 0, None
+        return None
     # forced edges closing a cycle short of all m vertices leave no tour; a
     # forced tour of all of them is left to the DFS, which follows forced edges
     full = (1 << m) - 1
@@ -319,12 +317,9 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
     if two:
         comp = reach(forced, 1 << two[0], full)
         if comp != full and all(forced[u].bit_count() == 2 for u in bits_of(comp)):
-            return 0, None
+            return None
 
-    if count_all:
-        class_of, class_masks = [-1] * m, []
-    else:
-        class_of, class_masks = _twin_classes(allowed, forced, m)
+    class_of, class_masks = _twin_classes(allowed, forced, m)
 
     # independent classes with a shared neighborhood bound the search: every
     # unvisited member still needs two edges into that neighborhood
@@ -339,25 +334,12 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
     start = min(range(m), key=lambda v: (allowed[v].bit_count(), v))
     start_bit = 1 << start
 
-    found = [0, None]
     path = [start]
 
     def dfs(v, visited):
-        if visited == full:
-            if (allowed[v] >> start) & 1:
-                fs = forced[start] & ~((1 << path[1]) | (1 << v))
-                if fs:
-                    return False
-                if count_all:
-                    if path[1] < path[-1]:
-                        found[0] += 1
-                        if found[1] is None:
-                            found[1] = list(path)
-                    return False
-                found[0] = 1
-                found[1] = list(path)
-                return True
-            return False
+        if visited == full:  # close at start, using every forced edge there
+            return bool((allowed[v] >> start) & 1
+                        and not forced[start] & ~((1 << path[1]) | (1 << v)))
 
         fu = forced[v] & ~visited
         if v == start and fu.bit_count() == 1:
@@ -401,14 +383,12 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs, count_all: bool):
             if (forced[w] & ~new_visited).bit_count() >= 2:
                 continue
             path.append(w)
-            stop = dfs(w, new_visited)
-            path.pop()
-            if stop:
+            if dfs(w, new_visited):
                 return True
+            path.pop()
         return False
 
-    dfs(start, start_bit)
-    return found[0], found[1]
+    return path if dfs(start, start_bit) else None
 
 
 # -- kernel: segments that every spanning cycle crosses in one piece -----------
@@ -599,7 +579,7 @@ def find_spanning_cycle(g: LabeledGraph, subset=None, cap: int = BACKTRACK_CAP) 
     if any(nb.bit_count() < 2 for nb in adj):
         return None
     kernel = _kernelize(adj)
-    _, tour = _spanning_cycle_search(kernel.adj, kernel.forced, count_all=False)
+    tour = _spanning_cycle_search(kernel.adj, kernel.forced)
     return Cycle(vs[i] for i in kernel.lift(tour)).validate(g) if tour else None
 
 
@@ -608,23 +588,27 @@ def is_cyclable(g: LabeledGraph, subset=None) -> bool:
     return find_spanning_cycle(g, subset) is not None
 
 
-def heavy_cycles_on(g: LabeledGraph, subset):
-    """(count, first witness) of cycles with vertex set exactly `subset`
-    containing every heavy edge.
+def find_heavy_cycle(g: LabeledGraph, subset) -> Cycle | None:
+    """A cycle with vertex set exactly `subset` through every heavy edge, or None.
 
-    A heavy edge with an endpoint outside the subset makes the count 0 by
-    definition rather than raising.
+    G[S] has one iff |S| >= 3 and G[S] with a triangle pasted on each heavy
+    edge ab (a new vertex w adjacent to a and b alone) is Hamiltonian: a
+    spanning cycle crosses each w as a-w-b, and dropping the w's leaves the
+    heavy cycle.  The kernel's paste rule contracts each w back into a forced
+    pair ab.  A heavy edge with an endpoint outside the subset answers None
+    before the search's cap applies to the subset.
     """
     if not g.heavy_edges:
         raise GraphError("graph has no heavy edges")
-    sub = set(_members(g, subset, g.n))  # ids checked before the heavy test, the cap after
-    if any(a not in sub or b not in sub for a, b in g.heavy_edges):
-        return 0, None
-    vs = _members(g, sub, HEAVY_SET_CAP)
-    count, tour = _spanning_cycle_search(
-        _local_adjacency(g, vs), [(vs.index(a), vs.index(b)) for a, b in g.heavy_edges],
-        count_all=True)
-    return count, Cycle(vs[i] for i in tour).validate(g) if tour else None
+    vs = _members(g, subset, g.n)  # ids checked before the heavy test, the cap after
+    if len(vs) < 3 or not all(a in vs and b in vs for a, b in g.heavy_edges):
+        return None
+    _members(g, vs, BACKTRACK_CAP)
+    n, ws = g.n, list(range(g.n, g.n + len(g.heavy_edges)))
+    pasted = LabeledGraph(n + len(ws), g.edges() + [
+        (u, w) for w, e in zip(ws, g.heavy_edges) for u in e])
+    tour = find_spanning_cycle(pasted, vs + ws, cap=len(vs) + len(ws))
+    return Cycle(v for v in tour if v < n).validate(g) if tour else None
 
 
 @dataclass(frozen=True)

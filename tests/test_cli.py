@@ -111,7 +111,8 @@ def test_malformed_sidecar_is_usage_error(tmp_path, capsys):
                 '{"n": 4, "roles": "abcd"}',
                 '{"n": 4, "roles": [1, 2, 3, 4]}',
                 '{"n": 4, "heavy_edges": [[7, 8]]}',
-                '{"n": 4, "heavy_edges": [[-1, 0]]}'):
+                '{"n": 4, "heavy_edges": [[-1, 0]]}',
+                '{"n": 4, "heavy_edges": [[0, 1], [1, 0]]}'):
         side.write_text(raw)
         code, stdout, err = run_cli(capsys, "check", str(g6), "--sidecar", str(side),
                                     "--chordal")
@@ -146,6 +147,18 @@ def test_certify_lemma_26(capsys):
     rep = report_of(stdout)
     assert len(rep["results"]) == 4
     assert all(r["verdict"] for r in rep["results"])
+
+
+@pytest.mark.parametrize("k, want_code, want", [(7, 0, True), (13, 0, True), (14, 3, None)])
+def test_certify_lemma_26_up_to_the_search_cap(capsys, k, want_code, want):
+    # V - z and V - vk of gk(k) have 3k vertices: k = 13 fits the 40-vertex
+    # search cap, and past it each check reports a null verdict
+    code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:2.6", "--k", str(k))
+    assert code == want_code
+    results = report_of(stdout)["results"]
+    assert [r["verdict"] for r in results] == [want] * 4
+    if want is None:
+        assert all(r["detail"].startswith("cap exceeded: ") for r in results)
 
 
 def test_certify_lemma_36(capsys):

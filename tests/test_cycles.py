@@ -23,8 +23,8 @@ from hendry import (
     complete_graph,
     cycle_graph,
     cycles,
+    find_heavy_cycle,
     find_spanning_cycle,
-    heavy_cycles_on,
     is_cyclable,
     is_cycle_extendible,
     is_fully_cycle_extendible,
@@ -547,17 +547,18 @@ def test_monotone_under_edge_addition():
 def test_heavy_cycles_examples():
     g = build_gk(3)
     allv = set(range(g.n))
-    count, wit = heavy_cycles_on(g, allv)
-    assert count >= 1
-    assert wit is not None and all(e in wit.edge_set() for e in g.heavy_edges)
-    assert heavy_cycles_on(g, allv - {g.vertex("z")})[0] == 0
-    assert heavy_cycles_on(g, allv - {g.vertex("v3")})[0] == 0
+    wit = find_heavy_cycle(g, allv)
+    assert wit is not None and wit.vertex_set == allv
+    assert all(e in wit.edge_set() for e in g.heavy_edges)
+    assert find_heavy_cycle(g, allv - {g.vertex("z")}) is None
+    assert find_heavy_cycle(g, allv - {g.vertex("v3")}) is None
     gp = g.with_added_edges([(g.vertex("u1"), g.vertex("u3"))])
-    assert heavy_cycles_on(gp, allv - {gp.vertex("z")})[0] == 0
-    assert heavy_cycles_on(gp, allv - {gp.vertex("v3")})[0] == 0
+    assert find_heavy_cycle(gp, allv - {gp.vertex("z")}) is None
+    assert find_heavy_cycle(gp, allv - {gp.vertex("v3")}) is None
 
 
 def test_heavy_counts_match_permutation_oracle():
+    # a heavy cycle exists iff the permutation oracle counts at least one
     rng = random.Random(31)
     for _ in range(250):
         n = rng.randint(3, 8)
@@ -572,46 +573,45 @@ def test_heavy_counts_match_permutation_oracle():
             want = permutation_count_heavy_cycles(g, subset, heavy)
         else:
             want = 0
-        got, wit = heavy_cycles_on(g, subset)
-        assert got == want
+        wit = find_heavy_cycle(g, subset)
+        assert (wit is not None) == (want > 0)
         if wit is not None:
+            assert wit.vertex_set == subset
             assert all(tuple(sorted(e)) in wit.edge_set() for e in heavy)
 
 
 def test_heavy_cycles_endpoint_outside_subset():
     g = build_gk(3)
-    count, wit = heavy_cycles_on(g, set(range(g.n)) - {g.vertex("x1")})
-    assert (count, wit) == (0, None)
+    assert find_heavy_cycle(g, set(range(g.n)) - {g.vertex("x1")}) is None
 
 
 def test_heavy_cycles_requires_heavy_edges():
     with pytest.raises(GraphError):
-        heavy_cycles_on(complete_graph(4), {0, 1, 2, 3})
+        find_heavy_cycle(complete_graph(4), {0, 1, 2, 3})
 
 
 def test_heavy_cycles_reject_out_of_range_ids():
     g = build_gk(3)
     for bad in ({0, 1, 999}, {-5, 0}):
         with pytest.raises(GraphError):
-            heavy_cycles_on(g, bad)
+            find_heavy_cycle(g, bad)
     # the cap still applies only once every heavy edge is inside the set
-    g7 = build_gk(7)
-    assert heavy_cycles_on(g7, set(range(g7.n)) - {g7.vertex("x1")}) == (0, None)
+    g14 = build_gk(14)
+    assert find_heavy_cycle(g14, set(range(g14.n)) - {g14.vertex("x1")}) is None
 
 
 def test_heavy_count_exact_small():
-    # triangle with one heavy edge: exactly one cycle uses it
+    # triangle with one heavy edge: the one cycle through it
     g = LabeledGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)],
                      heavy_edges=[(0, 2)])
-    count, _ = heavy_cycles_on(g, {0, 1, 2})
-    assert count == 1
-    count, _ = heavy_cycles_on(g, {0, 1, 2, 3})
-    assert count == 0  # no 4-cycle through the chord 0-2
+    wit = find_heavy_cycle(g, {0, 1, 2})
+    assert wit is not None and wit.vertex_set == {0, 1, 2}
+    assert find_heavy_cycle(g, {0, 1, 2, 3}) is None  # no 4-cycle through the chord 0-2
     # heavy edges forming a whole 5-cycle of K5 leave exactly that cycle
     ring = [(i, (i + 1) % 5) for i in range(5)]
     g = LabeledGraph(5, complete_graph(5).edges(), heavy_edges=ring)
-    count, wit = heavy_cycles_on(g, range(5))
-    assert count == 1 and wit.edge_set() == {tuple(sorted(e)) for e in ring}
+    wit = find_heavy_cycle(g, range(5))
+    assert wit is not None and wit.edge_set() == {tuple(sorted(e)) for e in ring}
 
 
 def test_size_caps():
@@ -621,7 +621,7 @@ def test_size_caps():
     with pytest.raises(SizeCapError):
         is_cyclable(big)
     with pytest.raises(SizeCapError):
-        heavy_cycles_on(build_gk(8), range(25))
+        find_heavy_cycle(build_gk(14), range(43))
 
 
 def test_subset_cap_env(monkeypatch):
@@ -757,5 +757,5 @@ def test_kernel_without_rules_is_the_graph():
     kernel = cycles._kernelize(adj)
     assert kernel.adj is adj and kernel.forced == []
     assert kernel.members == [1 << v for v in range(len(adj))]
-    _, tour = cycles._spanning_cycle_search(kernel.adj, kernel.forced, count_all=False)
+    tour = cycles._spanning_cycle_search(kernel.adj, kernel.forced)
     assert tour is not None and kernel.lift(tour) == tour

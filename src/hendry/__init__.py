@@ -15,9 +15,7 @@ from .chordal import (
     find_simple_elimination_order,
     is_bull_free,
     is_chordal,
-    is_peo,
     is_simple_elimination_order,
-    is_simple_vertex,
     is_strongly_chordal,
     mcs_order,
     peo_violation,
@@ -29,7 +27,6 @@ from .core import (
     SizeCapError,
     complete_graph,
     cycle_from_edge_set,
-    cycle_graph,
     disjoint_union,
     empty_graph,
     join,
@@ -42,7 +39,6 @@ from .cycles import (
     build_cyclable_table,
     find_heavy_cycle,
     find_spanning_cycle,
-    is_cyclable,
     is_cycle_extendible,
     is_fully_cycle_extendible,
     is_s_cycle_extendible,
@@ -67,7 +63,6 @@ from .families import (
     witness_long_heavy_cycle,
 )
 from .graph6 import (
-    apply_sidecar,
     decode_graph6,
     encode_graph6,
     load_graph,

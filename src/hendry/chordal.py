@@ -61,10 +61,6 @@ def peo_violation(g: LabeledGraph, order) -> tuple[int, int, int] | None:
     return None
 
 
-def is_peo(g: LabeledGraph, order) -> bool:
-    return peo_violation(g, order) is None
-
-
 @dataclass(frozen=True)
 class ChordalityResult:
     chordal: bool
@@ -103,11 +99,6 @@ def _find_hole(g: LabeledGraph) -> tuple[int, ...] | None:
 
 def _closed_masks(masks: list[int]) -> list[int]:
     return [m | (1 << v) for v, m in enumerate(masks)]
-
-
-def is_simple_vertex(g: LabeledGraph, v: int) -> bool:
-    """Closed neighborhoods of N[v] form a chain under inclusion."""
-    return _simple_in_alive(_closed_masks(g.adjacency_masks()), (1 << g.n) - 1, v)
 
 
 def _simple_in_alive(closed, alive_mask, v) -> bool:

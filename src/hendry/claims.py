@@ -65,10 +65,6 @@ class ClaimRun:
             (time.perf_counter() - t0) * 1000.0))
         return verdict
 
-    @property
-    def ok(self):
-        return all(r.verdict for r in self.results)
-
 
 def _sizes(params, k):
     sizes = params.get("sizes")

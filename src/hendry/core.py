@@ -3,8 +3,9 @@
 Graphs are simple, undirected, on dense integer vertex ids 0..n-1.  Every
 vertex carries a role string ("" for untagged) so that generated families can
 be addressed by their construction names ("x1", "u2", "z", ...).  A graph may
-distinguish a set of heavy edges.  Instances are immutable; all operations
-return new graphs.
+distinguish a set of heavy edges.  Adjacency is stored once, as one bitmask
+per vertex (bit u of vertex v's mask is set iff uv is an edge), and every
+query reads it.  Instances are immutable; all operations return new graphs.
 """
 
 from __future__ import annotations
@@ -27,22 +28,21 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class LabeledGraph:
     """Immutable simple graph with role-tagged vertices and heavy edges."""
 
-    __slots__ = ("n", "roles", "heavy_edges", "_adj", "_masks")
+    __slots__ = ("n", "roles", "heavy_edges", "_masks")
 
     def __init__(self, n, edges=(), roles=None, heavy_edges=()):
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         self.n = n
-        adj = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = None
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._masks = tuple(masks)
 
         if roles is None:
             roles = ("",) * n
@@ -63,7 +63,7 @@ class LabeledGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"heavy edge ({u},{v}) out of range for n={n}")
             e = _norm_edge(u, v)
-            if e[1] not in self._adj[e[0]]:
+            if not self.has_edge(*e):
                 raise GraphError(f"heavy edge {e} is not an edge of the graph")
             if e in heavy:
                 raise GraphError(f"repeated heavy edge {e}")
@@ -72,55 +72,41 @@ class LabeledGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+    def neighbors(self, v: int) -> list[int]:
+        """The neighbours of v, ascending."""
+        return bits_of(self._masks[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self._masks[u] & (1 << v) != 0
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def min_degree(self) -> int:
-        return min((len(s) for s in self._adj), default=0)
+        return self._masks[v].bit_count()
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        """Every edge once, as (u, v) with u < v, ascending."""
+        return [(u, v) for u, m in enumerate(self._masks)
+                for v in bits_of(m >> u + 1 << u + 1)]
 
-    def adjacency_masks(self) -> list[int]:
-        """Neighborhoods as bitmasks; cached after first call."""
-        if self._masks is None:
-            masks = []
-            for v in range(self.n):
-                m = 0
-                for u in self._adj[v]:
-                    m |= 1 << u
-                masks.append(m)
-            self._masks = masks
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighborhoods as bitmasks: bit u of entry v is set iff uv is an edge."""
         return self._masks
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
-        return self.n == 0 or reach(self.adjacency_masks(), 1, full) == full
+        return self.n == 0 or reach(self._masks, 1, full) == full
 
     # -- roles ------------------------------------------------------------
 
     def vertex(self, role: str) -> int:
         """Id of the vertex tagged `role`; raises if absent."""
-        v = self.find_vertex(role)
-        if v is None:
-            raise GraphError(f"no vertex with role {role!r}")
-        return v
-
-    def find_vertex(self, role: str) -> int | None:
-        for v, r in enumerate(self.roles):
-            if r == role:
-                return v
-        return None
+        try:
+            return self.roles.index(role)
+        except ValueError:
+            raise GraphError(f"no vertex with role {role!r}") from None
 
     def vertices_with_prefix(self, prefix: str) -> list[int]:
         return [v for v, r in enumerate(self.roles) if r.startswith(prefix)]
@@ -133,17 +119,6 @@ class LabeledGraph:
     def with_added_edges(self, new_edges) -> "LabeledGraph":
         return LabeledGraph(self.n, self.edges() + list(new_edges),
                             self.roles, self.heavy_edges)
-
-    def induced(self, vertices) -> tuple["LabeledGraph", list[int]]:
-        """Induced subgraph plus the list mapping new ids to old ids."""
-        old = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(old)}
-        edges = [(pos[u], pos[v]) for u, v in self.edges()
-                 if u in pos and v in pos]
-        roles = [self.roles[v] for v in old]
-        heavy = [(pos[u], pos[v]) for u, v in self.heavy_edges
-                 if u in pos and v in pos]
-        return LabeledGraph(len(old), edges, roles, heavy), old
 
     def __repr__(self):
         return f"LabeledGraph(n={self.n}, m={self.edge_count})"
@@ -217,12 +192,6 @@ def path_graph(n: int, roles=None) -> LabeledGraph:
     return LabeledGraph(n, [(i, i + 1) for i in range(n - 1)], roles)
 
 
-def cycle_graph(n: int) -> LabeledGraph:
-    if n < 3:
-        raise GraphError("cycle graphs need at least 3 vertices")
-    return LabeledGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
     off = g.n
     edges = g.edges() + [(u + off, v + off) for u, v in h.edges()]
@@ -286,8 +255,10 @@ class Cycle:
         self.vertices = vs
 
     def validate(self, g: LabeledGraph) -> "Cycle":
-        """Check consecutive (and wrap-around) adjacency in g; returns self."""
+        """Check ids and consecutive (and wrap-around) adjacency in g; returns self."""
         vs = self.vertices
+        if min(vs) < 0 or max(vs) >= g.n:
+            raise GraphError(f"cycle {list(vs)} leaves the vertex range 0..{g.n - 1}")
         for a, b in zip(vs, vs[1:] + vs[:1]):
             if not g.has_edge(a, b):
                 raise GraphError(f"cycle edge ({a},{b}) is not an edge")

@@ -124,7 +124,7 @@ class CyclableTable:
 def _twin_quotient(g: LabeledGraph) -> CyclableTable:
     """g's empty table: its twin classes (true twins first, then false twins
     among the rest, singletons included), numbered by lowest member."""
-    class_of, masks = _twin_classes(list(g.adjacency_masks()), [0] * g.n, g.n)
+    class_of, masks = _twin_classes(g.adjacency_masks(), [0] * g.n, g.n)
     masks += [1 << v for v in range(g.n) if class_of[v] < 0]
     return CyclableTable(g.n, sorted(masks, key=lambda m: m & -m))
 
@@ -583,11 +583,6 @@ def find_spanning_cycle(g: LabeledGraph, subset=None, cap: int = BACKTRACK_CAP) 
     return Cycle(vs[i] for i in kernel.lift(tour)).validate(g) if tour else None
 
 
-def is_cyclable(g: LabeledGraph, subset=None) -> bool:
-    """Does the induced subgraph on `subset` (default all of V) have a spanning cycle?"""
-    return find_spanning_cycle(g, subset) is not None
-
-
 def find_heavy_cycle(g: LabeledGraph, subset) -> Cycle | None:
     """A cycle with vertex set exactly `subset` through every heavy edge, or None.
 
@@ -620,9 +615,9 @@ class ExtensionVerdict:
         return self.extendible
 
 
-def is_cycle_extendible(g: LabeledGraph, table: CyclableTable | None = None) -> ExtensionVerdict:
+def is_cycle_extendible(g: LabeledGraph) -> ExtensionVerdict:
     """Every cyclable proper subset must extend by exactly one vertex."""
-    return is_s_cycle_extendible(g, (1,), table)
+    return is_s_cycle_extendible(g, (1,))
 
 
 def vertex_on_triangle(g: LabeledGraph, v: int) -> bool:
@@ -635,8 +630,7 @@ def is_fully_cycle_extendible(g: LabeledGraph) -> bool:
     return all(vertex_on_triangle(g, v) for v in range(g.n)) and is_cycle_extendible(g).extendible
 
 
-def is_s_cycle_extendible(g: LabeledGraph, s_set,
-                          table: CyclableTable | None = None) -> ExtensionVerdict:
+def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
     """Every cyclable subset that could grow by some s in s_set must do so.
 
     The chosen reading: a subset with room for no jump in the set is exempt.
@@ -654,8 +648,7 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set,
         raise GraphError("the extension set must be nonempty")
     if any(s < 1 for s in jumps):
         raise GraphError("extension lengths must be positive")
-    if table is None:
-        table = build_cyclable_table(g)
+    table = build_cyclable_table(g)
     most = table.n - 3  # a cyclable set has 3 vertices or more: no longer jump applies
     if jumps[0] > most:
         return ExtensionVerdict(True, None)

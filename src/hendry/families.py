@@ -81,10 +81,6 @@ class HkSpec:
     def uniform(cls, k: int) -> "HkSpec":
         return cls(k, default_clique_sizes(k))
 
-    @property
-    def n_result(self) -> int:
-        return 3 * self.k + 1 + sum(s - 2 for s in self.clique_sizes)
-
 
 def build_hk(spec: HkSpec) -> LabeledGraph:
     """Paste one clique per heavy edge of the base graph."""

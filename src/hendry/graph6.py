@@ -28,7 +28,7 @@ def _size_groups(n: int) -> list[int]:
     raise GraphError("vertex count too large for graph6")
 
 
-def encode_graph6(g: LabeledGraph, header: bool = False) -> str:
+def encode_graph6(g: LabeledGraph) -> str:
     """Encode adjacency as a graph6 string (roles are not encoded)."""
     groups = _size_groups(g.n)
     acc = 0
@@ -43,8 +43,7 @@ def encode_graph6(g: LabeledGraph, header: bool = False) -> str:
                 nbits = 0
     if nbits:
         groups.append(acc << (6 - nbits))
-    s = "".join(chr(63 + v) for v in groups)
-    return HEADER + s if header else s
+    return "".join(chr(63 + v) for v in groups)
 
 
 def decode_graph6(data) -> LabeledGraph:
@@ -118,10 +117,6 @@ def sidecar_dict(g: LabeledGraph) -> dict:
         "roles": list(g.roles),
         "heavy_edges": [[u, v] for u, v in g.heavy_edges],
     }
-
-
-def apply_sidecar(g: LabeledGraph, side: dict) -> LabeledGraph:
-    return LabeledGraph(g.n, g.edges(), *_sidecar_labels(g.n, side))
 
 
 def _sidecar_labels(n: int, side: dict) -> tuple[list[str] | None, list[list[int]]]:

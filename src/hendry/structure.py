@@ -178,6 +178,8 @@ def is_pt_free(g: LabeledGraph, t: int) -> bool:
 def induces_path(g: LabeledGraph, vertices) -> bool:
     """Do these vertices, in this order, induce a path in g?"""
     vs = list(vertices)
+    if vs and (min(vs) < 0 or max(vs) >= g.n):
+        raise GraphError(f"path {vs} leaves the vertex range 0..{g.n - 1}")
     if len(set(vs)) != len(vs):
         return False
     for i, a in enumerate(vs):

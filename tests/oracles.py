@@ -1,6 +1,6 @@
 """Brute-force oracles the exact engines are checked against, and graph
-helpers only the tests use (contraction, isomorphism, labelled equality,
-blow-up blocks).
+helpers only the tests use (small builders, induced subgraphs, contraction,
+isomorphism, labelled equality, blow-up blocks).
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import itertools
 
-from hendry import BullResult, ConnectivityCert, GraphError, LabeledGraph, SizeCapError, is_chordal
+from hendry import (
+    BullResult,
+    ConnectivityCert,
+    GraphError,
+    HkSpec,
+    LabeledGraph,
+    SizeCapError,
+    find_spanning_cycle,
+    is_chordal,
+)
 from hendry.core import reach, shortest_path
 
 DEFINITIONAL_CAP = 14
@@ -485,6 +494,24 @@ def peo_violation_by_pairs(g: LabeledGraph, order) -> tuple[int, int, int] | Non
     return None
 
 
+def is_peo(g: LabeledGraph, order) -> bool:
+    """Is `order`, a permutation of V, a perfect elimination ordering?"""
+    if sorted(order) != list(range(g.n)):
+        raise GraphError("order is not a permutation of the vertex set")
+    return peo_violation_by_pairs(g, order) is None
+
+
+def is_simple_vertex(g: LabeledGraph, v: int) -> bool:
+    """The closed neighbourhoods of the vertices of N[v] form an inclusion chain."""
+    closed = [set(g.neighbors(u)) | {u} for u in [v] + g.neighbors(v)]
+    return all(a <= b or b <= a for a, b in itertools.combinations(closed, 2))
+
+
+def is_cyclable(g: LabeledGraph, subset=None) -> bool:
+    """Does the induced subgraph on `subset` (default all of V) have a spanning cycle?"""
+    return find_spanning_cycle(g, subset) is not None
+
+
 def bull_by_subsets(g: LabeledGraph) -> BullResult:
     """The first 5-subset, in lexicographic order, that induces a bull.
 
@@ -568,6 +595,31 @@ def chained_classes_graph(rng, n_base: int) -> LabeledGraph:
 
 
 # -- test-only graph helpers -----------------------------------------------------
+
+def cycle_graph(n: int) -> LabeledGraph:
+    if n < 3:
+        raise GraphError("cycle graphs need at least 3 vertices")
+    return LabeledGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def induced(g: LabeledGraph, vertices) -> tuple[LabeledGraph, list[int]]:
+    """Induced subgraph plus the list mapping new ids to old ids."""
+    old = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(old)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    roles = [g.roles[v] for v in old]
+    heavy = [(pos[u], pos[v]) for u, v in g.heavy_edges if u in pos and v in pos]
+    return LabeledGraph(len(old), edges, roles, heavy), old
+
+
+def min_degree(g: LabeledGraph) -> int:
+    return min(map(g.degree, range(g.n)), default=0)
+
+
+def hk_order(spec: HkSpec) -> int:
+    """The vertex count of hk(spec): gk(k) has 3k+1, each clique adds s-2."""
+    return 3 * spec.k + 1 + sum(s - 2 for s in spec.clique_sizes)
+
 
 def same_adjacency(g: LabeledGraph, h: LabeledGraph) -> bool:
     """Labelled equality on adjacency alone (roles and heavy edges ignored)."""

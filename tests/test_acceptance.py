@@ -29,7 +29,6 @@ from hendry import (
     gk_reference_elimination_order,
     induces_path,
     is_chordal,
-    is_cyclable,
     is_cycle_extendible,
     is_fully_cycle_extendible,
     is_s_cycle_extendible,
@@ -50,6 +49,7 @@ from oracles import (
     brute_force_chordal,
     brute_force_kappa,
     gnp,
+    is_cyclable,
     is_strongly_chordal_definitional,
     permutation_cyclable_sets,
     three_sun,
@@ -118,7 +118,7 @@ def test_criterion_4_pasted_counterexamples():
     h15 = build_hk(HkSpec.uniform(3))
     expect = frozenset(range(h15.n)) - {h15.vertex("z"), h15.vertex("v3")}
     table = build_cyclable_table(h15)
-    verdict = is_cycle_extendible(h15, table)
+    verdict = is_cycle_extendible(h15)
     full_elapsed = time.perf_counter() - t0
     ok &= bool(is_chordal(h15)) and is_strongly_chordal(h15)
     ok &= table.cyclable(range(h15.n))
@@ -161,7 +161,7 @@ def test_criterion_5_induced_path_bound():
     ok &= bool(is_chordal(hp)) and is_strongly_chordal(hp)
     table = build_cyclable_table(hp)
     ok &= table.cyclable(range(hp.n))
-    verdict = is_cycle_extendible(hp, table)
+    verdict = is_cycle_extendible(hp)
     expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
     ok &= (not verdict.extendible) and verdict.witness == expect
     elapsed = time.perf_counter() - t0

@@ -15,14 +15,11 @@ from hendry import (
     build_jk,
     build_s,
     complete_graph,
-    cycle_graph,
     find_simple_elimination_order,
     gk_reference_elimination_order,
     is_bull_free,
     is_chordal,
-    is_peo,
     is_simple_elimination_order,
-    is_simple_vertex,
     is_strongly_chordal,
     mcs_order,
     path_graph,
@@ -32,7 +29,11 @@ from hendry.core import LabeledGraph, SizeCapError
 from oracles import (
     brute_force_chordal,
     bull_by_subsets,
+    cycle_graph,
     gnp,
+    induced,
+    is_peo,
+    is_simple_vertex,
     is_strongly_chordal_definitional,
     peo_violation_by_pairs,
     random_chordal,
@@ -111,6 +112,15 @@ def test_simple_vertex_examples():
     assert is_simple_vertex(p3, 0)
     g = build_gk(3)
     assert is_simple_vertex(g, g.vertex("u1"))
+
+
+def test_greedy_simple_order_is_simple_by_definition():
+    for g in (build_gk(3), build_gk(4), build_hk(HkSpec.uniform(3)), complete_graph(5)):
+        order = find_simple_elimination_order(g)
+        assert order is not None
+        for i, v in enumerate(order):
+            sub, old = induced(g, order[i:])
+            assert is_simple_vertex(sub, old.index(v))
 
 
 def test_reference_elimination_order():

@@ -1,15 +1,16 @@
 import random
+import types
 
 import networkx as nx
 import pytest
 
+import hendry
 from hendry import (
     Cycle,
     GraphError,
     LabeledGraph,
     complete_graph,
     cycle_from_edge_set,
-    cycle_graph,
     disjoint_union,
     empty_graph,
     join,
@@ -17,7 +18,33 @@ from hendry import (
     path_graph,
 )
 from hendry.core import shortest_path
-from oracles import contract_parts, gnp, is_isomorphic, same_adjacency
+from oracles import contract_parts, cycle_graph, gnp, induced, is_isomorphic, same_adjacency
+
+
+PUBLIC_NAMES = {
+    "BullResult", "ChordalityResult", "ConnectivityCert", "CyclableTable", "Cycle",
+    "ExtensionVerdict", "GraphError", "HkSpec", "HostTree", "LabeledGraph", "SizeCapError",
+    "SubtreeModel", "build_cyclable_table", "build_dn", "build_gk", "build_gkm",
+    "build_h_plus", "build_hendry_exception", "build_hk", "build_hkm", "build_jk", "build_s",
+    "clique_tree", "complete_graph", "cycle_from_edge_set", "decode_graph6",
+    "disjoint_union", "empty_graph", "encode_graph6", "explicit_model_hk",
+    "explicit_model_jk", "find_heavy_cycle", "find_simple_elimination_order",
+    "find_spanning_cycle", "gk_reference_elimination_order", "heavy_edge_names",
+    "induces_path", "is_bull_free", "is_chordal", "is_cycle_extendible",
+    "is_fully_cycle_extendible", "is_pt_free", "is_s_cycle_extendible",
+    "is_simple_elimination_order", "is_strongly_chordal", "join", "lift_cycle",
+    "load_graph", "longest_induced_path", "maximal_cliques_chordal", "mcs_order",
+    "paste_clique", "pasted_vertices", "path_graph", "peo_violation", "save_graph",
+    "sidecar_dict", "subset_cap", "tree_stats", "verify_model", "vertex_connectivity",
+    "witness_heavy_ham_cycle", "witness_long_heavy_cycle",
+}
+
+
+def test_public_names():
+    # helpers only the tests call live in tests/oracles.py, not in the package
+    exported = {name for name, value in vars(hendry).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
 
 
 def test_basic_validation():
@@ -122,6 +149,11 @@ def test_cycle_validation():
         Cycle([0, 1])
     with pytest.raises(GraphError):
         Cycle([0, 1, 1])
+    # ids outside 0..n-1 are graph errors, not index or shift errors
+    with pytest.raises(GraphError):
+        Cycle([7, 0, 1]).validate(g)
+    with pytest.raises(GraphError):
+        Cycle([0, 1, -1]).validate(g)
 
 
 def test_cycle_from_edge_set():
@@ -141,14 +173,13 @@ def test_cycle_from_two_components_rejected():
 def test_roles_lookup():
     g = LabeledGraph(3, [(0, 1), (1, 2)], roles=["a", "b", ""])
     assert g.vertex("a") == 0
-    assert g.find_vertex("missing") is None
     with pytest.raises(GraphError):
         g.vertex("missing")
 
 
 def test_induced_subgraph():
     g = cycle_graph(5)
-    sub, old = g.induced([0, 1, 2])
+    sub, old = induced(g, [0, 1, 2])
     assert old == [0, 1, 2]
     assert sub.edge_count == 2
 
@@ -162,16 +193,24 @@ def test_isomorphism_small():
 
 
 def test_random_construction_invariants():
+    # sizes past 64 put the adjacency masks beyond one machine word
     rng = random.Random(42)
-    for _ in range(50):
-        n = rng.randint(2, 9)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.4]
-        g = LabeledGraph(n, edges)
-        assert g.edge_count == len(set(edges))
+    for _ in range(80):
+        n = rng.randint(2, 70)
+        p = rng.choice((0.05, 0.4, 0.9))
+        want = sorted((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+        shuffled = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in want]
+        rng.shuffle(shuffled)
+        g = LabeledGraph(n, shuffled + shuffled[:3])  # repeats are one edge
+        ref = nx.Graph(want)
+        ref.add_nodes_from(range(n))
+        assert g.edges() == want
+        assert g.edge_count == len(want) == ref.number_of_edges()
         for v in range(n):
-            for u in g.neighbors(v):
-                assert g.has_edge(u, v)
+            assert g.neighbors(v) == sorted(ref[v])
+            assert g.degree(v) == ref.degree(v)
+            for u in range(n):
+                assert g.has_edge(u, v) is ref.has_edge(u, v)
 
 
 def test_shortest_path_examples():

@@ -21,11 +21,9 @@ from hendry import (
     build_jk,
     build_s,
     complete_graph,
-    cycle_graph,
     cycles,
     find_heavy_cycle,
     find_spanning_cycle,
-    is_cyclable,
     is_cycle_extendible,
     is_fully_cycle_extendible,
     is_s_cycle_extendible,
@@ -40,9 +38,12 @@ from oracles import (
     brute_force_s_extendible,
     chained_classes_graph,
     containing,
+    cycle_graph,
     drop_one_by_cells,
     drop_one_by_list,
     gnp,
+    induced,
+    is_cyclable,
     pasted_graph,
     permutation_count_heavy_cycles,
     permutation_cyclable_sets,
@@ -276,10 +277,9 @@ def test_s_extendibility_large_jumps_match_brute_force():
     rng = random.Random(17)
     for _ in range(60):
         g = gnp(rng.randint(3, 8), 0.55, rng)
-        t = build_cyclable_table(g)
         for s_set in ({1, g.n}, {g.n + 5}, {1, 10**9}):
             want_ok, want_wit = brute_force_s_extendible(g, s_set)
-            got = is_s_cycle_extendible(g, s_set, t)
+            got = is_s_cycle_extendible(g, s_set)
             assert got.extendible == want_ok
             if not want_ok:
                 assert sum(1 << v for v in got.witness) == want_wit
@@ -302,7 +302,7 @@ def test_gk_targeted_sets():
     allv = set(range(g.n))
     z, v3 = g.vertex("z"), g.vertex("v3")
     for drop in ({z, v3}, {z}, {v3}):
-        sub, _ = g.induced(sorted(allv - drop))
+        sub, _ = induced(g, sorted(allv - drop))
         assert t.cyclable(allv - drop) == permutation_hamiltonian(sub)
         assert is_cyclable(g, allv - drop) == permutation_hamiltonian(sub)
     assert t.cyclable(allv - {z, v3})
@@ -408,9 +408,8 @@ def test_s_extendibility_singleton_matches_plain():
     rng = random.Random(9)
     for _ in range(80):
         g = gnp(rng.randint(1, 8), 0.5, rng)
-        t = build_cyclable_table(g)
-        assert is_s_cycle_extendible(g, {1}, t).extendible == \
-            is_cycle_extendible(g, t).extendible
+        assert is_s_cycle_extendible(g, {1}).extendible == \
+            is_cycle_extendible(g).extendible
 
 
 def test_s_extendibility_examples():
@@ -430,7 +429,7 @@ def test_hk_two_jump_extendibility():
     t = build_cyclable_table(h)
     frozen = frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
     assert t.cyclable(frozen | {h.vertex("z"), h.vertex("v3")})
-    verdict = is_s_cycle_extendible(h, {2}, t)
+    verdict = is_s_cycle_extendible(h, {2})
     assert verdict.extendible
 
 
@@ -494,7 +493,7 @@ def test_cyclable_sets_are_two_connected():
         reps = representative_masks(t.classes)
         for cell in bits_of(t.cyc):
             vs = bits_of(reps[cell])
-            sub, _ = g.induced(vs)
+            sub, _ = induced(g, vs)
             assert len(vs) >= 3
             assert vertex_connectivity(sub).kappa >= 2
 

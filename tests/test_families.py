@@ -18,7 +18,15 @@ from hendry import (
     witness_heavy_ham_cycle,
     witness_long_heavy_cycle,
 )
-from oracles import blowup_parts, contract_parts, is_isomorphic, same_adjacency
+from oracles import (
+    blowup_parts,
+    contract_parts,
+    hk_order,
+    induced,
+    is_isomorphic,
+    min_degree,
+    same_adjacency,
+)
 
 
 def test_gk_counts():
@@ -61,7 +69,8 @@ def test_hk_counts():
     assert (h.n, h.edge_count) == (15, 40)
     h2 = build_hk(HkSpec(3, (3, 3, 3, 3, 4)))
     assert h2.n == 16
-    assert HkSpec(3, (3, 3, 3, 3, 4)).n_result == 16
+    for spec in (HkSpec.uniform(3), HkSpec(3, (3, 3, 3, 3, 4)), HkSpec(4, (3, 4, 5, 6, 3, 4, 7))):
+        assert build_hk(spec).n == hk_order(spec)
 
 
 def test_hk_spec_errors():
@@ -82,10 +91,10 @@ def test_h_plus():
 def test_s_counts():
     s = build_s(3)
     assert s.n == 16
-    assert s.min_degree() == 3
+    assert min_degree(s) == 3
     s4 = build_s(4)
     assert s4.n == 2 * 3 * 5 + 5
-    assert s4.min_degree() == 4
+    assert min_degree(s4) == 4
     with pytest.raises(GraphError):
         build_s(2)
 
@@ -225,7 +234,7 @@ def _blowup_to_base_parts(g, k, with_attachments):
 def test_contract_r_recovers_base():
     # R, the blow-up core, is s(3) without its T blocks (numbered last)
     s = build_s(3)
-    r, _ = s.induced(v for v in range(s.n) if not s.roles[v].startswith("T"))
+    r, _ = induced(s, (v for v in range(s.n) if not s.roles[v].startswith("T")))
     q = contract_parts(r, _blowup_to_base_parts(r, 3, False))
     assert is_isomorphic(q, build_gk(2))
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import networkx as nx
@@ -6,7 +7,6 @@ import pytest
 from hendry import (
     GraphError,
     LabeledGraph,
-    apply_sidecar,
     build_gk,
     complete_graph,
     decode_graph6,
@@ -30,7 +30,7 @@ def test_golden_values():
 
 def test_header_roundtrip():
     g = build_gk(2)
-    s = encode_graph6(g, header=True)
+    s = graph6.HEADER + encode_graph6(g)
     assert s.startswith(">>graph6<<")
     assert same_adjacency(decode_graph6(s), g)
 
@@ -107,10 +107,12 @@ def test_sidecar_schema():
     assert all(len(e) == 2 for e in d["heavy_edges"])
 
 
-def test_sidecar_mismatch():
-    g = build_gk(2)
+def test_sidecar_mismatch(tmp_path):
+    g6_path, _ = save_graph(complete_graph(3), str(tmp_path / "k3"))
+    side_path = tmp_path / "gk2.json"
+    side_path.write_text(json.dumps(sidecar_dict(build_gk(2))))
     with pytest.raises(GraphError):
-        apply_sidecar(complete_graph(3), sidecar_dict(g))
+        load_graph(g6_path, str(side_path))
 
 
 def test_load_graph_builds_the_labelled_graph_once(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from hendry import (
     build_hk,
     build_s,
     complete_graph,
-    cycle_graph,
     induces_path,
     is_pt_free,
     longest_induced_path,
@@ -28,7 +27,9 @@ from oracles import (
     brute_force_kappa,
     brute_force_longest_induced_path,
     connectivity_by_pair_scan,
+    cycle_graph,
     gnp,
+    min_degree,
     random_chordal,
     twin_blowup,
 )
@@ -88,7 +89,7 @@ def test_kappa_agrees_with_brute_force():
         g = gnp(rng.randint(2, 8), 0.5, rng)
         cert = vertex_connectivity(g)
         assert cert.kappa == brute_force_kappa(g)
-        assert cert.kappa <= g.min_degree()
+        assert cert.kappa <= min_degree(g)
 
 
 def test_kappa_cut_revalidates():
@@ -112,6 +113,9 @@ def test_longest_induced_path_examples():
     assert induces_path(gp, path)
     named = [g.vertex(nm) for nm in ("u1", "u3", "z", "v3", "v2", "v1")]
     assert induces_path(gp, named)
+    for bad in ([0, -1], [gp.n, 0], [0, gp.n]):
+        with pytest.raises(GraphError):
+            induces_path(gp, bad)
 
 
 def test_longest_induced_path_agrees_with_brute_force():

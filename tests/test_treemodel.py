@@ -13,7 +13,6 @@ from hendry import (
     build_s,
     clique_tree,
     complete_graph,
-    cycle_graph,
     maximal_cliques_chordal,
     explicit_model_hk,
     explicit_model_jk,
@@ -22,7 +21,7 @@ from hendry import (
     verify_model,
 )
 from hendry import treemodel
-from oracles import random_chordal
+from oracles import cycle_graph, random_chordal
 
 
 def test_host_tree_validation():

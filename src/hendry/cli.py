@@ -1,8 +1,9 @@
 """Command-line front end: generate / check / certify / model.
 
-Reports are JSON on stdout (results sorted by check name); diagnostics go to
-stderr.  Exit codes: 0 all requested properties hold, 1 some property failed
-(the report carries a witness), 2 usage error, 3 a size cap was exceeded.
+Each report is one JSON object on one line of stdout (results sorted by check
+name); diagnostics go to stderr.  Exit codes: 0 all requested properties hold,
+1 some property failed (the report carries a witness), 2 usage error, 3 a size
+cap was exceeded.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _emit(report: dict, results: list[CheckResult]) -> int:
          "detail": r.detail, "elapsed_ms": round(r.elapsed_ms, 3)}
         for r in results
     ]
-    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
+    sys.stdout.write(json.dumps(report, default=_json_default) + "\n")
     if any(r.verdict is None for r in results):
         return EXIT_CAP
     if any(r.verdict is False for r in results):
@@ -140,7 +141,7 @@ def cmd_generate(args) -> int:
     info = {"command": "generate", "input": desc, "version": __version__,
             "n": g.n, "edges": g.edge_count, "heavy_edges": len(g.heavy_edges),
             "files": [g6_path, side_path]}
-    sys.stdout.write(json.dumps(info, indent=2) + "\n")
+    sys.stdout.write(json.dumps(info) + "\n")
     return EXIT_OK
 
 

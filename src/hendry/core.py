@@ -77,6 +77,8 @@ class LabeledGraph:
         return bits_of(self._masks[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphError(f"vertex pair ({u},{v}) out of range for n={self.n}")
         return self._masks[u] & (1 << v) != 0
 
     def degree(self, v: int) -> int:
@@ -112,9 +114,6 @@ class LabeledGraph:
         return [v for v, r in enumerate(self.roles) if r.startswith(prefix)]
 
     # -- derived graphs ---------------------------------------------------
-
-    def with_heavy_edges(self, heavy_edges) -> "LabeledGraph":
-        return LabeledGraph(self.n, self.edges(), self.roles, heavy_edges)
 
     def with_added_edges(self, new_edges) -> "LabeledGraph":
         return LabeledGraph(self.n, self.edges() + list(new_edges),
@@ -216,27 +215,34 @@ def paste_clique(g: LabeledGraph, e, r: int, edge_index=None) -> LabeledGraph:
     New vertices are tagged "paste<idx>.<copy>"; idx defaults to the heavy-edge
     index of e when e is heavy, otherwise to the endpoint pair.
     """
-    if r < 2:
-        raise GraphError(f"pasted clique order must be at least 2, got {r}")
     e = _norm_edge(*e)
-    if not g.has_edge(*e):
-        raise GraphError(f"cannot paste onto non-edge {e}")
-    if edge_index is None:
-        if e in g.heavy_edges:
-            tag = f"paste{g.heavy_edges.index(e)}"
-        else:
-            tag = f"paste({e[0]},{e[1]})"
-    else:
+    if edge_index is not None:
         tag = f"paste{edge_index}"
+    elif e in g.heavy_edges:
+        tag = f"paste{g.heavy_edges.index(e)}"
+    else:
+        tag = f"paste({e[0]},{e[1]})"
+    return paste_cliques(g, [(e, r, tag)])
 
-    fresh = list(range(g.n, g.n + r - 2))
+
+def paste_cliques(g: LabeledGraph, pastes) -> LabeledGraph:
+    """paste_clique for each (edge of g, order r, tag) of pastes in turn, with
+    the fresh vertices tagged "<tag>.<copy>" and the result built once."""
     edges = g.edges()
-    for w in fresh:
-        edges.append((e[0], w))
-        edges.append((e[1], w))
-    edges.extend(itertools.combinations(fresh, 2))
-    roles = list(g.roles) + [f"{tag}.{c}" for c in range(r - 2)]
-    return LabeledGraph(g.n + r - 2, edges, roles, g.heavy_edges)
+    roles = list(g.roles)
+    n = g.n
+    for e, r, tag in pastes:
+        if r < 2:
+            raise GraphError(f"pasted clique order must be at least 2, got {r}")
+        a, b = _norm_edge(*e)
+        if not g.has_edge(a, b):
+            raise GraphError(f"cannot paste onto non-edge {(a, b)}")
+        fresh = range(n, n + r - 2)
+        edges += [(end, w) for w in fresh for end in (a, b)]
+        edges += itertools.combinations(fresh, 2)
+        roles += [f"{tag}.{c}" for c in range(r - 2)]
+        n += r - 2
+    return LabeledGraph(n, edges, roles, g.heavy_edges)
 
 
 # -- cycles ------------------------------------------------------------------

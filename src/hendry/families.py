@@ -26,8 +26,7 @@ from .core import (
     disjoint_union,
     empty_graph,
     join,
-    paste_clique,
-    path_graph,
+    paste_cliques,
 )
 
 
@@ -51,12 +50,13 @@ def build_gk(k: int) -> LabeledGraph:
     """The base graph on 3k+1 vertices: K_k joined to the odd path."""
     if k < 1:
         raise GraphError(f"gk needs k >= 1, got {k}")
-    kk = complete_graph(k, [f"x{i}" for i in range(1, k + 1)])
-    path_roles = ([f"u{i}" for i in range(1, k + 1)] + ["z"]
-                  + [f"v{i}" for i in range(k, 0, -1)])
-    g = join(kk, path_graph(2 * k + 1, path_roles))
-    heavy = [(g.vertex(a), g.vertex(b)) for a, b in heavy_edge_names(k)]
-    return g.with_heavy_edges(heavy)
+    roles = ([f"x{i}" for i in range(1, k + 1)] + [f"u{i}" for i in range(1, k + 1)]
+             + ["z"] + [f"v{i}" for i in range(k, 0, -1)])
+    n = 3 * k + 1
+    edges = [(a, b) for a in range(k) for b in range(a + 1, n)]  # K_k and the join
+    edges += [(p, p + 1) for p in range(k, n - 1)]  # the path u1..uk z vk..v1
+    heavy = [(roles.index(a), roles.index(b)) for a, b in heavy_edge_names(k)]
+    return LabeledGraph(n, edges, roles, heavy)
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,7 @@ class HkSpec:
 
 def build_hk(spec: HkSpec) -> LabeledGraph:
     """Paste one clique per heavy edge of the base graph."""
-    g = build_gk(spec.k)
-    for i, size in enumerate(spec.clique_sizes):
-        g = paste_clique(g, g.heavy_edges[i], size, edge_index=i)
-    return g
+    return _paste_on_heavy_edges(build_gk(spec.k), spec.clique_sizes)
 
 
 def build_h_plus(spec: HkSpec) -> LabeledGraph:
@@ -185,10 +182,13 @@ def build_gkm(k: int, m: int) -> LabeledGraph:
 
 def build_hkm(k: int, m: int, clique_sizes) -> LabeledGraph:
     """Paste one clique per heavy edge of gkm(k, m)."""
-    g = build_gkm(k, m)
-    for i, size in enumerate(HkSpec(k, clique_sizes).clique_sizes):
-        g = paste_clique(g, g.heavy_edges[i], size, edge_index=i)
-    return g
+    return _paste_on_heavy_edges(build_gkm(k, m), HkSpec(k, clique_sizes).clique_sizes)
+
+
+def _paste_on_heavy_edges(g: LabeledGraph, sizes) -> LabeledGraph:
+    """g with a clique of order sizes[i] pasted onto heavy edge i, tagged paste<i>."""
+    return paste_cliques(g, [(e, r, f"paste{i}")
+                             for i, (e, r) in enumerate(zip(g.heavy_edges, sizes))])
 
 
 # -- center-clique family -------------------------------------------------------

@@ -2,8 +2,11 @@
 
 graph6 packs the upper triangle of the adjacency matrix column-major into
 6-bit groups offset by 63, preceded by the size (one byte for n <= 62, the
-standard multi-byte forms beyond).  Roles and heavy edges have no graph6 slot,
-so they travel in a sidecar: {"n": int, "roles": [str], "heavy_edges": [[u,v]]}.
+standard multi-byte forms beyond).  Column j holds the pairs (0, j) .. (j-1, j),
+so the encoder reads it off vertex j's adjacency mask and the decoder cuts one
+bit string into columns.  Roles and heavy edges have no graph6 slot, so they
+travel in a one-line JSON sidecar:
+{"n": int, "roles": [str], "heavy_edges": [[u,v]]}.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import os
 from .core import GraphError, LabeledGraph
 
 HEADER = ">>graph6<<"
+# a 6-bit group as a string of six bits, and as its graph6 character
+_GROUP_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
+_CHAR_BITS = {chr(63 + v): format(v, "06b") for v in range(64)}
 
 
 def _size_groups(n: int) -> list[int]:
@@ -29,21 +35,14 @@ def _size_groups(n: int) -> list[int]:
 
 
 def encode_graph6(g: LabeledGraph) -> str:
-    """Encode adjacency as a graph6 string (roles are not encoded)."""
-    groups = _size_groups(g.n)
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                groups.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        groups.append(acc << (6 - nbits))
-    return "".join(chr(63 + v) for v in groups)
+    """Encode adjacency as a graph6 string (roles are not encoded).
+
+    Column j is the low j bits of vertex j's adjacency mask, vertex 0 first."""
+    bits = "".join([format(m & ((1 << j) - 1), f"0{j}b")[::-1]
+                    for j, m in enumerate(g.adjacency_masks()) if j])
+    bits += "0" * (-len(bits) % 6)
+    return "".join([chr(63 + v) for v in _size_groups(g.n)]
+                   + [_GROUP_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)])
 
 
 def decode_graph6(data) -> LabeledGraph:
@@ -60,14 +59,12 @@ def _decode(data) -> tuple[int, list[tuple[int, int]]]:
     s = data.strip()
     if s.startswith(HEADER):
         s = s[len(HEADER):]
-    vals = []
-    for ch in s:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise GraphError(f"invalid graph6 byte {ch!r}")
-        vals.append(o - 63)
-    if not vals:
+    if not s:
         raise GraphError("empty graph6 string")
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise GraphError(f"invalid graph6 byte {ch!r}")
+    vals = [ord(ch) - 63 for ch in s[:8]]
 
     if vals[0] != 63:
         n = vals[0]
@@ -87,25 +84,16 @@ def _decode(data) -> tuple[int, list[tuple[int, int]]]:
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = vals[pos:]
-    if len(body) < need:
+    if len(s) - pos < need:
         raise GraphError("graph6 string truncated")
-    if len(body) > need:
+    if len(s) - pos > need:
         raise GraphError("trailing garbage after graph6 data")
+    bits = "".join(map(_CHAR_BITS.__getitem__, s[pos:]))
+    if "1" in bits[nbits:]:
+        raise GraphError("non-canonical padding bits set")
 
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = body[idx // 6]
-            bit = (group >> (5 - idx % 6)) & 1
-            if bit:
-                edges.append((i, j))
-            idx += 1
-    if need:
-        pad = body[-1] & ((1 << (6 * need - nbits)) - 1) if 6 * need != nbits else 0
-        if pad:
-            raise GraphError("non-canonical padding bits set")
+    edges = [(i, j) for j in range(1, n)
+             for i, bit in enumerate(bits[j * (j - 1) // 2:j * (j + 1) // 2]) if bit == "1"]
     return n, edges
 
 
@@ -143,8 +131,7 @@ def save_graph(g: LabeledGraph, base_path: str) -> tuple[str, str]:
     with open(g6_path, "w") as f:
         f.write(encode_graph6(g) + "\n")
     with open(side_path, "w") as f:
-        json.dump(sidecar_dict(g), f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(sidecar_dict(g)) + "\n")
     return g6_path, side_path
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chordal import is_chordal
-from .core import GraphError, LabeledGraph, reach
+from .core import GraphError, LabeledGraph, bits_of, reach
 from .families import HkSpec, build_hk, build_jk, pasted_vertices
 
 
@@ -79,9 +79,11 @@ class SubtreeModel:
 
 
 def verify_model(model: SubtreeModel, g: LabeledGraph):
-    """(ok, first discrepancy).  Checks subtree-ness and exact adjacency match."""
+    """(ok, first discrepancy).  Checks subtree-ness, then that each vertex's
+    adjacency mask is the OR of its host nodes' member masks (least pair first)."""
     if sorted(model.assign) != list(range(g.n)):
         return False, "assignment does not cover the vertex set"
+    members = [0] * model.host.n_nodes  # graph vertices on each host node
     for v in range(g.n):
         nodes = model.assign[v]
         if not nodes:
@@ -90,12 +92,19 @@ def verify_model(model: SubtreeModel, g: LabeledGraph):
             return False, f"vertex {v} uses a node outside the host"
         if not model.host.subset_connected(nodes):
             return False, f"vertex {v}: assigned nodes are not a subtree"
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            meets = bool(model.assign[u] & model.assign[v])
-            if meets != g.has_edge(u, v):
-                kind = "intersect but are non-adjacent" if meets else "are adjacent but miss"
-                return False, f"vertices {u},{v} {kind}"
+        for x in nodes:
+            members[x] |= 1 << v
+    for u, adj in enumerate(g.adjacency_masks()):
+        meets = 0
+        for x in model.assign[u]:
+            meets |= members[x]
+        # both relations are symmetric, so the first u that differs at all
+        # differs first at its lowest bit v, and v > u
+        diff = (meets & ~(1 << u)) ^ adj
+        if diff:
+            v = (diff & -diff).bit_length() - 1
+            kind = "are adjacent but miss" if adj >> v & 1 else "intersect but are non-adjacent"
+            return False, f"vertices {u},{v} {kind}"
     return True, None
 
 
@@ -106,15 +115,14 @@ def maximal_cliques_chordal(g: LabeledGraph) -> list[tuple[int, ...]]:
     res = is_chordal(g)
     if not res:
         raise GraphError("clique trees exist only for chordal graphs")
-    order = list(res.peo)
-    pos = {v: i for i, v in enumerate(order)}
-    cands = []
-    for v in order:
-        c = frozenset([v] + [u for u in g.neighbors(v) if pos[u] > pos[v]])
-        cands.append(c)
-    maximal = [c for c in cands
-               if not any(c < d for d in cands)]
-    return sorted(set(tuple(sorted(c)) for c in maximal))
+    masks = g.adjacency_masks()
+    later = (1 << g.n) - 1
+    cands = set()
+    for v in res.peo:  # v and its neighbours after it in the ordering
+        later ^= 1 << v
+        cands.add(1 << v | masks[v] & later)
+    return sorted(tuple(bits_of(c)) for c in cands
+                  if not any(c & d == c != d for d in cands))
 
 
 def clique_tree(g: LabeledGraph) -> SubtreeModel:

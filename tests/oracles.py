@@ -1,6 +1,9 @@
 """Brute-force oracles the exact engines are checked against, and graph
 helpers only the tests use (small builders, induced subgraphs, contraction,
-isomorphism, labelled equality, blow-up blocks).
+isomorphism, labelled equality, blow-up blocks).  The family builders and the
+model check also have slow twins here, composed from public primitives or
+scanning vertex pairs, as the fast paths did before they replaced them; the
+builder twins paste through `paste_clique`, which shares the one-pass loop.
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -17,8 +20,15 @@ from hendry import (
     HkSpec,
     LabeledGraph,
     SizeCapError,
+    SubtreeModel,
+    complete_graph,
+    disjoint_union,
     find_spanning_cycle,
+    heavy_edge_names,
     is_chordal,
+    join,
+    paste_clique,
+    path_graph,
 )
 from hendry.core import reach, shortest_path
 
@@ -711,3 +721,67 @@ def blowup_parts(g: LabeledGraph, k: int, include_attachments: bool = True) -> d
         for i in range(1, k - 1):
             parts[f"T'{i}"] = g.vertices_with_prefix(f"T'{i}.")
     return {name: vs for name, vs in parts.items() if vs}
+
+
+# -- slow twins of the family builders and the model check ------------------------
+
+def same_labelled_graph(g: LabeledGraph, h: LabeledGraph) -> bool:
+    """Equal vertex count, edges, roles and heavy edges (in order)."""
+    return (g.n, g.edges(), g.roles, g.heavy_edges) == (h.n, h.edges(), h.roles, h.heavy_edges)
+
+
+def gk_by_join(k: int) -> LabeledGraph:
+    """gk(k) as K_k joined to the path u1..uk z vk..v1, heavy edges by role."""
+    kk = complete_graph(k, [f"x{i}" for i in range(1, k + 1)])
+    path_roles = ([f"u{i}" for i in range(1, k + 1)] + ["z"]
+                  + [f"v{i}" for i in range(k, 0, -1)])
+    g = join(kk, path_graph(2 * k + 1, path_roles))
+    heavy = [(g.vertex(a), g.vertex(b)) for a, b in heavy_edge_names(k)]
+    return LabeledGraph(g.n, g.edges(), g.roles, heavy)
+
+
+def paste_one_by_one(g: LabeledGraph, sizes) -> LabeledGraph:
+    """One paste_clique call per heavy edge i, of order sizes[i], in order."""
+    for i, size in enumerate(sizes):
+        g = paste_clique(g, g.heavy_edges[i], size, edge_index=i)
+    return g
+
+
+def hk_by_pasting(spec: HkSpec) -> LabeledGraph:
+    return paste_one_by_one(gk_by_join(spec.k), spec.clique_sizes)
+
+
+def h_plus_by_pasting(spec: HkSpec) -> LabeledGraph:
+    g = hk_by_pasting(spec)
+    return g.with_added_edges([(g.vertex("u1"), g.vertex("u3"))])
+
+
+def jk_by_pasting(k: int, clique_sizes, x_order: int) -> LabeledGraph:
+    """hk plus the clique X1.. of order x_order-(k+2), joined to x1..xk, z, vk."""
+    g = hk_by_pasting(HkSpec(k, tuple(clique_sizes)))
+    extra = x_order - (k + 2)
+    anchor = [g.vertex(r) for r in [f"x{i}" for i in range(1, k + 1)] + ["z", f"v{k}"]]
+    g2 = disjoint_union(g, complete_graph(extra, [f"X{c}" for c in range(1, extra + 1)]))
+    return g2.with_added_edges([(w, a) for w in range(g.n, g2.n) for a in anchor])
+
+
+def verify_model_by_pairs(model: SubtreeModel, g: LabeledGraph):
+    """verify_model with adjacency compared pair by pair, u < v in order:
+    the two node sets meet iff uv is an edge."""
+    if sorted(model.assign) != list(range(g.n)):
+        return False, "assignment does not cover the vertex set"
+    for v in range(g.n):
+        nodes = model.assign[v]
+        if not nodes:
+            return False, f"vertex {v} has an empty node set"
+        if any(not 0 <= x < model.host.n_nodes for x in nodes):
+            return False, f"vertex {v} uses a node outside the host"
+        if not model.host.subset_connected(nodes):
+            return False, f"vertex {v}: assigned nodes are not a subtree"
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            meets = bool(model.assign[u] & model.assign[v])
+            if meets != g.has_edge(u, v):
+                kind = "intersect but are non-adjacent" if meets else "are adjacent but miss"
+                return False, f"vertices {u},{v} {kind}"
+    return True, None

@@ -7,7 +7,7 @@ import pytest
 
 from hendry import (
     Cycle, HkSpec, build_dn, build_h_plus, build_hk, chordal, cli, cycles, encode_graph6,
-    structure,
+    load_graph, structure,
 )
 from hendry.cli import main
 from oracles import cycle_graph
@@ -39,6 +39,25 @@ def test_generate_hk(tmp_path, capsys):
     assert (tmp_path / "h.g6").exists() and (tmp_path / "h.json").exists()
     side = json.loads((tmp_path / "h.json").read_text())
     assert side["n"] == 15 and len(side["heavy_edges"]) == 5
+
+
+def test_each_command_writes_one_line_of_json(tmp_path, capsys):
+    base = str(tmp_path / "h")
+    runs = [("generate", "--family", "hk", "--k", "3", "--sizes", "3,4,3,4,3", "--out", base),
+            ("check", base + ".g6", "--chordal", "--hamiltonian", "--connectivity"),
+            ("model", "--input", base + ".g6", "--verify"),
+            ("certify", "--input", base + ".g6", "--mode", "extendibility")]
+    for argv in runs:
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code in (0, 1), argv
+        assert stdout.endswith("\n") and stdout.count("\n") == 1, argv
+        assert report_of(stdout)["command"] == argv[0]
+    # the one-line sidecar carries the labels back
+    g = build_hk(HkSpec(3, (3, 4, 3, 4, 3)))
+    loaded = load_graph(base + ".g6")
+    assert (loaded.n, loaded.edges()) == (g.n, g.edges())
+    assert (loaded.roles, loaded.heavy_edges) == (g.roles, g.heavy_edges)
+    assert (tmp_path / "h.json").read_text().count("\n") == 1
 
 
 def test_generate_dn(tmp_path, capsys):

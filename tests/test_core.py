@@ -113,6 +113,22 @@ def test_paste_clique_errors():
         paste_clique(g, (0, 1), 1)
 
 
+def test_ids_outside_the_vertex_range_are_graph_errors():
+    # index -1 used to read vertex 3's row, and a negative shift raised ValueError
+    g = complete_graph(4)
+    for u, v in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+        with pytest.raises(GraphError, match="out of range"):
+            g.has_edge(u, v)
+    assert g.has_edge(0, 3) and not path_graph(4).has_edge(0, 3)
+    # the paste used to pass its edge check and fail later on "edge (-1,4)"
+    with pytest.raises(GraphError, match=r"\(-1,0\) out of range"):
+        paste_clique(g, (-1, 0), 3)
+    with pytest.raises(GraphError, match="out of range"):
+        cycle_from_edge_set(g, [(0, 1), (1, 4), (4, 0)])
+    with pytest.raises(GraphError, match="out of range"):
+        cycle_from_edge_set(g, [(0, 1), (1, -1), (-1, 0)])
+
+
 def test_contract_identity():
     g = cycle_graph(5)
     q = contract_parts(g, [[v] for v in range(5)])

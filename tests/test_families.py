@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hendry import (
@@ -13,7 +15,6 @@ from hendry import (
     build_jk,
     build_s,
     lift_cycle,
-    paste_clique,
     pasted_vertices,
     witness_heavy_ham_cycle,
     witness_long_heavy_cycle,
@@ -21,11 +22,17 @@ from hendry import (
 from oracles import (
     blowup_parts,
     contract_parts,
+    gk_by_join,
+    h_plus_by_pasting,
+    hk_by_pasting,
     hk_order,
     induced,
     is_isomorphic,
+    jk_by_pasting,
     min_degree,
+    paste_one_by_one,
     same_adjacency,
+    same_labelled_graph,
 )
 
 
@@ -214,10 +221,41 @@ def test_pasted_vertices_order():
 
 
 def _expected_hk_all3(kp):
-    g = build_gk(kp)
-    for i, e in enumerate(g.heavy_edges):
-        g = paste_clique(g, e, 3, edge_index=i)
-    return g
+    return paste_one_by_one(build_gk(kp), (3,) * (2 * kp - 1))
+
+
+def _size_vectors(k):
+    """The census clique sizes at k = 3, a uniform and a mixed vector beyond."""
+    if k == 3:
+        return list(product((3, 4), repeat=5))
+    mixed = tuple(3 + i % 3 for i in range(2 * k - 1))
+    return [(3,) * (2 * k - 1), mixed]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_builders_equal_their_primitive_compositions(k):
+    # each builder makes its graph in one pass; the slow twins compose the
+    # public primitives (join, repeated paste_clique, with_added_edges)
+    for kk in ([1, 2, 3, 6, 7] if k == 3 else [k]):
+        assert same_labelled_graph(build_gk(kk), gk_by_join(kk))
+    for sizes in _size_vectors(k):
+        spec = HkSpec(k, sizes)
+        assert same_labelled_graph(build_hk(spec), hk_by_pasting(spec))
+        assert same_labelled_graph(build_h_plus(spec), h_plus_by_pasting(spec))
+        for m in (1, 2, 3):
+            assert same_labelled_graph(build_hkm(k, m, sizes),
+                                       paste_one_by_one(build_gkm(k, m), sizes))
+        for x_order in (k + 3, k + 5):
+            assert same_labelled_graph(build_jk(k, sizes, x_order),
+                                       jk_by_pasting(k, sizes, x_order))
+    if k == 3:
+        # paste i's fresh vertices are paste<i>.0, paste<i>.1, ... in order
+        assert build_hk(HkSpec(3, (4, 3, 3, 3, 5))).roles[10:] == (
+            "paste0.0", "paste0.1", "paste1.0", "paste2.0", "paste3.0",
+            "paste4.0", "paste4.1", "paste4.2")
+        for n in range(15, 41):
+            assert same_labelled_graph(build_dn(n),
+                                       hk_by_pasting(HkSpec(3, (3, 3, 3, 3, n - 12))))
 
 
 def _blowup_to_base_parts(g, k, with_attachments):

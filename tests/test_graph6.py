@@ -36,9 +36,14 @@ def test_header_roundtrip():
 
 
 def test_against_independent_encoder():
+    # 200 small random graphs, then every n = 0..70 (the one- and four-byte
+    # size headers, and adjacency masks wider than 64 bits) with its empty and
+    # complete graphs; networkx's strings are decoded here too
     rng = random.Random(5)
-    for _ in range(200):
-        g = gnp(rng.randint(1, 15), 0.5, rng)
+    graphs = [gnp(rng.randint(1, 15), 0.5, rng) for _ in range(200)]
+    for n in range(71):
+        graphs += [LabeledGraph(n), complete_graph(n), gnp(n, rng.random(), rng)]
+    for g in graphs:
         ours = encode_graph6(g)
         nxg = nx.Graph()
         nxg.add_nodes_from(range(g.n))
@@ -46,8 +51,10 @@ def test_against_independent_encoder():
         theirs = nx.to_graph6_bytes(nxg, header=False).strip().decode()
         assert ours == theirs
         back = nx.from_graph6_bytes(ours.encode())
-        assert set(back.edges()) == {tuple(e) for e in g.edges()} or \
-            {tuple(sorted(e)) for e in back.edges()} == set(g.edges())
+        assert back.number_of_nodes() == g.n
+        assert {tuple(sorted(e)) for e in back.edges()} == set(g.edges())
+        ours_back = decode_graph6(theirs)
+        assert ours_back.n == g.n and ours_back.edges() == g.edges()
 
 
 def test_roundtrip_identity_random():
@@ -83,9 +90,9 @@ def test_decode_errors():
     with pytest.raises(GraphError):
         decode_graph6(b"\xff\xfe")  # not ASCII
     # K3 needs 3 bits; set a padding bit below them
-    bad = "B" + chr(63 + 0b111001)
-    with pytest.raises(GraphError):
-        decode_graph6(bad)
+    for bad in ("B" + chr(63 + 0b111001), "B" + chr(63 + 0b111100)):
+        with pytest.raises(GraphError, match="padding"):
+            decode_graph6(bad)
 
 
 def test_sidecar_roundtrip(tmp_path):

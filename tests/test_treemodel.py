@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,10 @@ from hendry import (
     HkSpec,
     HostTree,
     SubtreeModel,
+    build_dn,
     build_gk,
+    build_gkm,
+    build_h_plus,
     build_hk,
     build_jk,
     build_s,
@@ -21,7 +25,7 @@ from hendry import (
     verify_model,
 )
 from hendry import treemodel
-from oracles import cycle_graph, random_chordal
+from oracles import cycle_graph, random_chordal, verify_model_by_pairs
 
 
 def test_host_tree_validation():
@@ -89,6 +93,67 @@ def test_verify_model_catches_perturbations():
     del partial[0]
     ok, why = verify_model(SubtreeModel(model.host, partial), g)
     assert not ok
+
+
+def _census_models():
+    """(graph, model) for the clique tree of every census family member
+    (gk, hk, hplus, dn, s, gkm) and the explicit model of each hk and dn."""
+    out = []
+    graphs = [build_gk(k) for k in range(3, 8)]
+    for sizes in product((3, 4), repeat=5):
+        spec = HkSpec(3, sizes)
+        g = build_hk(spec)
+        out.append((g, explicit_model_hk(spec, g)))
+        graphs += [g, build_h_plus(spec)]
+    for n in range(15, 41):
+        g = build_dn(n)
+        out.append((g, explicit_model_hk(HkSpec(3, (3, 3, 3, 3, n - 12)), g)))
+        graphs.append(g)
+    graphs.append(build_s(3))
+    graphs += [build_gkm(k, m) for k, m in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2))]
+    return out + [(g, clique_tree(g)) for g in graphs]
+
+
+def _perturbed(model, rng):
+    """Three seeded changes of one model: a node dropped from one vertex (which
+    may split its subtree), a node next to another vertex's subtree added to
+    it, two subtrees swapped."""
+    host, assign = model.host, model.assign
+    nbrs = {x: set() for x in range(host.n_nodes)}
+    for a, b in host.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    v = rng.choice(sorted(assign))
+    dropped = dict(assign)
+    dropped[v] = assign[v] - {rng.choice(sorted(assign[v]))}
+    v = rng.choice(sorted(assign))
+    added = dict(assign)
+    rim = sorted(set().union(*(nbrs[x] for x in assign[v])) - assign[v])
+    if rim:
+        added[v] = assign[v] | {rng.choice(rim)}
+    u, v = rng.sample(sorted(assign), 2)
+    swapped = dict(assign)
+    swapped[u], swapped[v] = assign[v], assign[u]
+    return [SubtreeModel(host, a) for a in (dropped, added, swapped)]
+
+
+def test_verify_model_matches_the_pairwise_scan():
+    # the mask check must give the pairwise scan's verdict and first
+    # discrepancy, word for word
+    rng = random.Random(17)
+    kinds = set()
+    for g, model in _census_models():
+        assert verify_model(model, g) == verify_model_by_pairs(model, g) == (True, None)
+        for bad in _perturbed(model, rng):
+            got = verify_model(bad, g)
+            assert got == verify_model_by_pairs(bad, g)
+            kinds.add(got[1].split()[-1] if got[1] else None)
+    for _ in range(100):
+        g = random_chordal(rng.randint(2, 14), rng)
+        for bad in _perturbed(clique_tree(g), rng):
+            assert verify_model(bad, g) == verify_model_by_pairs(bad, g)
+    # both adjacency discrepancies and the subtree check were reached
+    assert {"non-adjacent", "miss", "subtree", None} <= kinds
 
 
 def test_verify_model_catches_wrong_adjacency():

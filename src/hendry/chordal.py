@@ -25,19 +25,30 @@ from .core import GraphError, LabeledGraph, bits_of, shortest_path
 def mcs_order(g: LabeledGraph) -> list[int]:
     """Maximum cardinality search visit order (ties broken by lowest id)."""
     n = g.n
-    weight = [0] * n
-    visited = [False] * n
+    masks = g.adjacency_masks()
+    bucket = [0] * (n + 1)  # bucket[w]: the unvisited vertices of weight w
+    bucket[0] = left = (1 << n) - 1
+    top = 0  # the highest non-empty bucket
     order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best == -1 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        for u in g.neighbors(best):
-            if not visited[u]:
-                weight[u] += 1
+        bit = bucket[top] & -bucket[top]
+        v = bit.bit_length() - 1
+        order.append(v)
+        bucket[top] ^= bit
+        left ^= bit
+        # v's unvisited neighbours move up one bucket, top down so none moves twice
+        gain = masks[v] & left
+        w = top
+        while gain:
+            moved = bucket[w] & gain
+            bucket[w] ^= moved
+            bucket[w + 1] |= moved
+            gain ^= moved
+            w -= 1
+        if bucket[top + 1]:
+            top += 1
+        while top and not bucket[top]:
+            top -= 1
     return order
 
 
@@ -46,18 +57,21 @@ def peo_violation(g: LabeledGraph, order) -> tuple[int, int, int] | None:
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise GraphError("order is not a permutation of the vertex set")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
     masks = g.adjacency_masks()
     after = (1 << g.n) - 1  # the vertices after v in the order
     for v in order:
         after ^= 1 << v
-        later = masks[v] & after
-        for a in sorted(bits_of(later), key=pos.__getitem__):
-            later ^= 1 << a
-            if later & ~masks[a]:  # a later neighbour of v, after a, not adjacent to a
-                return (v, a, min(bits_of(later & ~masks[a]), key=pos.__getitem__))
+        later = clique = masks[v] & after
+        for a in bits_of(later):
+            clique &= masks[a] | 1 << a
+        if clique != later:  # v is the first vertex whose later neighbours are no clique
+            pos = [0] * g.n
+            for i, u in enumerate(order):
+                pos[u] = i
+            for a in sorted(bits_of(later), key=pos.__getitem__):
+                later ^= 1 << a
+                if later & ~masks[a]:  # a later neighbour of v, after a, not adjacent to a
+                    return (v, a, min(bits_of(later & ~masks[a]), key=pos.__getitem__))
     return None
 
 

@@ -1,18 +1,20 @@
 """Vertex connectivity and induced-path statistics.
 
-Connectivity is exact: the least max flow over non-adjacent pairs on the
+Connectivity is exact: the least max flow over non-adjacent pairs in the
 split digraph (each vertex an in->out arc of capacity one, edges
-uncapacitated), held as bitmasks and augmented along core.shortest_path,
-with the cut read off core.reach on the residual.  Only sources
-v_0..v_kappa are needed (Even, 1975): one of those kappa+1 vertices lies
-outside a minimum cut C, and it is paired with a vertex of another
-component of G - C.  Later pairs cannot lower the bound, so the certificate
-is the one the full pair scan finds.  Flows whose value cannot beat the best
-so far are not run: a pair repeated by swapping two twins (same
-neighbourhood apart from each other), or one with at least `best` common
-neighbours.  The other flows start from their common-neighbour paths.  The
-best changes at the same pairs as in the full scan, so the certificate is
-unchanged.  Induced paths use backtracking over (last vertex,
+uncapacitated).  The flow is kept on the vertex graph as the mask of
+vertices carrying it and the vertex each one's flow comes from, augmented
+along shortest paths found by a breadth-first search that alternates
+between in-side and out-side masks, with the cut read off the last, failed
+search.  Only sources v_0..v_kappa are needed (Even, 1975): one of those
+kappa+1 vertices lies outside a minimum cut C, and it is paired with a
+vertex of another component of G - C.  Later pairs cannot lower the bound,
+so the certificate is the one the full pair scan finds.  Flows whose value
+cannot beat the best so far are not run: a pair repeated by swapping two
+twins (same neighbourhood apart from each other), or one with at least
+`best` common neighbours.  The other flows start from their common-neighbour
+paths.  The best changes at the same pairs as in the full scan, so the
+certificate is unchanged.  Induced paths use backtracking over (last vertex,
 still-eligible set) states with memoization.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GraphError, LabeledGraph, SizeCapError, bits_of, reach, shortest_path
+from .core import GraphError, LabeledGraph, SizeCapError, bits_of
 
 INDUCED_PATH_CAP = 25
 
@@ -49,9 +51,10 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
       vertex-disjoint: a pair with c >= best is skipped, and otherwise its
       flow starts from them.
 
-    Pairs that do run reach a maximum flow whenever it is below the best,
-    and the cut is read from the residual-reachable side, which every
-    maximum flow shares, so the certificate is the plain pair scan's.
+    Each remaining pair runs `_pair_flow` on the vertex graph.  It reaches a
+    maximum flow whenever that is below the best, and the cut is read from
+    the residual-reachable side, which every maximum flow shares, so the
+    certificate is the plain pair scan's.
     """
     n = g.n
     if n < 2:
@@ -68,23 +71,7 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
     twin = [min(lowest.setdefault(m, v), lowest.setdefault(m | 1 << v, v))
             for v, m in enumerate(masks)]
 
-    # Split digraph as 2n out-arc masks: in(v) = 2v -> out(v) = 2v+1, and
-    # out(u) -> in(v) for each edge uv.  Vertex arcs have capacity 1, so the
-    # residual is again a digraph; edge arcs are uncapacitated, so a forward
-    # edge arc never leaves it and every minimum cut is on vertex arcs.
-    base = []
-    for v in range(n):
-        base += [1 << (2 * v + 1), sum(1 << (2 * u) for u in g.neighbors(v))]
-    full = (1 << (2 * n)) - 1
-
-    def augment(res, path):
-        """Push one unit of flow along path in the residual res."""
-        for a, b in zip(path, path[1:]):
-            if not a & 1 or b == a - 1:  # not a forward edge arc
-                res[a] &= ~(1 << b)
-            res[b] |= 1 << a
-
-    best, best_cut = n, None
+    best, best_cut = n, 0
     for s in range(n):
         if s > best:  # Even's bound: sources 0..best cover a vertex off some minimum cut
             break
@@ -94,26 +81,76 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
             if masks[s] >> t & 1 or twin[t] not in (s, t):
                 continue
             common = masks[s] & masks[t]
-            flow = common.bit_count()
-            if flow >= best:
-                continue
-            res = list(base)
-            for w in bits_of(common):
-                augment(res, (2 * s + 1, 2 * w, 2 * w + 1, 2 * t))
-            while flow < best:  # a pair that reaches best cannot improve it
-                path = shortest_path(res, 2 * s + 1, 2 * t, full)
-                if path is None:
-                    break
-                augment(res, path)
-                flow += 1
-            if flow < best:
-                # the residual-reachable side is the same for every maximum
-                # flow, so the cut does not depend on the paths found
-                seen = reach(res, 1 << (2 * s + 1), full)
-                best, best_cut = flow, [v for v in range(n) if v not in (s, t)
-                                        and seen >> (2 * v) & 1
-                                        and not seen >> (2 * v + 1) & 1]
-    return ConnectivityCert(best, tuple(best_cut), False)
+            if common.bit_count() < best:
+                flow, cut = _pair_flow(masks, s, t, common, best)
+                if flow < best:
+                    best, best_cut = flow, cut
+    return ConnectivityCert(best, tuple(bits_of(best_cut)), False)
+
+
+def _pair_flow(masks, s: int, t: int, common: int, cap: int) -> tuple[int, int]:
+    """Max flow between non-adjacent s and t, stopped at `cap`, started from
+    the paths s-w-t through the common neighbours w in `common`.
+
+    Returns (flow, cut): below cap the flow is maximum and cut is the
+    minimum s-t separator as a mask; at cap, cut is 0.  This is max flow on
+    the split digraph (in(v) -> out(v) of capacity one, out(u) -> in(v) for
+    each edge uv), kept on the vertex graph: `used` holds the vertices
+    carrying flow and prev[v] the vertex whose flow enters v.  The residual
+    arcs are out(u) -> in(v) for each edge, out(v) -> in(v) for v in used,
+    in(v) -> out(v) for v not in used and in(v) -> out(prev[v]) for v in used.
+    """
+    flow, used = common.bit_count(), common
+    prev = [s] * len(masks)  # entries outside `used` are stale
+    while flow < cap:
+        # breadth-first layers, alternately of out-sides and in-sides
+        outs, ins = [1 << s], []
+        seen_out, seen_in = 1 << s, 0
+        while True:
+            front = outs[-1]
+            nxt = front & used
+            while front:
+                bit = front & -front
+                front ^= bit
+                nxt |= masks[bit.bit_length() - 1]
+            front = nxt & ~seen_in
+            seen_in |= front
+            ins.append(front)
+            if front >> t & 1:
+                break
+            nxt = front & ~used
+            for w in bits_of(front & used):
+                nxt |= 1 << prev[w]
+            nxt &= ~seen_out
+            if not nxt:
+                # no augmenting path: the separator is the vertices whose
+                # in-side is reachable but not their out-side (s and t are
+                # not: out(s) is the source and in(t) is never reached)
+                return flow, seen_in & ~seen_out
+            seen_out |= nxt
+            outs.append(nxt)
+        # walk back from in(t), pushing one unit along each arc; layers are
+        # disjoint, so an update never touches a vertex still to be read
+        v = t
+        for j in range(len(ins) - 1, -1, -1):
+            # in(v) was reached from out(u), u in outs[j]: along an edge, or
+            # back along v's own arc, which then stops carrying flow
+            src = outs[j] & (masks[v] | used & 1 << v)
+            u = (src & -src).bit_length() - 1
+            if u == v:
+                used ^= 1 << v
+            elif v != t:
+                prev[v] = u
+            if j:
+                # out(u) was reached from in(v), v in ins[j-1]: along u's
+                # free arc, or back along the edge carrying u's flow
+                if (ins[j - 1] & ~used) >> u & 1:
+                    used |= 1 << u
+                    v = u
+                else:
+                    v = next(y for y in bits_of(ins[j - 1] & used) if prev[y] == u)
+        flow += 1
+    return flow, 0
 
 
 # -- induced paths --------------------------------------------------------------

@@ -112,17 +112,27 @@ def verify_model(model: SubtreeModel, g: LabeledGraph):
 
 def maximal_cliques_chordal(g: LabeledGraph) -> list[tuple[int, ...]]:
     """Maximal cliques of a chordal graph via its elimination ordering."""
+    return [c for c, _ in _maximal_cliques(g)]
+
+
+def _maximal_cliques(g: LabeledGraph) -> list[tuple[tuple[int, ...], int]]:
+    """(members, mask) of each maximal clique, in order of members.
+
+    With L(v) the neighbours of v after it in a perfect elimination
+    ordering, each maximal clique is some C_v = {v} + L(v), and C_v is not
+    maximal iff C_v = L(u) for some u (Fulkerson and Gross, 1965)."""
     res = is_chordal(g)
     if not res:
         raise GraphError("clique trees exist only for chordal graphs")
     masks = g.adjacency_masks()
-    later = (1 << g.n) - 1
-    cands = set()
-    for v in res.peo:  # v and its neighbours after it in the ordering
-        later ^= 1 << v
-        cands.add(1 << v | masks[v] & later)
-    return sorted(tuple(bits_of(c)) for c in cands
-                  if not any(c & d == c != d for d in cands))
+    after = (1 << g.n) - 1
+    later = []
+    for v in res.peo:
+        after ^= 1 << v
+        later.append(masks[v] & after)
+    covered = set(later)
+    return sorted((tuple(bits_of(c)), c) for c in (1 << v | lv for v, lv in zip(res.peo, later))
+                  if c not in covered)
 
 
 def clique_tree(g: LabeledGraph) -> SubtreeModel:
@@ -130,15 +140,19 @@ def clique_tree(g: LabeledGraph) -> SubtreeModel:
     intersection sizes, ties by clique order); assign(v) = cliques holding v."""
     if not g.is_connected():
         raise GraphError("clique trees are built for connected graphs")
-    cliques = maximal_cliques_chordal(g)
-    q = len(cliques)
-    sets = [set(c) for c in cliques]
-    weighted = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            w = len(sets[i] & sets[j])
-            if w:
-                weighted.append((-w, i, j))
+    found = _maximal_cliques(g)
+    q = len(found)
+    holding = [0] * g.n  # the cliques holding each vertex, as a mask of indices
+    for i, (members, _) in enumerate(found):
+        for v in members:
+            holding[v] |= 1 << i
+    weighted = []  # only cliques that meet get an edge of the clique graph
+    for i, (members, a) in enumerate(found):
+        meets = 0
+        for v in members:
+            meets |= holding[v]
+        for j in bits_of(meets >> i + 1 << i + 1):
+            weighted.append((-(a & found[j][1]).bit_count(), i, j))
     weighted.sort()
 
     parent = list(range(q))
@@ -158,10 +172,9 @@ def clique_tree(g: LabeledGraph) -> SubtreeModel:
     if len(edges) != q - 1:
         raise GraphError("clique graph is disconnected")
 
-    labels = ["{" + ",".join(map(str, c)) + "}" for c in cliques]
+    labels = ["{" + ",".join(map(str, c)) + "}" for c, _ in found]
     host = HostTree(q, edges, labels)
-    assign = {v: frozenset(i for i in range(q) if v in sets[i])
-              for v in range(g.n)}
+    assign = {v: frozenset(bits_of(h)) for v, h in enumerate(holding)}
     return SubtreeModel(host, assign)
 
 

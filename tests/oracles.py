@@ -1,8 +1,9 @@
 """Brute-force oracles the exact engines are checked against, and graph
 helpers only the tests use (small builders, induced subgraphs, contraction,
-isomorphism, labelled equality, blow-up blocks).  The family builders and the
-model check also have slow twins here, composed from public primitives or
-scanning vertex pairs, as the fast paths did before they replaced them; the
+isomorphism, labelled equality, blow-up blocks).  The family builders, the
+model check, maximum cardinality search and the maximal-clique filter also
+have slow twins here, composed from public primitives or scanning vertices,
+pairs or candidates, as the fast paths did before they replaced them; the
 builder twins paste through `paste_clique`, which shares the one-pass loop.
 
 Each oracle is deliberately naive (permutations, subset scans, cut
@@ -286,9 +287,10 @@ def connectivity_by_pair_scan(g: LabeledGraph) -> ConnectivityCert:
     """Exact vertex connectivity with a minimum separating set.
 
     The unpruned pair scan: every non-adjacent pair from sources 0..best,
-    each flow started from zero.  It shares the flow and cut code with
-    `structure.vertex_connectivity`, so it checks the twin and
-    common-neighbour pruning, not the max flow itself."""
+    each flow started from zero and run on the explicit split digraph by
+    `split_digraph_flow`.  `structure.vertex_connectivity` runs its flows on
+    the vertex graph instead, so this checks its max flow as well as its
+    twin and common-neighbour pruning."""
     n = g.n
     if n < 2:
         raise GraphError("connectivity needs at least 2 vertices")
@@ -296,41 +298,48 @@ def connectivity_by_pair_scan(g: LabeledGraph) -> ConnectivityCert:
         return ConnectivityCert(n - 1, None, True)
     if not g.is_connected():
         return ConnectivityCert(0, (), False)
-
-    # Split digraph as 2n out-arc masks: in(v) = 2v -> out(v) = 2v+1, and
-    # out(u) -> in(v) for each edge uv.  Vertex arcs have capacity 1, so the
-    # residual is again a digraph; edge arcs are uncapacitated, so a forward
-    # edge arc never leaves it and every minimum cut is on vertex arcs.
-    base = []
-    for v in range(n):
-        base += [1 << (2 * v + 1), sum(1 << (2 * u) for u in g.neighbors(v))]
-    full = (1 << (2 * n)) - 1
-    best, best_cut = n, None
+    best, best_cut = n, 0
     for s in range(n):
         if s > best:  # Even's bound: sources 0..best cover a vertex off some minimum cut
             break
         for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            res = list(base)
-            flow = 0
-            while flow < best:  # a pair that reaches best cannot improve it
-                path = shortest_path(res, 2 * s + 1, 2 * t, full)
-                if path is None:
-                    break
-                for a, b in zip(path, path[1:]):
-                    if not a & 1 or b == a - 1:  # not a forward edge arc
-                        res[a] &= ~(1 << b)
-                    res[b] |= 1 << a
-                flow += 1
-            if flow < best:
-                # the residual-reachable side is the same for every maximum
-                # flow, so the cut does not depend on the paths found
-                seen = reach(res, 1 << (2 * s + 1), full)
-                best, best_cut = flow, [v for v in range(n) if v not in (s, t)
-                                        and seen >> (2 * v) & 1
-                                        and not seen >> (2 * v + 1) & 1]
-    return ConnectivityCert(best, tuple(best_cut), False)
+            if not g.has_edge(s, t):
+                flow, cut = split_digraph_flow(g, s, t, best)
+                if flow < best:
+                    best, best_cut = flow, cut
+    return ConnectivityCert(best, tuple(_bits(best_cut)), False)
+
+
+def split_digraph_flow(g: LabeledGraph, s: int, t: int, cap: int) -> tuple[int, int]:
+    """(flow, cut) of a max flow from non-adjacent s to t stopped at cap, on
+    the split digraph held as 2n out-arc masks: in(v) = 2v -> out(v) = 2v+1,
+    and out(u) -> in(v) for each edge uv.  Augmenting paths come from
+    core.shortest_path.  Below cap, cut is the mask of vertices whose in-side
+    core.reach finds on the residual but not their out-side; at cap it is 0.
+
+    Vertex arcs have capacity 1, so the residual is again a digraph; edge arcs
+    are uncapacitated, so a forward edge arc never leaves it and every
+    minimum cut is on vertex arcs."""
+    n = g.n
+    res = []
+    for v in range(n):
+        res += [1 << (2 * v + 1), sum(1 << (2 * u) for u in g.neighbors(v))]
+    full = (1 << (2 * n)) - 1
+    flow = 0
+    while flow < cap:
+        path = shortest_path(res, 2 * s + 1, 2 * t, full)
+        if path is None:
+            # the residual-reachable side is the same for every maximum
+            # flow, so the cut does not depend on the paths found
+            seen = reach(res, 1 << (2 * s + 1), full)
+            return flow, sum(1 << v for v in range(n) if v not in (s, t)
+                             and seen >> (2 * v) & 1 and not seen >> (2 * v + 1) & 1)
+        for a, b in zip(path, path[1:]):
+            if not a & 1 or b == a - 1:  # not a forward edge arc
+                res[a] &= ~(1 << b)
+            res[b] |= 1 << a
+        flow += 1
+    return flow, 0
 
 
 def twin_blowup(rng, n_base: int, p: float = 0.5) -> LabeledGraph:
@@ -502,6 +511,26 @@ def peo_violation_by_pairs(g: LabeledGraph, order) -> tuple[int, int, int] | Non
                 if not g.has_edge(a, b):
                     return (v, a, b)
     return None
+
+
+def mcs_order_by_scan(g: LabeledGraph) -> list[int]:
+    """Maximum cardinality search with a weight list: each step scans every
+    vertex for the unvisited one of highest weight, lowest id first."""
+    n = g.n
+    weight = [0] * n
+    visited = [False] * n
+    order = []
+    for _ in range(n):
+        best = -1
+        for v in range(n):
+            if not visited[v] and (best == -1 or weight[v] > weight[best]):
+                best = v
+        visited[best] = True
+        order.append(best)
+        for u in g.neighbors(best):
+            if not visited[u]:
+                weight[u] += 1
+    return order
 
 
 def is_peo(g: LabeledGraph, order) -> bool:
@@ -785,3 +814,19 @@ def verify_model_by_pairs(model: SubtreeModel, g: LabeledGraph):
                 kind = "intersect but are non-adjacent" if meets else "are adjacent but miss"
                 return False, f"vertices {u},{v} {kind}"
     return True, None
+
+
+def maximal_cliques_by_containment(g: LabeledGraph) -> list[tuple[int, ...]]:
+    """maximal_cliques_chordal by testing each candidate {v} + L(v) of a
+    perfect elimination ordering against every other for strict containment."""
+    res = is_chordal(g)
+    if not res:
+        raise GraphError("clique trees exist only for chordal graphs")
+    masks = g.adjacency_masks()
+    later = (1 << g.n) - 1
+    cands = set()
+    for v in res.peo:
+        later ^= 1 << v
+        cands.add(1 << v | masks[v] & later)
+    return sorted(tuple(_bits(c)) for c in cands
+                  if not any(c & d == c != d for d in cands))

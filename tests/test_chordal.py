@@ -35,6 +35,7 @@ from oracles import (
     is_peo,
     is_simple_vertex,
     is_strongly_chordal_definitional,
+    mcs_order_by_scan,
     peo_violation_by_pairs,
     random_chordal,
     three_sun,
@@ -73,6 +74,22 @@ def test_peo_violation_matches_pairwise_scan():
         rng.shuffle(shuffled)
         for order in (shuffled, list(reversed(mcs_order(g)))):
             assert peo_violation(g, order) == peo_violation_by_pairs(g, order)
+
+
+def test_mcs_and_peo_check_match_their_scans_past_one_machine_word():
+    rng = random.Random(31)
+    graphs = [gnp(rng.randint(0, 70), rng.choice((0.05, 0.2, 0.5, 0.9)), rng)
+              for _ in range(150)]
+    graphs += [random_chordal(rng.randint(1, 70), rng) for _ in range(150)]
+    graphs += list(census_family_members())
+    wide = 0
+    for g in graphs:
+        order = mcs_order(g)
+        assert order == mcs_order_by_scan(g)
+        peo = order[::-1]
+        assert peo_violation(g, peo) == peo_violation_by_pairs(g, peo)
+        wide += g.n > 64
+    assert wide >= 20, wide
 
 
 def assert_induced_cycle(g, hole):

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from hendry import (
@@ -25,7 +26,13 @@ from hendry import (
     verify_model,
 )
 from hendry import treemodel
-from oracles import cycle_graph, random_chordal, verify_model_by_pairs
+from oracles import (
+    cycle_graph,
+    maximal_cliques_by_containment,
+    random_chordal,
+    verify_model_by_pairs,
+)
+from test_chordal import census_family_members
 
 
 def test_host_tree_validation():
@@ -49,6 +56,19 @@ def test_maximal_cliques():
     assert maximal_cliques_chordal(path_graph(4)) == [(0, 1), (1, 2), (2, 3)]
     with pytest.raises(GraphError):
         maximal_cliques_chordal(cycle_graph(4))
+
+
+def test_maximal_cliques_match_containment_and_networkx():
+    rng = random.Random(53)
+    graphs = list(census_family_members())
+    graphs += [random_chordal(rng.randint(1, 40), rng) for _ in range(150)]
+    for g in graphs:
+        cliques = maximal_cliques_chordal(g)
+        assert cliques == maximal_cliques_by_containment(g)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        assert cliques == sorted(tuple(sorted(c)) for c in nx.find_cliques(nxg))
 
 
 def test_clique_tree_examples():

@@ -43,7 +43,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .core import Cycle, GraphError, LabeledGraph, SizeCapError, bits_of, reach
+from .core import Cycle, GraphError, LabeledGraph, SizeCapError, _step, bits_of, reach
 
 DEFAULT_SUBSET_CAP = 24
 HARD_SUBSET_CAP = 26
@@ -290,12 +290,13 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
     """A cycle through every vertex and all forced pairs, as a local-id tour,
     or None when there is none.
 
-    Forced edges are propagated first, and forced edges closing a short cycle
-    end the search.  The DFS starts at a vertex of least degree and takes
-    forced edges when it has them; it prunes when an independent class with
-    one shared neighbourhood needs more edges than that neighbourhood has
-    left, when the unexplored region is not connected to both ends of the
-    path, and by twin symmetry (only the lowest unvisited twin is tried).
+    Forced edges are propagated first; a cut vertex, or forced edges closing
+    a short cycle, end the search.  The DFS starts at a vertex of least degree
+    and takes forced edges when it has them; it prunes when an independent
+    class with one shared neighbourhood needs more edges than that
+    neighbourhood has left, when the unexplored region is not connected to
+    both ends of the path, and by twin symmetry (only the lowest unvisited
+    twin is tried).
     """
     m = len(adj_masks)
     if m < 3:
@@ -310,9 +311,19 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
             return None
     if not _propagate_forced(allowed, forced, m):
         return None
+    # a cut vertex leaves no tour: each tour edge survives propagation both
+    # ways, so without v one neighbour of v still reaches all the others
+    full = (1 << m) - 1
+    for v in range(m):
+        nbrs, rest = allowed[v], full & ~(1 << v)
+        seen = frontier = nbrs & -nbrs
+        while nbrs & ~seen:
+            frontier = _step(allowed, frontier) & rest & ~seen
+            if not frontier:
+                return None
+            seen |= frontier
     # forced edges closing a cycle short of all m vertices leave no tour; a
     # forced tour of all of them is left to the DFS, which follows forced edges
-    full = (1 << m) - 1
     two = [v for v in range(m) if forced[v].bit_count() == 2]
     if two:
         comp = reach(forced, 1 << two[0], full)

@@ -7,6 +7,10 @@ so the encoder reads it off vertex j's adjacency mask and the decoder cuts one
 bit string into columns.  Roles and heavy edges have no graph6 slot, so they
 travel in a one-line JSON sidecar:
 {"n": int, "roles": [str], "heavy_edges": [[u,v]]}.
+
+save_graph overwrites both files in place: it writes the new bytes over the
+old ones and then cuts each file to their length, rather than truncating it to
+zero first.  Neither file is fsync'ed.
 """
 
 from __future__ import annotations
@@ -124,30 +128,58 @@ def _sidecar_labels(n: int, side: dict) -> tuple[list[str] | None, list[list[int
     return roles, heavy
 
 
+def _overwrite(path: str, text: str) -> None:
+    """Write text over path's old bytes, then cut the file to its length.
+
+    A new file gets mode 0o666 & ~umask, as open(path, "w") gives."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = len(data)
+        while data:
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
 def save_graph(g: LabeledGraph, base_path: str) -> tuple[str, str]:
-    """Write <base>.g6 and <base>.json; returns the two paths."""
+    """Write <base>.g6 and <base>.json; returns the two paths.
+
+    Each file is overwritten in place, never truncated to zero first: on ext4
+    (auto_da_alloc) truncating a non-empty file to zero makes the kernel start
+    writeback when it is closed, and the next rewrite waits on that I/O.  That
+    implicit writeback is all this gives up.  Durability is not promised:
+    hendry has never fsync'ed these files, and they can be regenerated from
+    the command that wrote them.  An unwritable path raises OSError; the .g6
+    file is written first, so a bad .g6 path writes no sidecar.
+    """
     g6_path = base_path + ".g6"
     side_path = base_path + ".json"
-    with open(g6_path, "w") as f:
-        f.write(encode_graph6(g) + "\n")
-    with open(side_path, "w") as f:
-        f.write(json.dumps(sidecar_dict(g)) + "\n")
+    _overwrite(g6_path, encode_graph6(g) + "\n")
+    _overwrite(side_path, json.dumps(sidecar_dict(g)) + "\n")
     return g6_path, side_path
 
 
 def load_graph(g6_path: str, sidecar_path: str | None = None) -> LabeledGraph:
-    """Read a graph6 file, attaching the sidecar when present."""
+    """Read a graph6 file, attaching the sidecar when present.
+
+    Without an explicit sidecar path, <base>.json is opened if it exists; an
+    explicit path that does not exist is an error."""
     with open(g6_path, "rb") as f:
         n, edges = _decode(f.read())
-    if sidecar_path is None:
-        base = g6_path[:-3] if g6_path.endswith(".g6") else g6_path
-        candidate = base + ".json"
-        sidecar_path = candidate if os.path.exists(candidate) else None
-    if sidecar_path is None:
+    explicit = sidecar_path is not None
+    if not explicit:
+        sidecar_path = (g6_path[:-3] if g6_path.endswith(".g6") else g6_path) + ".json"
+    try:
+        with open(sidecar_path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        if explicit:
+            raise
         return LabeledGraph(n, edges)
-    with open(sidecar_path) as f:
-        try:
-            side = json.load(f)
-        except ValueError as exc:
-            raise GraphError(f"sidecar {sidecar_path} is not valid JSON: {exc}")
+    try:
+        side = json.loads(raw)
+    except ValueError as exc:
+        raise GraphError(f"sidecar {sidecar_path} is not valid JSON: {exc}")
     return LabeledGraph(n, edges, *_sidecar_labels(n, side))

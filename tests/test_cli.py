@@ -75,6 +75,17 @@ def test_generate_bad_params_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_generate_to_an_unwritable_g6_path_exit_2(tmp_path, capsys):
+    # a directory stands in for an unwritable file: root can write a
+    # read-only file, but nobody can open a directory for writing
+    (tmp_path / "g.g6").mkdir()
+    code, stdout, err = run_cli(capsys, "generate", "--family", "gk", "--k", "3",
+                                "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert stdout == "" and err.startswith("error:")
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_check_hk_properties(tmp_path, capsys):
     out = str(tmp_path / "h")
     run_cli(capsys, "generate", "--family", "hk", "--k", "3", "--out", out)

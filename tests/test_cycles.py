@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 import time
 import tracemalloc
 
@@ -34,6 +35,7 @@ from hendry import (
 )
 from hendry.core import bits_of
 from oracles import (
+    _connected_after_removal,
     anchored_path_ends,
     brute_force_s_extendible,
     chained_classes_graph,
@@ -525,6 +527,19 @@ def test_backtracker_on_twin_rich_graphs():
                     edges.append((i, j))
         g = LabeledGraph(n, edges)
         assert is_cyclable(g) == permutation_hamiltonian(g)
+    # two cycles with chords sharing one vertex, a cut vertex the search must
+    # catch; half of them get an edge across that may make them Hamiltonian
+    for _ in range(100):
+        a = rng.randint(3, 5)
+        n = a + rng.randint(2, 8 - a)
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, a - 1), (a - 1, n - 1)]
+        edges += [(i, j) for i in range(a) for j in range(i + 2, a) if rng.random() < 0.5]
+        edges += [(i, j) for i in range(a - 1, n) for j in range(i + 2, n)
+                  if rng.random() < 0.5]
+        if rng.random() < 0.5:
+            edges.append((rng.randrange(a - 1), rng.randrange(a, n)))
+        g = LabeledGraph(n, edges)
+        assert is_cyclable(g) == permutation_hamiltonian(g)
 
 
 def test_monotone_under_edge_addition():
@@ -758,3 +773,36 @@ def test_kernel_without_rules_is_the_graph():
     assert kernel.members == [1 << v for v in range(len(adj))]
     tour = cycles._spanning_cycle_search(kernel.adj, kernel.forced)
     assert tour is not None and kernel.lift(tour) == tour
+
+
+# a random chordal graph (bench/workloads.random_chordal, seed 5, #176) whose
+# spanning-cycle search ran for over 20 s before the search tested for a cut
+# vertex; vertex 6 is one
+CUT_AT_6 = {
+    0: (2, 3, 16, 20, 21), 1: (2, 3, 6, 7, 8, 11, 13, 14, 16, 18, 20, 21, 23),
+    2: (3, 7, 8, 11, 13, 14, 16, 18, 20, 21, 23), 3: (11, 16, 18, 20, 21, 23),
+    4: (6, 12, 13), 5: (6, 10, 15, 19, 22), 6: (7, 8, 9, 12, 13, 14, 15, 17, 19, 22),
+    7: (8, 11, 13, 14, 16, 21, 23), 8: (11, 13, 14, 16, 21, 23), 9: (12, 13, 14, 17),
+    10: (15, 22), 11: (13, 14, 16, 18, 20, 21, 23), 12: (13, 14, 17),
+    13: (14, 16, 17, 21, 23), 14: (16, 17, 21, 23), 15: (19, 22), 16: (18, 20, 21, 23),
+    18: (20, 21, 23), 19: (22,), 20: (21, 23), 21: (23,),
+}
+
+
+def test_a_cut_vertex_ends_the_search_at_once():
+    g = LabeledGraph(24, [(u, v) for u, vs in CUT_AT_6.items() for v in vs])
+    assert not _connected_after_removal(g, {6})
+    assert min(g.degree(v) for v in range(g.n)) >= 3
+
+    def too_slow(signum, frame):  # without the test the search runs for minutes
+        raise TimeoutError("spanning-cycle search still running after 1 s")
+
+    old_handler = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        t0 = time.perf_counter()
+        assert find_spanning_cycle(g) is None
+        assert time.perf_counter() - t0 < 0.1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 
 import networkx as nx
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from hendry import (
     GraphError,
     LabeledGraph,
+    build_dn,
     build_gk,
     complete_graph,
     decode_graph6,
@@ -139,3 +142,46 @@ def test_load_graph_builds_the_labelled_graph_once(tmp_path, monkeypatch):
     assert built == [g.n]
     assert same_adjacency(loaded, g) and loaded.roles == g.roles
     assert loaded.heavy_edges == g.heavy_edges
+
+
+def test_save_graph_overwrites_a_longer_pair_of_files(tmp_path):
+    # dn(30)'s files are longer than gk(2)'s: a rewrite that kept their tails
+    # would leave trailing garbage in the .g6 file and broken JSON beside it
+    base = str(tmp_path / "g")
+    save_graph(build_dn(30), base)
+    small = build_gk(2)
+    g6_path, side_path = save_graph(small, base)
+    assert (g6_path, side_path) == (base + ".g6", base + ".json")
+    with open(g6_path, "rb") as f:
+        assert f.read() == (encode_graph6(small) + "\n").encode()
+    with open(side_path, "rb") as f:
+        assert f.read() == (json.dumps(sidecar_dict(small)) + "\n").encode()
+    loaded = load_graph(g6_path)
+    assert same_adjacency(loaded, small)
+    assert (loaded.roles, loaded.heavy_edges) == (small.roles, small.heavy_edges)
+
+
+def test_save_graph_creates_files_with_the_mode_open_gives(tmp_path):
+    # under umask 0 any mode other than open()'s 0o666 shows
+    old_umask = os.umask(0)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        g6_path, side_path = save_graph(build_gk(2), str(tmp_path / "g"))
+    finally:
+        os.umask(old_umask)
+    want = stat.S_IMODE(os.stat(tmp_path / "reference").st_mode)
+    assert want == 0o666
+    assert stat.S_IMODE(os.stat(g6_path).st_mode) == want
+    assert stat.S_IMODE(os.stat(side_path).st_mode) == want
+
+
+def test_load_graph_without_a_sidecar_is_unlabelled(tmp_path):
+    g = build_gk(2)
+    g6_path, side_path = save_graph(g, str(tmp_path / "g"))
+    os.remove(side_path)
+    loaded = load_graph(g6_path)
+    assert same_adjacency(loaded, g)
+    assert (loaded.roles, loaded.heavy_edges) == (("",) * g.n, ())
+    with pytest.raises(FileNotFoundError):  # a named sidecar must exist
+        load_graph(g6_path, side_path)

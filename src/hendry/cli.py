@@ -289,7 +289,8 @@ def _add_family_args(p, require=False):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parsing leaves it unchanged)."""
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged).  Its `commands` attribute maps each command to its subparser."""
     ap = argparse.ArgumentParser(
         prog="hendry",
         description="Generate and certify Hamiltonian chordal graphs that do not extend cycles.")
@@ -326,13 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--sidecar")
     _add_family_args(mod)
     mod.add_argument("--verify", action="store_true")
+    ap.commands = sub.choices
     return ap
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would: a known command goes straight
+    to its subparser, which is most of the top-level parser's work; anything
+    else (no command, an unknown one, -h, --version) goes to the top level."""
     ap = build_parser()
+    cmd = ap.commands.get(argv[0]) if argv else None
+    if cmd is None:
+        return ap.parse_args(argv)
+    args, extra = cmd.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

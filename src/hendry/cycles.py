@@ -235,35 +235,30 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
 # -- backtracking search ------------------------------------------------------
 
 def _propagate_forced(allowed: list[int], forced: list[int], m: int) -> bool:
-    """Close forced edges under degree-2 reasoning; False when infeasible."""
+    """Close forced edges under degree-2 reasoning; False when infeasible.
+
+    `sat` holds the vertices with two forced edges; as `forced` is symmetric,
+    v keeps exactly the saturated neighbours it is forced to, in one AND.
+    """
+    sat = _mask_of(v for v in range(m) if forced[v].bit_count() >= 2)
     changed = True
     while changed:
         changed = False
         for v in range(m):
-            av = allowed[v]
-            rest = av
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = bit.bit_length() - 1
-                if forced[u].bit_count() >= 2 and not (forced[u] >> v) & 1:
-                    av &= ~bit
+            fv = forced[v]
+            av = allowed[v] & ~(sat & ~fv)
             if av != allowed[v]:
                 allowed[v] = av
                 changed = True
-            if forced[v] & ~av or forced[v].bit_count() > 2:
+            if fv & ~av or fv.bit_count() > 2 or av.bit_count() < 2:
                 return False
-            if av.bit_count() < 2:
-                return False
-            if av.bit_count() == 2 and forced[v] != av:
-                extra = av & ~forced[v]
+            if av.bit_count() == 2 and fv != av:
                 forced[v] = av
-                while extra:
-                    bit = extra & -extra
-                    extra ^= bit
-                    u = bit.bit_length() - 1
-                    if not (forced[u] >> v) & 1:
-                        forced[u] |= 1 << v
+                sat |= 1 << v
+                for u in bits_of(av & ~fv):
+                    forced[u] |= 1 << v
+                    if forced[u].bit_count() >= 2:
+                        sat |= 1 << u
                 changed = True
     return True
 
@@ -515,26 +510,23 @@ def _kernelize(adj: list[int]) -> _Kernel:
     if not pastes and not segments:  # no rule fired: the kernel is the graph
         return _Kernel(adj, [], [1 << v for v in range(m)], m, adj, {}, [])
 
-    members = [1 << v for v in bits_of((alive & ~used) | ends)]
+    plain_mask = (alive & ~used) | ends  # the plain kernel vertices, in order
+    members = [1 << v for v in bits_of(plain_mask)]
     plain = len(members)
-    inner = 0
-    for e1, t1, x, t2, e2 in segments:
+    for e1, _, _, _, e2 in segments:
         members += [e1, e2]
-        inner |= t1 | x | t2
-    rep = [0] * m  # the kernel vertex of each local vertex outside the inners
-    for i, mem in enumerate(members):
-        for v in bits_of(mem):
-            rep[v] = i
+    runs = _runs(plain_mask)
     kadj = []
     for i, mem in enumerate(members):
-        touch = 0
-        for v in bits_of(mem):
-            touch |= adj[v]
-        nb = 0
-        for u in bits_of(touch & ~inner):
-            nb |= 1 << rep[u]
+        touch = _step(adj, mem)
+        nb = _compress(touch, runs)
+        for j in range(plain, len(members)):  # the end sets the row touches
+            if touch & members[j]:
+                nb |= 1 << j
         kadj.append(nb & ~(1 << i))
-    forced = [(rep[a], rep[b]) for a, b in pastes]
+    # a paste's ends are plain: each is numbered by the plain vertices below it
+    forced = [((plain_mask & (1 << a) - 1).bit_count(), (plain_mask & (1 << b) - 1).bit_count())
+              for a, b in pastes]
     for j in range(len(segments)):
         p = plain + 2 * j
         forced.append((p, p + 1))
@@ -554,23 +546,34 @@ def _members(g: LabeledGraph, subset, cap: int) -> list[int]:
     return vs
 
 
+def _runs(keep: int) -> list[tuple[int, int, int]]:
+    """The runs of consecutive set bits of `keep`, lowest first, as (lo,
+    width mask, offset): the run starts at bit lo, and offset counts the
+    bits of `keep` below it."""
+    runs, offset = [], 0
+    while keep:
+        low = keep & -keep
+        run = keep & ~(keep + low)  # the carry clears the run that starts at low
+        lo = low.bit_length() - 1
+        runs.append((lo, run >> lo, offset))
+        offset += run.bit_count()
+        keep ^= run
+    return runs
+
+
+def _compress(mask: int, runs: list[tuple[int, int, int]]) -> int:
+    """The bits of `mask` at the kept positions of `runs`, renumbered 0, 1, ..."""
+    out = 0
+    for lo, width, offset in runs:
+        out |= (mask >> lo & width) << offset
+    return out
+
+
 def _local_adjacency(g: LabeledGraph, vs: list[int]) -> list[int]:
-    """Adjacency of G[vs] as masks over positions in the sorted list vs."""
-    pos = [0] * g.n
-    for i, v in enumerate(vs):
-        pos[v] = i
-    sub_mask = _mask_of(vs)
-    adj = g.adjacency_masks()
-    local_adj = []
-    for v in vs:
-        mask = 0
-        av = adj[v] & sub_mask
-        while av:
-            bit = av & -av
-            av ^= bit
-            mask |= 1 << pos[bit.bit_length() - 1]
-        local_adj.append(mask)
-    return local_adj
+    """Adjacency of G[vs] as masks over positions in the sorted list vs,
+    moved down one run of consecutive ids at a time."""
+    adj, runs = g.adjacency_masks(), _runs(_mask_of(vs))
+    return [_compress(adj[v], runs) for v in vs]
 
 
 # -- public operations ---------------------------------------------------------

@@ -195,6 +195,8 @@ def _paste_on_heavy_edges(g: LabeledGraph, sizes) -> LabeledGraph:
 
 def build_jk(k: int, clique_sizes, x_order: int) -> LabeledGraph:
     """hk plus a clique of order x_order pasted onto {x1..xk, z, vk}."""
+    if k < 3:
+        raise GraphError(f"jk needs k >= 3, got {k}")
     if x_order < jk_x_order(k):
         raise GraphError(f"x_order must be at least k+3 = {jk_x_order(k)}, got {x_order}")
     g = build_hk(HkSpec(k, tuple(clique_sizes)))

@@ -1,10 +1,12 @@
 """Brute-force oracles the exact engines are checked against, and graph
 helpers only the tests use (small builders, induced subgraphs, contraction,
 isomorphism, labelled equality, blow-up blocks).  The family builders, the
-model check, maximum cardinality search and the maximal-clique filter also
-have slow twins here, composed from public primitives or scanning vertices,
-pairs or candidates, as the fast paths did before they replaced them; the
-builder twins paste through `paste_clique`, which shares the one-pass loop.
+model check, maximum cardinality search, the maximal-clique filter and the
+spanning-cycle search's front end (subset adjacency, kernel rows, forced-edge
+propagation) also have slow twins here, composed from public primitives or
+scanning vertices, pairs, candidates or single bits, as the fast paths did
+before they replaced them; the builder twins paste through `paste_clique`,
+which shares the one-pass loop.
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -32,6 +34,7 @@ from hendry import (
     path_graph,
 )
 from hendry.core import reach, shortest_path
+from hendry.cycles import _Kernel
 
 DEFINITIONAL_CAP = 14
 
@@ -830,3 +833,125 @@ def maximal_cliques_by_containment(g: LabeledGraph) -> list[tuple[int, ...]]:
         cands.add(1 << v | masks[v] & later)
     return sorted(tuple(_bits(c)) for c in cands
                   if not any(c & d == c != d for d in cands))
+
+
+# -- the spanning-cycle search's front end, one bit at a time --------------------
+
+def local_adjacency_by_positions(g: LabeledGraph, vs: list[int]) -> list[int]:
+    """cycles._local_adjacency by moving each neighbour bit through a table
+    of positions in the sorted list vs."""
+    pos = [0] * g.n
+    for i, v in enumerate(vs):
+        pos[v] = i
+    sub_mask = sum(1 << v for v in vs)
+    adj = g.adjacency_masks()
+    local_adj = []
+    for v in vs:
+        mask = 0
+        for u in _bits(adj[v] & sub_mask):
+            mask |= 1 << pos[u]
+        local_adj.append(mask)
+    return local_adj
+
+
+def kernelize_by_vertex(adj: list[int]) -> _Kernel:
+    """cycles._kernelize with each kernel row built vertex by vertex: every
+    local vertex outside a segment's inner part maps to its kernel vertex
+    through a table, and a row collects the kernel vertices of its members'
+    neighbours one bit at a time."""
+    m = len(adj)
+    full = (1 << m) - 1
+    closed: dict[int, int] = {}
+    for v in range(m):
+        nb = adj[v] | (1 << v)
+        closed[nb] = closed.get(nb, 0) | (1 << v)
+    pastes: dict[tuple[int, int], list[int]] = {}
+    removed = ends = 0
+    for nb, p in sorted(closed.items()):
+        ab = nb & ~p
+        if ab.bit_count() != 2 or nb == full or p & ends or ab & removed:
+            continue
+        a, b = _bits(ab)
+        if (a, b) not in pastes:
+            pastes[a, b] = list(_bits(p))
+            removed |= p
+            ends |= ab
+    alive = full & ~removed
+    if removed:
+        adj = [adj[v] & ~removed if alive >> v & 1 else 0 for v in range(m)]
+        for a, b in pastes:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+
+    opened: dict[int, int] = {}
+    for v in _bits(alive):
+        opened[adj[v]] = opened.get(adj[v], 0) | (1 << v)
+    tight = [(t, a) for a, t in sorted(opened.items())
+             if t.bit_count() >= 2 and a.bit_count() == t.bit_count() + 1]
+    segments = []
+    used = ends
+    for i, (t1, a1) in enumerate(tight):
+        for t2, a2 in tight[i + 1:]:
+            x = a1 & a2
+            w = a1 | t1 | a2 | t2
+            if x.bit_count() != 1 or t1 & a2 or t2 & a1 or w & used or w == alive:
+                continue
+            used |= w
+            segments.append((a1 & ~x, t1, x, t2, a2 & ~x))
+    if not pastes and not segments:
+        return _Kernel(adj, [], [1 << v for v in range(m)], m, adj, {}, [])
+
+    members = [1 << v for v in _bits((alive & ~used) | ends)]
+    plain = len(members)
+    inner = 0
+    for e1, t1, x, t2, e2 in segments:
+        members += [e1, e2]
+        inner |= t1 | x | t2
+    rep = [0] * m
+    for i, mem in enumerate(members):
+        for v in _bits(mem):
+            rep[v] = i
+    kadj = []
+    for i, mem in enumerate(members):
+        touch = 0
+        for v in _bits(mem):
+            touch |= adj[v]
+        nb = 0
+        for u in _bits(touch & ~inner):
+            nb |= 1 << rep[u]
+        kadj.append(nb & ~(1 << i))
+    forced = [(rep[a], rep[b]) for a, b in pastes]
+    for j in range(len(segments)):
+        p = plain + 2 * j
+        forced.append((p, p + 1))
+        kadj[p] |= 1 << (p + 1)
+        kadj[p + 1] |= 1 << p
+    return _Kernel(kadj, forced, members, plain, adj, pastes, segments)
+
+
+def propagate_forced_by_neighbours(allowed: list[int], forced: list[int], m: int) -> bool:
+    """cycles._propagate_forced by visiting each allowed neighbour u of v and
+    dropping it when u has two forced edges, none of them to v."""
+    changed = True
+    while changed:
+        changed = False
+        for v in range(m):
+            av = allowed[v]
+            for u in _bits(av):
+                if forced[u].bit_count() >= 2 and not (forced[u] >> v) & 1:
+                    av &= ~(1 << u)
+            if av != allowed[v]:
+                allowed[v] = av
+                changed = True
+            if forced[v] & ~av or forced[v].bit_count() > 2:
+                return False
+            if av.bit_count() < 2:
+                return False
+            if av.bit_count() == 2 and forced[v] != av:
+                extra = av & ~forced[v]
+                forced[v] = av
+                for u in _bits(extra):
+                    if not (forced[u] >> v) & 1:
+                        forced[u] |= 1 << v
+                changed = True
+    return True

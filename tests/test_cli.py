@@ -395,3 +395,68 @@ def test_explicit_zero_parameters_are_not_replaced(capsys):
                                     flag, "0")
         assert code == 2, flag
         assert stdout == "" and err.startswith("error:")
+
+
+# every usage-error path, abbreviations, "--", and help before and after a command
+PARSE_ARGVS = [
+    ["check", "--family", "gk", "--k", "3", "--chordal", "--hamiltonian"],
+    ["check", "g.g6", "--sidecar", "g.json", "--strong", "--pt-free", "5"],
+    ["check", "--family=s", "--k=4", "--conn", "--induced"],
+    ["check", "--", "g.g6"],
+    ["check", "-h"],
+    ["check", "--family", "gk", "--k", "3", "--chordal", "--bogus"],
+    ["check", "--family", "gk", "--k", "3", "--chordal", "--bogus", "extra"],
+    ["check", "a.g6", "b.g6"],
+    ["check", "--k", "x"],
+    ["check", "--k", "-1", "--family", "gk"],
+    ["check", "--pt-free", "0"],
+    ["check", "--which", "4"],
+    ["check", "--version"],
+    ["check", "--family"],
+    ["generate", "--family", "dn", "--n", "20", "--out", "x"],
+    ["generate", "--help"],
+    ["generate", "--k", "3"],
+    ["generate", "--family", "nope"],
+    ["certify", "--mode", "lemma:2.3"],
+    ["certify", "--mode", "s-extendibility", "--family", "hk", "--k", "3", "--set", "1,2"],
+    ["certify", "--mode", "s-extendibility", "--set", "0"],
+    ["certify"],
+    ["model", "--family", "jk", "--k", "3", "--verify"],
+    ["model", "--input", "g.g6", "--bogus"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["--ver"],
+    ["nonsense"],
+    ["che"],
+    ["--", "check"],
+    ["-x", "check"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    """(exit code or None, stdout, stderr, vars of the namespace or None)."""
+    try:
+        code, ns = None, vars(parse(list(argv)))
+    except SystemExit as exc:
+        code, ns = exc.code, None
+    out = capsys.readouterr()
+    return code, out.out, out.err, ns
+
+
+def test_command_parse_matches_the_top_level_parser(capsys):
+    codes = []
+    for argv in PARSE_ARGVS:
+        got = _parsed(capsys, cli._parse, argv)
+        assert got == _parsed(capsys, cli.build_parser().parse_args, argv), argv
+        codes.append(got[0])
+    assert codes.count(None) >= 8 and codes.count(0) >= 5 and codes.count(2) >= 15
+
+
+def test_jk_below_k3_is_blamed_on_jk(capsys):
+    for argv in (("check", "--family", "jk", "--k", "2", "--chordal"),
+                 ("model", "--family", "jk", "--k", "2"),
+                 ("generate", "--family", "jk", "--k", "1")):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert stdout == "" and "jk needs k >= 3" in err and "hk" not in err

@@ -46,10 +46,14 @@ from oracles import (
     gnp,
     induced,
     is_cyclable,
+    kernelize_by_vertex,
+    local_adjacency_by_positions,
     pasted_graph,
     permutation_count_heavy_cycles,
     permutation_cyclable_sets,
     permutation_hamiltonian,
+    propagate_forced_by_neighbours,
+    random_chordal,
     relabeled,
     representative_masks,
     table_by_sweeps,
@@ -806,3 +810,80 @@ def test_a_cut_vertex_ends_the_search_at_once():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old_handler)
+
+
+# -- the search's front end against its bit-by-bit oracles ----------------------
+
+def test_local_adjacency_matches_a_position_table():
+    rng = random.Random(71)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        g = gnp(n, rng.choice((0.1, 0.3, 0.6)), rng)
+        cases += [(g, list(range(n))), (g, [rng.randrange(n)]), (g, [n - 1]),
+                  (g, list(range(rng.randrange(2), n, 2))),
+                  (g, sorted(rng.sample(range(n), rng.randint(0, n))))]
+    for g, vs in cases:
+        assert cycles._local_adjacency(g, vs) == local_adjacency_by_positions(g, vs), vs
+    assert max(g.n for g, _ in cases) > 64
+
+
+def test_kernel_matches_vertex_by_vertex_rows():
+    rng = random.Random(73)
+    graphs = _census_family_members(24) + [build_s(k) for k in range(3, 7)] + [build_dn(60)]
+    graphs += [random_chordal(rng.randint(6, 40), rng) for _ in range(150)]
+    fired = {"paste": 0, "segment": 0}
+    for g in graphs:
+        sets = [list(range(g.n))] + [sorted(rng.sample(range(g.n), rng.randint(3, g.n)))
+                                     for _ in range(3)]
+        if "T1.1" in g.roles:  # s(k): its segments survive the loss of a vertex or two
+            sets += [sorted(set(range(g.n)) - set(rng.sample(range(g.n), rng.randint(1, 2))))
+                     for _ in range(10)]
+        for vs in sets:
+            adj = cycles._local_adjacency(g, vs)
+            got, want = cycles._kernelize(list(adj)), kernelize_by_vertex(list(adj))
+            assert got == want, vs
+            fired["paste"] += bool(got.pastes)
+            fired["segment"] += bool(got.segments)
+    assert fired["paste"] > 100 and fired["segment"] > 30, fired
+
+
+def _forced_instances(rng):
+    """(allowed, forced pairs): sparse graphs with pairs drawn mostly from
+    their edges, and the kernels of blow-up subsets."""
+    out = []
+    for _ in range(1500):
+        n = rng.randint(3, 40)
+        g = gnp(n, rng.choice((2.5, 3.5, 5.0)) / n, rng)
+        edges = g.edges()
+        pairs = rng.sample(edges, min(len(edges), rng.randint(0, 4)))
+        if rng.random() < 0.2:
+            pairs.append(tuple(rng.sample(range(n), 2)))
+        out.append((list(g.adjacency_masks()), pairs))
+    for k in (3, 4, 5):
+        s = build_s(k)
+        for _ in range(40):
+            vs = sorted(rng.sample(range(s.n), rng.randint(s.n - 6, s.n)))
+            kernel = cycles._kernelize(cycles._local_adjacency(s, vs))
+            out.append((kernel.adj, kernel.forced))
+    return out
+
+
+def test_propagation_matches_the_neighbour_scan():
+    rng = random.Random(74)
+    outcomes = {True: 0, False: 0}
+    dropped = 0
+    for allowed, pairs in _forced_instances(rng):
+        m = len(allowed)
+        forced = [0] * m
+        for a, b in pairs:
+            forced[a] |= 1 << b
+            forced[b] |= 1 << a
+        got_a, got_f, want_a, want_f = list(allowed), list(forced), list(allowed), list(forced)
+        ok = cycles._propagate_forced(got_a, got_f, m)
+        assert ok == propagate_forced_by_neighbours(want_a, want_f, m)
+        outcomes[ok] += 1
+        if ok:
+            assert (got_a, got_f) == (want_a, want_f)
+            dropped += got_a != allowed
+    assert min(outcomes.values()) > 100 and dropped > 50, (outcomes, dropped)

@@ -63,47 +63,41 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
-def _need(args, flag):
-    val = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if val is None:
-        raise GraphError(f"family {args.family} needs {flag}")
-    return val
+# each --family value: its builder, called by name so that a wrapper put on
+# the name applies, and its parameters in the order its description prints them
+_FAMILIES = {
+    "gk": (lambda k: build_gk(k), ("k",)),
+    "hk": (lambda k, sizes: build_hk(HkSpec(k, sizes)), ("k", "sizes")),
+    "hplus": (lambda k, sizes: build_h_plus(HkSpec(k, sizes)), ("k", "sizes")),
+    "s": (lambda k: build_s(k), ("k",)),
+    "gkm": (lambda k, m: build_gkm(k, m), ("k", "m")),
+    "hkm": (lambda k, m, sizes: build_hkm(k, m, sizes), ("k", "m", "sizes")),
+    "jk": (lambda k, sizes, x_order: build_jk(k, sizes, x_order), ("k", "sizes", "x_order")),
+    "dn": (lambda n: build_dn(n), ("n",)),
+    "hendry-exception": (lambda which, n: build_hendry_exception(which, n), ("which", "n")),
+}
+
+
+def _family_params(args) -> dict:
+    """args.family's parameters from args: sizes and x_order default from k,
+    any other missing one is an error."""
+    params = {}
+    for p in _FAMILIES[args.family][1]:
+        val = getattr(args, p)
+        if p == "sizes":
+            val = _parse_sizes(val, params["k"])
+        elif p == "x_order":
+            val = jk_x_order(params["k"], val)
+        elif val is None:
+            raise GraphError(f"family {args.family} needs --{p}")
+        params[p] = val
+    return params
 
 
 def _build_family(args) -> tuple[LabeledGraph, str]:
-    fam = args.family
-    if fam == "gk":
-        k = _need(args, "--k")
-        return build_gk(k), f"gk(k={k})"
-    if fam == "hk":
-        spec = HkSpec(_need(args, "--k"), _parse_sizes(args.sizes, args.k))
-        return build_hk(spec), f"hk(k={spec.k}, sizes={spec.clique_sizes})"
-    if fam == "hplus":
-        spec = HkSpec(_need(args, "--k"), _parse_sizes(args.sizes, args.k))
-        return build_h_plus(spec), f"hplus(k={spec.k}, sizes={spec.clique_sizes})"
-    if fam == "s":
-        k = _need(args, "--k")
-        return build_s(k), f"s(k={k})"
-    if fam == "gkm":
-        k, m = _need(args, "--k"), _need(args, "--m")
-        return build_gkm(k, m), f"gkm(k={k}, m={m})"
-    if fam == "hkm":
-        k, m = _need(args, "--k"), _need(args, "--m")
-        sizes = _parse_sizes(args.sizes, k)
-        return build_hkm(k, m, sizes), f"hkm(k={k}, m={m}, sizes={sizes})"
-    if fam == "jk":
-        k = _need(args, "--k")
-        sizes = _parse_sizes(args.sizes, k)
-        x_order = jk_x_order(k, args.x_order)
-        return build_jk(k, sizes, x_order), f"jk(k={k}, sizes={sizes}, x_order={x_order})"
-    if fam == "dn":
-        n = _need(args, "--n")
-        return build_dn(n), f"dn(n={n})"
-    if fam == "hendry-exception":
-        which, n = _need(args, "--which"), _need(args, "--n")
-        return build_hendry_exception(which, n), \
-            f"hendry-exception(which={which}, n={n})"
-    raise GraphError(f"unknown family {fam!r}")
+    params = _family_params(args)
+    desc = ", ".join(f"{p}={v}" for p, v in params.items())
+    return _FAMILIES[args.family][0](**params), f"{args.family}({desc})"
 
 
 def _load_input(args) -> tuple[LabeledGraph, str]:
@@ -114,16 +108,19 @@ def _load_input(args) -> tuple[LabeledGraph, str]:
     raise GraphError("provide an input file or a --family")
 
 
-def _emit(report: dict, results: list[CheckResult]) -> int:
+def _emit(command: str, desc: str, parameters: dict, results: list[CheckResult],
+          **extra) -> int:
+    """Write the report (extra, e.g. a model, between parameters and results)
+    and return its exit code."""
     for r in results:
         if r.verdict is None:
             print(f"{r.name}: {r.detail}", file=sys.stderr)
     results = sorted(results, key=lambda r: r.name)
-    report["results"] = [
-        {"name": r.name, "verdict": r.verdict, "witness": r.witness,
-         "detail": r.detail, "elapsed_ms": round(r.elapsed_ms, 3)}
-        for r in results
-    ]
+    report = {"command": command, "input": desc, "version": __version__,
+              "parameters": parameters, **extra, "results": [
+                  {"name": r.name, "verdict": r.verdict, "witness": r.witness,
+                   "detail": r.detail, "elapsed_ms": round(r.elapsed_ms, 3)}
+                  for r in results]}
     sys.stdout.write(json.dumps(report, default=_json_default) + "\n")
     if any(r.verdict is None for r in results):
         return EXIT_CAP
@@ -198,26 +195,15 @@ def cmd_check(args) -> int:
     if not run.results:
         print("no checks requested", file=sys.stderr)
         return EXIT_USAGE
-    report = {"command": "check", "input": desc, "version": __version__,
-              "parameters": {"n": g.n, "edges": g.edge_count}}
-    return _emit(report, run.results)
+    return _emit("check", desc, {"n": g.n, "edges": g.edge_count}, run.results)
 
 
 def cmd_certify(args) -> int:
     mode = args.mode
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.m is not None:
-        params["m"] = args.m
-    if args.sizes is not None:
-        params["sizes"] = _parse_sizes(args.sizes, args.k or 3)
-    if args.x_order is not None:
-        params["x_order"] = args.x_order
-    if args.n is not None:
-        params["n"] = args.n
-    if args.set is not None:
-        params["s_set"] = args.set
+    params = {p: _parse_sizes(val, args.k) if p == "sizes" else val
+              for p, flag in (("k", "k"), ("m", "m"), ("sizes", "sizes"),
+                              ("x_order", "x_order"), ("n", "n"), ("s_set", "set"))
+              if (val := getattr(args, flag)) is not None}
 
     if mode in ("extendibility", "s-extendibility"):
         if mode == "s-extendibility" and args.set is None:
@@ -231,31 +217,20 @@ def cmd_certify(args) -> int:
             return verdict.extendible, verdict.witness, ""
         run = ClaimRun()
         run.check(name, ext_fn)
-        report = {"command": "certify", "input": desc, "version": __version__,
-                  "parameters": params}
-        return _emit(report, run.results)
+        return _emit("certify", desc, params, run.results)
     if mode.startswith("lemma:"):
         claim_id = mode[len("lemma:"):]
-        run = run_claim(claim_id, params)
-        report = {"command": "certify", "input": f"lemma:{claim_id}",
-                  "version": __version__, "parameters": params}
-        return _emit(report, run.results)
+        return _emit("certify", mode, params, run_claim(claim_id, params).results)
     raise GraphError(f"unknown certify mode {mode!r}")
 
 
 def cmd_model(args) -> int:
     run = ClaimRun()
-    if args.family == "hk":
-        k = _need(args, "--k")
-        spec = HkSpec(k, _parse_sizes(args.sizes, k))
-        g, desc = build_hk(spec), f"hk(k={k})"
-        model = treemodel.explicit_model_hk(spec, g)
-    elif args.family == "jk":
-        k = _need(args, "--k")
-        sizes = _parse_sizes(args.sizes, k)
-        x_order = jk_x_order(k, args.x_order)
-        g, desc = build_jk(k, sizes, x_order), f"jk(k={k})"
-        model = treemodel.explicit_model_jk(k, sizes, x_order, g)
+    if args.family in ("hk", "jk"):
+        params = _family_params(args)
+        g, desc = _FAMILIES[args.family][0](**params), f"{args.family}(k={params['k']})"
+        model = (treemodel.explicit_model_hk(HkSpec(*params.values()), g)
+                 if args.family == "hk" else treemodel.explicit_model_jk(*params.values(), g))
     elif args.input:
         g, desc = _load_input(args)
         model = treemodel.clique_tree(g)
@@ -268,17 +243,13 @@ def cmd_model(args) -> int:
                         "max_degree": maxdeg}
     if args.verify:
         run.check("model-verifies", lambda: model_check(model, g))
-    report = {"command": "model", "input": desc, "version": __version__,
-              "parameters": {"n": g.n}, "model": payload}
-    return _emit(report, run.results)
+    return _emit("model", desc, {"n": g.n}, run.results, model=payload)
 
 
 # -- argument parsing -----------------------------------------------------------
 
 def _add_family_args(p, require=False):
-    p.add_argument("--family", required=require,
-                   choices=["gk", "hk", "hplus", "s", "gkm", "hkm", "jk", "dn",
-                            "hendry-exception"])
+    p.add_argument("--family", required=require, choices=list(_FAMILIES))
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--sizes", help="comma-separated clique sizes, one per heavy edge")

@@ -13,9 +13,9 @@ Two exact mechanisms back every predicate here, one per kind of question:
   are; and
 * a question about one set (is it cyclable, which cycle spans it) goes to a
   backtracking search for cycles spanning that set, with forced edges (from
-  the kernel, or implied by degree-2 vertices) propagated up front, then
-  pruned by a degree bound on independent twin classes, the connectivity of
-  the unexplored region and twin symmetry.  The search is exhaustive, so a
+  the kernel, or implied by degree-2 vertices) propagated up front and a cut
+  vertex ending it at once, then pruned by a degree bound on independent twin
+  classes, the connectivity of the unexplored region and twin symmetry.  The search is exhaustive, so a
   miss is a proof of nonexistence.
 
 Before an existence search, the set is kernelized: segments that every
@@ -285,13 +285,15 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
     """A cycle through every vertex and all forced pairs, as a local-id tour,
     or None when there is none.
 
-    Forced edges are propagated first; a cut vertex, or forced edges closing
-    a short cycle, end the search.  The DFS starts at a vertex of least degree
-    and takes forced edges when it has them; it prunes when an independent
-    class with one shared neighbourhood needs more edges than that
-    neighbourhood has left, when the unexplored region is not connected to
-    both ends of the path, and by twin symmetry (only the lowest unvisited
-    twin is tried).
+    Forced edges are propagated first, and a cut vertex ends the search.
+    The DFS starts at a vertex of least degree and takes forced edges when it
+    has them; it prunes when an independent class with one shared
+    neighbourhood needs more edges than that neighbourhood has left, when the
+    unexplored region is not connected to both ends of the path, and by twin
+    symmetry (only the lowest unvisited twin is tried).  Forced edges closing
+    a cycle short of all vertices need no test of their own: propagation
+    leaves no arc into such a cycle, so a start outside it fails the region
+    check and a start on it fails after one forced lap.
     """
     m = len(adj_masks)
     if m < 3:
@@ -301,9 +303,6 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
     for a, b in forced_pairs:
         forced[a] |= 1 << b
         forced[b] |= 1 << a
-    for v in range(m):
-        if forced[v] & ~allowed[v]:
-            return None
     if not _propagate_forced(allowed, forced, m):
         return None
     # a cut vertex leaves no tour: each tour edge survives propagation both
@@ -317,13 +316,6 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
             if not frontier:
                 return None
             seen |= frontier
-    # forced edges closing a cycle short of all m vertices leave no tour; a
-    # forced tour of all of them is left to the DFS, which follows forced edges
-    two = [v for v in range(m) if forced[v].bit_count() == 2]
-    if two:
-        comp = reach(forced, 1 << two[0], full)
-        if comp != full and all(forced[u].bit_count() == 2 for u in bits_of(comp)):
-            return None
 
     class_of, class_masks = _twin_classes(allowed, forced, m)
 

@@ -6,8 +6,9 @@ import jsonschema
 import pytest
 
 from hendry import (
-    Cycle, HkSpec, build_dn, build_h_plus, build_hk, chordal, cli, cycles, encode_graph6,
-    load_graph, structure,
+    Cycle, HkSpec, build_dn, build_gk, build_gkm, build_h_plus, build_hendry_exception,
+    build_hk, build_hkm, build_jk, build_s, chordal, cli, cycles, encode_graph6, load_graph,
+    save_graph, structure,
 )
 from hendry.cli import main
 from oracles import cycle_graph
@@ -58,6 +59,78 @@ def test_each_command_writes_one_line_of_json(tmp_path, capsys):
     assert (loaded.n, loaded.edges()) == (g.n, g.edges())
     assert (loaded.roles, loaded.heavy_edges) == (g.roles, g.heavy_edges)
     assert (tmp_path / "h.json").read_text().count("\n") == 1
+
+
+# every --family value: its flags, the report's input text and the same graph built directly
+FAMILY_CASES = [
+    ("gk", "--k 3", "gk(k=3)", lambda: build_gk(3)),
+    ("hk", "--k 3 --sizes 3,4,3,4,3", "hk(k=3, sizes=(3, 4, 3, 4, 3))",
+     lambda: build_hk(HkSpec(3, (3, 4, 3, 4, 3)))),
+    ("hplus", "--k 3", "hplus(k=3, sizes=(3, 3, 3, 3, 3))",
+     lambda: build_h_plus(HkSpec.uniform(3))),
+    ("s", "--k 3", "s(k=3)", lambda: build_s(3)),
+    ("gkm", "--k 3 --m 2", "gkm(k=3, m=2)", lambda: build_gkm(3, 2)),
+    ("hkm", "--k 3 --m 1 --sizes 3,5,3,3,3", "hkm(k=3, m=1, sizes=(3, 5, 3, 3, 3))",
+     lambda: build_hkm(3, 1, (3, 5, 3, 3, 3))),
+    ("jk", "--k 3", "jk(k=3, sizes=(3, 3, 3, 3, 3), x_order=6)",
+     lambda: build_jk(3, (3, 3, 3, 3, 3), 6)),
+    ("dn", "--n 16", "dn(n=16)", lambda: build_dn(16)),
+    ("hendry-exception", "--which 3 --n 7", "hendry-exception(which=3, n=7)",
+     lambda: build_hendry_exception(3, 7)),
+]
+
+
+@pytest.mark.parametrize("family, flags, desc, build", FAMILY_CASES)
+def test_generate_every_family(tmp_path, capsys, family, flags, desc, build):
+    code, stdout, _ = run_cli(capsys, "generate", "--family", family, *flags.split(),
+                              "--out", str(tmp_path / "cli"))
+    assert code == 0
+    g = build()
+    info = json.loads(stdout)
+    assert (info["input"], info["n"], info["edges"], info["heavy_edges"]) == \
+        (desc, g.n, g.edge_count, len(g.heavy_edges))
+    save_graph(g, str(tmp_path / "direct"))
+    for ext in (".g6", ".json"):
+        assert (tmp_path / f"cli{ext}").read_bytes() == (tmp_path / f"direct{ext}").read_bytes()
+
+
+def test_families_build_through_the_cli_names(tmp_path, capsys, monkeypatch):
+    # a wrapper put on a builder's name in cli (as the benchmark's tracer
+    # does) sees every family build
+    called = []
+    for name in [n for n in vars(cli) if n.startswith("build_") and n != "build_parser"]:
+        monkeypatch.setattr(cli, name, lambda *a, _real=getattr(cli, name), _name=name:
+                            called.append(_name) or _real(*a))
+    for family, flags, _, _ in FAMILY_CASES:
+        code, _, _ = run_cli(capsys, "generate", "--family", family, *flags.split(),
+                             "--out", str(tmp_path / family))
+        assert code == 0, family
+    assert called == ["build_gk", "build_hk", "build_h_plus", "build_s", "build_gkm",
+                      "build_hkm", "build_jk", "build_dn", "build_hendry_exception"]
+
+
+@pytest.mark.parametrize("family, flags, missing", [
+    ("gk", "", "--k"), ("hk", "", "--k"), ("hplus", "--sizes 3,3,3,3,3", "--k"),
+    ("s", "", "--k"), ("gkm", "--k 3", "--m"), ("gkm", "--m 1", "--k"),
+    ("hkm", "--k 3", "--m"), ("jk", "--x-order 6", "--k"), ("dn", "--k 3", "--n"),
+    ("hendry-exception", "--n 6", "--which"), ("hendry-exception", "--which 1", "--n")])
+def test_family_missing_flag_is_named(tmp_path, capsys, family, flags, missing):
+    code, stdout, err = run_cli(capsys, "generate", "--family", family, *flags.split(),
+                                "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert stdout == "" and err == f"error: family {family} needs {missing}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, desc", [
+    (("--family", "hk", "--k", "4", "--sizes", "3,3,3,4,3,3,3"), "hk(k=4)"),
+    (("--family", "jk", "--k", "4", "--x-order", "8"), "jk(k=4)")])
+def test_model_family_description_names_k(capsys, argv, desc):
+    code, stdout, _ = run_cli(capsys, "model", *argv, "--verify")
+    assert code == 0
+    rep = report_of(stdout)
+    assert rep["input"] == desc
+    assert list(rep) == ["command", "input", "version", "parameters", "model", "results"]
 
 
 def test_generate_dn(tmp_path, capsys):

@@ -168,9 +168,8 @@ def is_simple_elimination_order(g: LabeledGraph, order) -> bool:
 
 
 def is_strongly_chordal(g: LabeledGraph) -> bool:
-    """Chordal and admits a simple elimination ordering."""
-    if not is_chordal(g):
-        return False
+    """Admits a simple elimination ordering (so chordal too: a simple vertex is
+    simplicial, since its neighbours' closed neighbourhoods form a chain)."""
     return find_simple_elimination_order(g) is not None
 
 

@@ -1,9 +1,9 @@
 """Registry of named structural claims about the generated families.
 
-Each claim id maps to a scripted exact verification (build the family, run
-the relevant recognizers/searches, return per-check verdicts with witnesses).
-The ids follow the numbering used in the bundled claim table (docs/claims.md)
-so a run can be replayed by name from the command line.
+Each claim id maps to a scripted exact verification: the claim builds the
+family, runs the relevant recognizers/searches and adds its checks (verdicts
+with witnesses) to the run that `run_claim` hands it.  The ids follow the
+claim table (docs/claims.md), so a run can be replayed by name from the CLI.
 """
 
 from __future__ import annotations
@@ -88,9 +88,8 @@ def model_check(model, g):
     return ok, None, why or ""
 
 
-def claim_2_3(params) -> ClaimRun:
+def claim_2_3(run, params):
     """Base graphs are strongly chordal; the standard ordering eliminates them."""
-    run = ClaimRun()
     for k in params.get("k_range", [params.get("k", 3)]):
         g = build_gk(k)
         run.check(f"gk({k}) strongly chordal",
@@ -98,41 +97,33 @@ def claim_2_3(params) -> ClaimRun:
         order = gk_reference_elimination_order(k)
         run.check(f"gk({k}) standard order is a simple elimination order",
                   lambda g=g, o=order: chordal.is_simple_elimination_order(g, o))
-    return run
 
 
-def claim_2_4(params) -> ClaimRun:
-    """The heavy Hamiltonian witness is a Hamiltonian cycle through every heavy edge."""
-    run = ClaimRun()
+def _gk_witness(run, params, name, witness, missing):
+    """gk(k)'s witness(k) spans V minus the roles missing(k) and takes every heavy edge."""
     for k in params.get("k_range", [params.get("k", 3)]):
         g = build_gk(k)
-        cyc = witness_heavy_ham_cycle(k).validate(g)
-        run.check(f"gk({k}) heavy Hamiltonian witness",
-                  lambda g=g, c=cyc: (
-                      c.vertex_set == frozenset(range(g.n))
-                      and all(e in c.edge_set() for e in g.heavy_edges),
-                      list(c)))
-    return run
-
-
-def claim_2_5(params) -> ClaimRun:
-    """The long heavy witness spans everything except vk and z."""
-    run = ClaimRun()
-    for k in params.get("k_range", [params.get("k", 3)]):
-        g = build_gk(k)
-        cyc = witness_long_heavy_cycle(k).validate(g)
-        want = frozenset(range(g.n)) - {g.vertex("z"), g.vertex(f"v{k}")}
-        run.check(f"gk({k}) long heavy witness",
+        cyc = witness(k).validate(g)
+        want = frozenset(range(g.n)) - {g.vertex(role) for role in missing(k)}
+        run.check(f"gk({k}) {name} witness",
                   lambda g=g, c=cyc, w=want: (
                       c.vertex_set == w
                       and all(e in c.edge_set() for e in g.heavy_edges),
                       list(c)))
-    return run
 
 
-def claim_2_6(params) -> ClaimRun:
+def claim_2_4(run, params):
+    """The heavy Hamiltonian witness is a Hamiltonian cycle through every heavy edge."""
+    _gk_witness(run, params, "heavy Hamiltonian", witness_heavy_ham_cycle, lambda k: ())
+
+
+def claim_2_5(run, params):
+    """The long heavy witness spans everything except vk and z."""
+    _gk_witness(run, params, "long heavy", witness_long_heavy_cycle, lambda k: ("z", f"v{k}"))
+
+
+def claim_2_6(run, params):
     """No heavy cycle of the base graph misses exactly z or exactly vk."""
-    run = ClaimRun()
     k = params.get("k", 3)
     for extra_edge in (False, True):
         g = build_gk(k)
@@ -144,16 +135,10 @@ def claim_2_6(params) -> ClaimRun:
             s = set(range(g.n)) - {g.vertex(drop)}
             run.check(f"{tag}: heavy cycles avoiding only {drop}",
                       lambda g=g, s=s: (cycles.find_heavy_cycle(g, s) is None, None))
-    return run
 
 
-def claim_2_8(params) -> ClaimRun:
-    """Pasted graphs are Hamiltonian yet have a frozen two-short cycle."""
-    return _claim_2_8(params)[0]
-
-
-def _claim_2_8(params) -> tuple[ClaimRun, LabeledGraph]:
-    run = ClaimRun()
+def claim_2_8(run, params) -> LabeledGraph:
+    """Pasted graphs are Hamiltonian yet have a frozen two-short cycle; returns the graph."""
     k = params.get("k", 3)
     spec = HkSpec(k, _sizes(params, k))
     h = build_hk(spec)
@@ -171,7 +156,7 @@ def _claim_2_8(params) -> tuple[ClaimRun, LabeledGraph]:
                   lambda: (verdict.witness == expect, sorted(expect)))
     else:
         _frozen_set_checks(run, h, expect)
-    return run, h
+    return h
 
 
 def _frozen_set_checks(run, g, frozen):
@@ -184,17 +169,15 @@ def _frozen_set_checks(run, g, frozen):
                   lambda v=v: (cycles.find_spanning_cycle(g, frozen | {v}) is None, None))
 
 
-def claim_2_9(params) -> ClaimRun:
+def claim_2_9(run, params):
     """The pasted counterexamples are strongly chordal on every size n >= 15."""
-    run, h = _claim_2_8(params)
+    h = claim_2_8(run, params)
     run.check("strongly chordal", lambda: chordal.is_strongly_chordal(h))
     run.check("chordal", lambda: bool(chordal.is_chordal(h)))
-    return run
 
 
-def claim_3_1(params) -> ClaimRun:
+def claim_3_1(run, params):
     """Adding u1u3 caps induced paths at 8 without repairing extendibility."""
-    run = ClaimRun()
     g = build_gk(3)
     g_plus = g.with_added_edges([(g.vertex("u1"), g.vertex("u3"))])
 
@@ -220,24 +203,20 @@ def claim_3_1(params) -> ClaimRun:
         run.check("h_plus not cycle extendible", scan)
     else:
         _frozen_set_checks(run, hp, expect)
-    return run
 
 
-def claim_3_2(params) -> ClaimRun:
+def claim_3_2(run, params):
     """Blow-ups are chordal, Hamiltonian, and have connectivity exactly k."""
-    run = ClaimRun()
     k = params.get("k", 3)
     s = build_s(k)
     run.check(f"s({k}) chordal", lambda: bool(chordal.is_chordal(s)))
     run.check(f"s({k}) Hamiltonian",
               lambda: (cycles.find_spanning_cycle(s) is not None, None))
     run.check(f"s({k}) connectivity is exactly {k}", lambda: _kappa_is(s, k))
-    return run
 
 
-def claim_3_3(params) -> ClaimRun:
+def claim_3_3(run, params):
     """Blow-ups carry the frozen two-short cycle but no one-short repair."""
-    run = ClaimRun()
     k = params.get("k", 3)
     s = build_s(k)
     z, vk = s.vertex("z"), s.vertex(f"v{k}")
@@ -249,12 +228,10 @@ def claim_3_3(params) -> ClaimRun:
         sub = set(range(s.n)) - {v}
         run.check(f"s({k}): V minus {drop} not cyclable",
                   lambda sub=sub: (cycles.find_spanning_cycle(s, sub) is None, None))
-    return run
 
 
-def claim_3_4(params) -> ClaimRun:
+def claim_3_4(run, params):
     """Subdivided pastes defeat extension by any length in the given set."""
-    run = ClaimRun()
     k = params.get("k", 3)
     s_set = sorted(set(params.get("s_set", (1, 2))))
     m = max(s_set) + 1 if params.get("m") is None else params["m"]
@@ -269,23 +246,19 @@ def claim_3_4(params) -> ClaimRun:
     if verdict is not None and verdict.witness is not None:
         run.check("witness is cyclable",
                   lambda: (cycles.find_spanning_cycle(h, verdict.witness) is not None, None))
-    return run
 
 
-def claim_3_5(params) -> ClaimRun:
+def claim_3_5(run, params):
     """Counterexamples exist at every connectivity: 2 via pastes, k >= 3 via blow-ups."""
-    run = ClaimRun()
     h = build_hk(HkSpec(3, (3,) * 5))
     run.check("hk(3, all 3) has connectivity exactly 2", lambda: _kappa_is(h, 2))
     for k in params.get("k_range", [params.get("k", 3)]):
         run.check(f"s({k}) has connectivity exactly {k}",
                   lambda s=build_s(k), k=k: _kappa_is(s, k))
-    return run
 
 
-def claim_3_6(params) -> ClaimRun:
+def claim_3_6(run, params):
     """The explicit subtree models verify, with the stated leaf/branch counts."""
-    run = ClaimRun()
     k = params.get("k", 3)
     spec = HkSpec(k, _sizes(params, k))
     h = build_hk(spec)
@@ -301,12 +274,10 @@ def claim_3_6(params) -> ClaimRun:
     l2, b2, d2 = treemodel.tree_stats(jmodel.host)
     run.check(f"jk host: {2 * k} leaves, {2 * k - 2} branch vertices, degree <= 3",
               lambda: ((l2, b2, d2) == (2 * k, 2 * k - 2, 3), (l2, b2, d2)))
-    return run
 
 
-def claim_4_1(params) -> ClaimRun:
+def claim_4_1(run, params):
     """Edge counts of the dense family; the three dense exceptions do not extend."""
-    run = ClaimRun()
     for n in params.get("n_range", [params.get("n", 15)]):
         d = build_dn(n)
         want = (n - 12) * (n - 13) // 2 + 37
@@ -316,27 +287,31 @@ def claim_4_1(params) -> ClaimRun:
         g = build_hendry_exception(which, n)
         run.check(f"exception {which} fails full cycle extendibility",
                   lambda g=g: (not cycles.is_fully_cycle_extendible(g), None))
-    return run
 
 
+# each claim id: the claim, and the parameters it reads (params keys, given
+# on the command line as the flags docs/claims.md lists for it)
 CLAIMS = {
-    "2.3": claim_2_3,
-    "2.4": claim_2_4,
-    "2.5": claim_2_5,
-    "2.6": claim_2_6,
-    "2.8": claim_2_8,
-    "2.9": claim_2_9,
-    "3.1": claim_3_1,
-    "3.2": claim_3_2,
-    "3.3": claim_3_3,
-    "3.4": claim_3_4,
-    "3.5": claim_3_5,
-    "3.6": claim_3_6,
-    "4.1": claim_4_1,
+    "2.3": (claim_2_3, ("k",)),
+    "2.4": (claim_2_4, ("k",)),
+    "2.5": (claim_2_5, ("k",)),
+    "2.6": (claim_2_6, ("k",)),
+    "2.8": (claim_2_8, ("k", "sizes")),
+    "2.9": (claim_2_9, ("k", "sizes")),
+    "3.1": (claim_3_1, ("sizes",)),
+    "3.2": (claim_3_2, ("k",)),
+    "3.3": (claim_3_3, ("k",)),
+    "3.4": (claim_3_4, ("k", "m", "sizes", "s_set")),
+    "3.5": (claim_3_5, ("k",)),
+    "3.6": (claim_3_6, ("k", "sizes", "x_order")),
+    "4.1": (claim_4_1, ("n",)),
 }
 
 
 def run_claim(claim_id: str, params: dict | None = None) -> ClaimRun:
+    """A new run, with the checks of claim `claim_id` on `params` added to it."""
     if claim_id not in CLAIMS:
         raise GraphError(f"unknown claim id {claim_id!r}; known: {sorted(CLAIMS)}")
-    return CLAIMS[claim_id](params or {})
+    run = ClaimRun()
+    CLAIMS[claim_id][0](run, params or {})
+    return run

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__, chordal, cycles, structure, treemodel
-from .claims import CheckResult, ClaimRun, model_check, run_claim
+from .claims import CLAIMS, CheckResult, ClaimRun, model_check, run_claim
 from .core import Cycle, GraphError, LabeledGraph, SizeCapError
 from .families import (
     HkSpec,
@@ -78,9 +78,24 @@ _FAMILIES = {
 }
 
 
+# each flag that names a graph or sets a parameter, by its attribute in args
+_FLAGS = {"input": "--input", "sidecar": "--sidecar", "family": "--family", "k": "--k",
+          "m": "--m", "sizes": "--sizes", "x_order": "--x-order", "n": "--n",
+          "which": "--which", "s_set": "--set"}
+
+
+def _refuse_unread(args, owner: str, reads) -> None:
+    """A usage error naming the first flag of _FLAGS that args sets and
+    `owner`, which reads the attributes `reads`, does not read."""
+    for attr, flag in _FLAGS.items():
+        if attr not in reads and getattr(args, attr, None) is not None:
+            raise GraphError(f"{owner} does not take {flag}")
+
+
 def _family_params(args) -> dict:
     """args.family's parameters from args: sizes and x_order default from k,
-    any other missing one is an error."""
+    any other missing one is an error, and then so is a flag the family does
+    not take (--set is certify's to judge, by its mode)."""
     params = {}
     for p in _FAMILIES[args.family][1]:
         val = getattr(args, p)
@@ -91,6 +106,7 @@ def _family_params(args) -> dict:
         elif val is None:
             raise GraphError(f"family {args.family} needs --{p}")
         params[p] = val
+    _refuse_unread(args, f"family {args.family}", ("family", "s_set", *params))
     return params
 
 
@@ -101,9 +117,12 @@ def _build_family(args) -> tuple[LabeledGraph, str]:
 
 
 def _load_input(args) -> tuple[LabeledGraph, str]:
-    if getattr(args, "input", None):
-        return load_graph(args.input, getattr(args, "sidecar", None)), args.input
-    if getattr(args, "family", None):
+    """The input file's graph, or else the --family member; an input file
+    takes no --family or family flags."""
+    if args.input is not None:
+        _refuse_unread(args, "an input file", ("input", "sidecar", "s_set"))
+        return load_graph(args.input, args.sidecar), args.input
+    if args.family is not None:
         return _build_family(args)
     raise GraphError("provide an input file or a --family")
 
@@ -162,8 +181,7 @@ def cmd_check(args) -> int:
     if args.strongly_chordal:
         def strong_fn():
             order = chordal.find_simple_elimination_order(g)
-            ok = bool(once(chordal.is_chordal)) and order is not None
-            return ok, order, "simple elimination order" if ok else ""
+            return order is not None, order, "" if order is None else "simple elimination order"
         run.check("strongly-chordal", strong_fn)
     if args.hamiltonian:
         def ham_fn():
@@ -201,15 +219,16 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     mode = args.mode
     params = {p: _parse_sizes(val, args.k) if p == "sizes" else val
-              for p, flag in (("k", "k"), ("m", "m"), ("sizes", "sizes"),
-                              ("x_order", "x_order"), ("n", "n"), ("s_set", "set"))
-              if (val := getattr(args, flag)) is not None}
+              for p in ("k", "m", "sizes", "x_order", "n", "s_set")
+              if (val := getattr(args, p)) is not None}
 
     if mode in ("extendibility", "s-extendibility"):
-        if mode == "s-extendibility" and args.set is None:
+        if mode == "extendibility" and args.s_set is not None:
+            raise GraphError("mode extendibility does not take --set")
+        if mode == "s-extendibility" and args.s_set is None:
             raise GraphError("s-extendibility needs --set, e.g. --set 1,2")
         name, jumps = ("cycle-extendible", (1,)) if mode == "extendibility" else \
-            (f"s-cycle-extendible {sorted(args.set)}", args.set)
+            (f"s-cycle-extendible {sorted(args.s_set)}", args.s_set)
         g, desc = _load_input(args)
 
         def ext_fn():
@@ -220,20 +239,22 @@ def cmd_certify(args) -> int:
         return _emit("certify", desc, params, run.results)
     if mode.startswith("lemma:"):
         claim_id = mode[len("lemma:"):]
+        if claim_id in CLAIMS:
+            _refuse_unread(args, f"claim {claim_id}", CLAIMS[claim_id][1])
         return _emit("certify", mode, params, run_claim(claim_id, params).results)
     raise GraphError(f"unknown certify mode {mode!r}")
 
 
 def cmd_model(args) -> int:
     run = ClaimRun()
-    if args.family in ("hk", "jk"):
+    if args.input is not None:
+        g, desc = _load_input(args)
+        model = treemodel.clique_tree(g)
+    elif args.family in ("hk", "jk"):
         params = _family_params(args)
         g, desc = _FAMILIES[args.family][0](**params), f"{args.family}(k={params['k']})"
         model = (treemodel.explicit_model_hk(HkSpec(*params.values()), g)
                  if args.family == "hk" else treemodel.explicit_model_jk(*params.values(), g))
-    elif args.input:
-        g, desc = _load_input(args)
-        model = treemodel.clique_tree(g)
     else:
         raise GraphError("model needs --family hk|jk or an input graph")
 
@@ -290,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(cert)
     cert.add_argument("--mode", required=True,
                       help="extendibility | s-extendibility | lemma:<id>")
-    cert.add_argument("--set", type=lambda raw: tuple(map(_positive_int, raw.split(","))),
+    cert.add_argument("--set", dest="s_set", metavar="SET",
+                      type=lambda raw: tuple(map(_positive_int, raw.split(","))),
                       help="extension lengths for s-extendibility, e.g. 1,2")
 
     mod = sub.add_parser("model", help="emit a subtree intersection model")

@@ -101,24 +101,12 @@ class CyclableTable:
         self.ends: list[int] = []
         self.cyc = 0
 
-    def cell(self, subset) -> int:
-        """The cell of `subset` (a vertex mask or ids); GraphError for ids outside 0..n-1."""
-        if not isinstance(subset, int):  # a negative id maps to n, which is out of range too
-            subset = _mask_of(v if v >= 0 else self.n for v in subset)
-        if not 0 <= subset < 1 << self.n:
-            raise GraphError("subset contains invalid vertex ids")
-        return sum((subset & m).bit_count() * w for m, w in zip(self.classes, self.strides))
-
     def representative(self, cell: int) -> list[int]:
         """The representative set of `cell`, sorted: the numerically smallest set in it."""
         out = []
         for m, w in zip(self.classes, self.strides):
             out += bits_of(m)[:cell // w % (m.bit_count() + 1)]
         return sorted(out)
-
-    def cyclable(self, subset) -> bool:
-        """Is `subset` (a vertex mask or ids) cyclable?"""
-        return bool(self.cyc >> self.cell(subset) & 1)
 
 
 def _twin_quotient(g: LabeledGraph) -> CyclableTable:

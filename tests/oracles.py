@@ -1,6 +1,7 @@
 """Brute-force oracles the exact engines are checked against, and graph
 helpers only the tests use (small builders, induced subgraphs, contraction,
-isomorphism, labelled equality, blow-up blocks).  The family builders, the
+isomorphism, labelled equality, blow-up blocks, one set's cell of a filled
+cyclable table).  The family builders, the
 model check, maximum cardinality search, the maximal-clique filter and the
 spanning-cycle search's front end (subset adjacency, kernel rows, forced-edge
 propagation) also have slow twins here, composed from public primitives or
@@ -125,6 +126,20 @@ def representative_masks(classes: list[int]) -> list[int]:
                 mask |= 1 << v
         out.append(mask)
     return out
+
+
+def table_cyclable(table, subset) -> bool:
+    """Is `subset` (a vertex mask or ids) cyclable, read from its cell of a
+    filled CyclableTable?  GraphError for ids outside 0..n-1."""
+    if not isinstance(subset, int):
+        mask = 0
+        for v in subset:  # a negative id maps to n, which is out of range too
+            mask |= 1 << (v if v >= 0 else table.n)
+        subset = mask
+    if not 0 <= subset < 1 << table.n:
+        raise GraphError("subset contains invalid vertex ids")
+    cell = sum((subset & m).bit_count() * w for m, w in zip(table.classes, table.strides))
+    return bool(table.cyc >> cell & 1)
 
 
 def drop_one_by_cells(x: int, sizes: list[int]) -> int:

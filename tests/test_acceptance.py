@@ -52,6 +52,7 @@ from oracles import (
     is_cyclable,
     is_strongly_chordal_definitional,
     permutation_cyclable_sets,
+    table_cyclable,
     three_sun,
 )
 
@@ -121,7 +122,7 @@ def test_criterion_4_pasted_counterexamples():
     verdict = is_cycle_extendible(h15)
     full_elapsed = time.perf_counter() - t0
     ok &= bool(is_chordal(h15)) and is_strongly_chordal(h15)
-    ok &= table.cyclable(range(h15.n))
+    ok &= table_cyclable(table, range(h15.n))
     ok &= (not verdict.extendible) and verdict.witness == expect
 
     targeted_at_20 = None
@@ -160,7 +161,7 @@ def test_criterion_5_induced_path_bound():
     ok &= is_pt_free(hp, 9)
     ok &= bool(is_chordal(hp)) and is_strongly_chordal(hp)
     table = build_cyclable_table(hp)
-    ok &= table.cyclable(range(hp.n))
+    ok &= table_cyclable(table, range(hp.n))
     verdict = is_cycle_extendible(hp)
     expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
     ok &= (not verdict.extendible) and verdict.witness == expect
@@ -179,10 +180,10 @@ def test_criterion_6_blowups():
     z, vk = s3.vertex("z"), s3.vertex("v3")
     ok &= bool(is_chordal(s3))
     table = build_cyclable_table(s3)
-    ok &= table.cyclable(allv)
+    ok &= table_cyclable(table, allv)
     ok &= vertex_connectivity(s3).kappa == 3
-    ok &= table.cyclable(allv - {z, vk})
-    ok &= not table.cyclable(allv - {vk})
+    ok &= table_cyclable(table, allv - {z, vk})
+    ok &= not table_cyclable(table, allv - {vk})
     k3_elapsed = time.perf_counter() - t0
 
     s4 = build_s(4)
@@ -299,7 +300,7 @@ def test_criterion_10_oracle_suites():
         g = gnp(rng.randint(1, 8), 0.5, rng)
         table = build_cyclable_table(g)
         oracle = permutation_cyclable_sets(g)
-        got = {m for m in range(1 << g.n) if table.cyclable(m)}
+        got = {m for m in range(1 << g.n) if table_cyclable(table, m)}
         assert got == oracle
     t_a = time.perf_counter() - t_a
 

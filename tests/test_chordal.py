@@ -198,6 +198,7 @@ def test_greedy_orders_always_validate():
         order = find_simple_elimination_order(g)
         if order is not None:
             assert is_simple_elimination_order(g, order)
+            assert peo_violation(g, order) is None
 
 
 def test_bull_free_examples():

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hendry import (
     build_hk, build_hkm, build_jk, build_s, chordal, cli, cycles, encode_graph6, load_graph,
     save_graph, structure,
 )
+from hendry.claims import CLAIMS
 from hendry.cli import main
 from oracles import cycle_graph
 
@@ -533,3 +535,79 @@ def test_jk_below_k3_is_blamed_on_jk(capsys):
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert stdout == "" and "jk needs k >= 3" in err and "hk" not in err
+
+
+# a valid value for each family or claim flag
+FLAG_VALUES = {"--k": "3", "--m": "1", "--sizes": "3,3,3,3,3", "--x-order": "6", "--n": "16",
+               "--which": "1", "--set": "1,2"}
+FAMILY_FLAGS = ("--k", "--m", "--sizes", "--x-order", "--n", "--which")
+
+
+@pytest.mark.parametrize("family, flags, flag", [
+    (family, flags, flag) for family, flags, _, _ in FAMILY_CASES
+    for flag in FAMILY_FLAGS if flag[2:].replace("-", "_") not in cli._FAMILIES[family][1]])
+def test_family_unread_flag_is_refused(tmp_path, capsys, family, flags, flag):
+    argv = ("--family", family, *flags.split(), flag, FLAG_VALUES[flag])
+    code, stdout, err = run_cli(capsys, "generate", *argv, "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert stdout == "" and err == f"error: family {family} does not take {flag}\n"
+    assert not list(tmp_path.iterdir())
+    code, stdout, err = run_cli(capsys, "check", *argv, "--chordal")
+    assert (code, stdout, err) == (2, "", f"error: family {family} does not take {flag}\n")
+
+
+# the params key of each claim flag
+CLAIM_FLAG_KEYS = {"--k": "k", "--m": "m", "--sizes": "sizes", "--x-order": "x_order",
+                   "--n": "n", "--set": "s_set"}
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIMS))
+def test_claim_unread_flag_is_refused(tmp_path, capsys, claim_id):
+    reads = CLAIMS[claim_id][1]
+    refused = [(flag, FLAG_VALUES[flag]) for flag, key in CLAIM_FLAG_KEYS.items()
+               if key not in reads]
+    refused += [("--which", "1"), ("--family", "gk"), ("--input", str(tmp_path / "g.g6")),
+                ("--sidecar", str(tmp_path / "g.json"))]
+    for flag, value in refused:
+        code, stdout, err = run_cli(capsys, "certify", "--mode", f"lemma:{claim_id}",
+                                    flag, value)
+        assert (code, stdout, err) == (2, "", f"error: claim {claim_id} does not take {flag}\n")
+
+
+def test_claim_flags_match_the_claim_table():
+    doc = (Path(__file__).parent.parent / "docs" / "claims.md").read_text()
+    rows = {}
+    for line in doc.splitlines():
+        cols = line.split("|")
+        if len(cols) == 5 and cols[1].strip()[:1].isdigit():
+            rows[cols[1].strip()] = {CLAIM_FLAG_KEYS[f] for f in re.findall(r"`(--[a-z-]+)`",
+                                                                              cols[3])}
+    assert rows == {cid: set(reads) for cid, (_, reads) in CLAIMS.items()}
+
+
+def test_an_input_file_excludes_a_family(tmp_path, capsys):
+    base = str(tmp_path / "g")
+    assert run_cli(capsys, "generate", "--family", "hk", "--k", "3", "--out", base)[0] == 0
+    g6 = base + ".g6"
+    for argv in (("check", g6, "--family", "hk", "--k", "3", "--chordal"),
+                 ("certify", "--input", g6, "--family", "hk", "--mode", "extendibility"),
+                 ("model", "--input", g6, "--family", "hk", "--k", "3"),
+                 ("model", "--input", g6, "--family", "gk")):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout, err) == (2, "", "error: an input file does not take --family\n")
+    code, stdout, err = run_cli(capsys, "check", g6, "--k", "3", "--chordal")
+    assert (code, stdout, err) == (2, "", "error: an input file does not take --k\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "--family", "gk", "--k", "3", "--sidecar", "g.json", "--chordal"),
+     "error: family gk does not take --sidecar\n"),
+    (("model", "--family", "hk", "--k", "3", "--sidecar", "g.json"),
+     "error: family hk does not take --sidecar\n"),
+    (("certify", "--family", "gk", "--k", "3", "--sidecar", "g.json", "--mode", "extendibility"),
+     "error: family gk does not take --sidecar\n"),
+    (("check", "--sidecar", "g.json", "--chordal"), "error: provide an input file or a --family\n"),
+    (("certify", "--family", "gk", "--k", "3", "--mode", "extendibility", "--set", "1"),
+     "error: mode extendibility does not take --set\n")])
+def test_sidecar_without_input_and_set_without_s_mode_are_refused(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)

@@ -57,6 +57,7 @@ from oracles import (
     relabeled,
     representative_masks,
     table_by_sweeps,
+    table_cyclable,
     twin_blowup,
 )
 
@@ -64,12 +65,12 @@ from oracles import (
 def test_table_complete_graph():
     t = build_cyclable_table(complete_graph(4))
     for mask in range(16):
-        assert t.cyclable(mask) == (mask.bit_count() >= 3)
+        assert table_cyclable(t, mask) == (mask.bit_count() >= 3)
 
 
 def test_table_path_has_no_cycles():
     t = build_cyclable_table(path_graph(4))
-    assert not any(t.cyclable(m) for m in range(16))
+    assert not any(table_cyclable(t, m) for m in range(16))
 
 
 def test_table_matches_permutation_oracle():
@@ -78,7 +79,7 @@ def test_table_matches_permutation_oracle():
         g = gnp(rng.randint(1, 8), 0.5, rng)
         t = build_cyclable_table(g)
         oracle = permutation_cyclable_sets(g)
-        assert {m for m in range(1 << g.n) if t.cyclable(m)} == oracle
+        assert {m for m in range(1 << g.n) if table_cyclable(t, m)} == oracle
 
 
 def assert_twin_classes(g, t):
@@ -298,7 +299,7 @@ def test_backtracker_matches_table():
         t = build_cyclable_table(g)
         for mask in range(1 << g.n):
             vs = [v for v in range(g.n) if (mask >> v) & 1]
-            assert is_cyclable(g, vs) == t.cyclable(mask)
+            assert is_cyclable(g, vs) == table_cyclable(t, mask)
 
 
 def test_gk_targeted_sets():
@@ -309,9 +310,9 @@ def test_gk_targeted_sets():
     z, v3 = g.vertex("z"), g.vertex("v3")
     for drop in ({z, v3}, {z}, {v3}):
         sub, _ = induced(g, sorted(allv - drop))
-        assert t.cyclable(allv - drop) == permutation_hamiltonian(sub)
+        assert table_cyclable(t, allv - drop) == permutation_hamiltonian(sub)
         assert is_cyclable(g, allv - drop) == permutation_hamiltonian(sub)
-    assert t.cyclable(allv - {z, v3})
+    assert table_cyclable(t, allv - {z, v3})
 
 
 def test_hamiltonian_cycle_certificates():
@@ -352,8 +353,9 @@ def test_table_queries_reject_out_of_range_ids():
     for t, bad in ((t4, {0, 1, 9}), (t4, {0, 1, -1}), (t4, 0b10111), (t4, -1),
                    (t2, {0, 1, 2}), (t2, 0b111)):
         with pytest.raises(GraphError):
-            t.cyclable(bad)
-    assert t4.cyclable({0, 1, 3}) and t4.cyclable(0b1111) and not t2.cyclable({0, 1})
+            table_cyclable(t, bad)
+    assert table_cyclable(t4, {0, 1, 3}) and table_cyclable(t4, 0b1111)
+    assert not table_cyclable(t2, {0, 1})
 
 
 def _no_vertex_extends(g, subset):
@@ -365,7 +367,7 @@ def test_hk_witness_has_no_extension():
     h = build_hk(HkSpec.uniform(3))
     t = build_cyclable_table(h)
     frozen = frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
-    assert t.cyclable(frozen)
+    assert table_cyclable(t, frozen)
     assert _no_vertex_extends(h, frozen)
 
 
@@ -434,7 +436,7 @@ def test_hk_two_jump_extendibility():
     h = build_hk(HkSpec.uniform(3))
     t = build_cyclable_table(h)
     frozen = frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
-    assert t.cyclable(frozen | {h.vertex("z"), h.vertex("v3")})
+    assert table_cyclable(t, frozen | {h.vertex("z"), h.vertex("v3")})
     verdict = is_s_cycle_extendible(h, {2})
     assert verdict.extendible
 
@@ -558,8 +560,8 @@ def test_monotone_under_edge_addition():
         g2 = g.with_added_edges([extra])
         t1, t2 = build_cyclable_table(g), build_cyclable_table(g2)
         for mask in range(1 << g.n):
-            if t1.cyclable(mask):
-                assert t2.cyclable(mask)
+            if table_cyclable(t1, mask):
+                assert table_cyclable(t2, mask)
 
 
 def test_heavy_cycles_examples():
@@ -699,7 +701,7 @@ def assert_search_matches_table(g):
     for mask in range(1 << g.n):
         vs = [v for v in range(g.n) if mask >> v & 1]
         c = find_spanning_cycle(g, vs)
-        assert (c is not None) == t.cyclable(mask), vs
+        assert (c is not None) == table_cyclable(t, mask), vs
         if c is not None:
             assert c.validate(g).vertex_set == frozenset(vs)
 
@@ -733,11 +735,11 @@ def test_kernel_regressions():
     # lone tight classes: contracting each to one vertex whose ends are drawn
     # from one set would claim a cycle here
     lone = _roles(s3, "x1 x2 F1.1 F2.1 F2.2 F'1.1 F'1.2 T2.1 T2.2 T'1.1 T'1.2")
-    assert not t.cyclable(lone)
+    assert not table_cyclable(t, lone)
     assert find_spanning_cycle(s3, lone) is None
     # the only tight class is {z, F2.1} on {x1, x2, F2.2}: a lone class
     small = _roles(s3, "x1 x2 F2.1 F2.2 z T1.1")
-    assert (find_spanning_cycle(s3, small) is not None) == t.cyclable(small)
+    assert (find_spanning_cycle(s3, small) is not None) == table_cyclable(t, small)
 
     # the whole set is one segment: no rule may contract it
     k32 = LabeledGraph(5, [(a, b) for a in range(3) for b in (3, 4)])

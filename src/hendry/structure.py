@@ -2,26 +2,22 @@
 
 Connectivity is exact: the least max flow over non-adjacent pairs in the
 split digraph (each vertex an in->out arc of capacity one, edges
-uncapacitated).  The flow is kept on the vertex graph as the mask of
-vertices carrying it and the vertex each one's flow comes from, augmented
-along shortest paths found by a breadth-first search that alternates
-between in-side and out-side masks, with the cut read off the last, failed
-search.  Only sources v_0..v_kappa are needed (Even, 1975): one of those
-kappa+1 vertices lies outside a minimum cut C, and it is paired with a
-vertex of another component of G - C.  Later pairs cannot lower the bound,
-so the certificate is the one the full pair scan finds.  Flows whose value
-cannot beat the best so far are not run: a pair repeated by swapping two
-twins (same neighbourhood apart from each other), or one with at least
-`best` common neighbours.  The other flows start from their common-neighbour
-paths.  The best changes at the same pairs as in the full scan, so the
-certificate is unchanged.  Induced paths use backtracking over (last vertex,
-still-eligible set) states with memoization.
+uncapacitated), kept on the vertex graph and augmented along shortest paths
+of a breadth-first search alternating between in-side and out-side masks;
+the cut is read off the last, failed search.  Sources v_0..v_kappa suffice
+(Even, 1975): one of them lies off a minimum cut C and is paired with a
+vertex of another component of G - C.  No flow runs that cannot beat the
+best so far (twin swaps, common neighbours, or a best already at a floor
+read off the maximum cardinality search order, which is kappa on chordal
+graphs), so the certificate is the full pair scan's.  Induced paths use
+backtracking over (last vertex, still-eligible set) states with memoization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chordal import mcs_order
 from .core import GraphError, LabeledGraph, SizeCapError, bits_of
 
 INDUCED_PATH_CAP = 25
@@ -50,10 +46,19 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
     - Common neighbours.  The c paths s-w-t through common neighbours w are
       vertex-disjoint: a pair with c >= best is skipped, and otherwise its
       flow starts from them.
+    - The floor.  lambda_i counts the earlier neighbours of v_i in the MCS
+      order, step i >= 2 is a drop when lambda_i <= lambda_(i-1), and F is
+      the least lambda over the drops.  Once best = F no flow runs: F <=
+      kappa.  Let X be a minimum separator and b the first vertex visited
+      outside both X and the component of G - X entered first; b's earlier
+      neighbours lie in X, so lambda_b <= kappa.  MCS gives lambda_i <=
+      lambda_(i-1) + 1, so with no drop up to b the vertices up to b would
+      be a clique holding b and a vertex of another component; the last
+      drop at or before b has lambda <= lambda_b.  On chordal graphs the
+      drop sets are the clique-tree separators (Blair and Peyton): F = kappa.
 
-    Each remaining pair runs `_pair_flow` on the vertex graph.  It reaches a
-    maximum flow whenever that is below the best, and the cut is read from
-    the residual-reachable side, which every maximum flow shares, so the
+    Each remaining pair runs `_pair_flow`, whose flow is maximum whenever it
+    is below the best, with the cut that every maximum flow shares: the
     certificate is the plain pair scan's.
     """
     n = g.n
@@ -71,9 +76,9 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
     twin = [min(lowest.setdefault(m, v), lowest.setdefault(m | 1 << v, v))
             for v, m in enumerate(masks)]
 
-    best, best_cut = n, 0
+    best, best_cut, floor = n, 0, None
     for s in range(n):
-        if s > best:  # Even's bound: sources 0..best cover a vertex off some minimum cut
+        if s > best or best == floor:  # Even's bound, or the best is kappa
             break
         if twin[s] != s:
             continue
@@ -82,10 +87,25 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
                 continue
             common = masks[s] & masks[t]
             if common.bit_count() < best:
+                if best < n and floor is None:
+                    floor = _separator_floor(g)
+                if best == floor:
+                    break
                 flow, cut = _pair_flow(masks, s, t, common, best)
                 if flow < best:
                     best, best_cut = flow, cut
     return ConnectivityCert(best, tuple(bits_of(best_cut)), False)
+
+
+def _separator_floor(g: LabeledGraph) -> int:
+    """F of `vertex_connectivity`: the least lambda over the MCS drops."""
+    masks, floor, last, seen = g.adjacency_masks(), g.n, -1, 0
+    for v in mcs_order(g):
+        lam = (masks[v] & seen).bit_count()
+        if lam <= last:
+            floor = min(floor, lam)
+        last, seen = lam, seen | 1 << v
+    return floor
 
 
 def _pair_flow(masks, s: int, t: int, common: int, cap: int) -> tuple[int, int]:

@@ -15,9 +15,12 @@ from hendry import (
     build_h_plus,
     build_hendry_exception,
     build_hk,
+    build_hkm,
+    build_jk,
     build_s,
     complete_graph,
     induces_path,
+    is_chordal,
     is_pt_free,
     longest_induced_path,
     path_graph,
@@ -32,6 +35,7 @@ from oracles import (
     gnp,
     min_degree,
     random_chordal,
+    small_graphs,
     split_digraph_flow,
     twin_blowup,
 )
@@ -164,7 +168,9 @@ def test_connectivity_matches_pair_scan():
     for g in graphs:
         cert = vertex_connectivity(g)
         assert cert == connectivity_by_pair_scan(g)
-        positive += not cert.complete and cert.kappa > 0
+        if not cert.complete and cert.kappa > 0:
+            assert structure._separator_floor(g) <= cert.kappa
+            positive += 1
     assert positive >= 1500, positive
 
 
@@ -249,6 +255,63 @@ def test_connectivity_skips_a_pair_by_common_neighbours(monkeypatch):
     assert cert == connectivity_by_pair_scan(g) == ConnectivityCert(1, (6,), False)
     assert (0, 2) in scanned and (0, 7) in ran
     assert (0, 2) not in ran
+
+
+# -- connectivity: the MCS separator floor -------------------------------------
+
+def test_separator_floor_is_at_most_kappa_on_connected_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(small_graphs(9).filter(LabeledGraph.is_connected))
+    def check(g):
+        hypothesis.assume(len(g.edges()) < g.n * (g.n - 1) // 2)
+        assert 1 <= structure._separator_floor(g) <= brute_force_kappa(g)
+
+    check()
+
+
+def chordal_corpus():
+    rng = random.Random(94)
+    yield from (random_chordal(rng.randint(2, 40), rng) for _ in range(400))
+    yield from (build_s(k) for k in range(3, 9))
+    yield from (build_dn(n) for n in range(15, 61))
+    yield from census_family_members()
+    yield from (build_hkm(k, m, (3,) * (2 * k - 1)) for k in (3, 4) for m in (1, 2, 3))
+    yield from (build_jk(k, (3,) * (2 * k - 1), x) for k in (3, 4) for x in (k + 3, k + 5))
+
+
+def test_separator_floor_is_kappa_and_certificate_is_the_pair_scans_on_chordal_graphs():
+    # Blair and Peyton: the drops' earlier-neighbour sets are the minimal
+    # separators, so the scan stops at its first flow that reaches kappa
+    tight = 0
+    for g in chordal_corpus():
+        assert is_chordal(g)
+        cert = connectivity_by_pair_scan(g)
+        assert vertex_connectivity(g) == cert
+        if not cert.complete:
+            assert structure._separator_floor(g) == cert.kappa
+            tight += 1
+    assert tight >= 500, tight
+
+
+def test_connectivity_runs_one_flow_on_the_paper_families(monkeypatch):
+    graphs = [build_s(k) for k in range(3, 9)] + [build_gk(k) for k in range(3, 8)]
+    for g in graphs + [build_hk(HkSpec.uniform(3))]:
+        ran = flow_pairs(monkeypatch)
+        vertex_connectivity(g)
+        assert len(ran) == 1, ran
+
+
+def test_connectivity_runs_every_pruned_pair_below_a_weak_floor(monkeypatch):
+    # on the 6-cycle the MCS order 0 1 2 3 4 5 drops at 2 with one earlier
+    # neighbour, so F = 1 < kappa = 2 and the floor never ends the scan: the
+    # flows are the twin- and common-neighbour-pruned scan's
+    g = cycle_graph(6)
+    assert structure._separator_floor(g) == 1
+    ran = flow_pairs(monkeypatch)
+    assert vertex_connectivity(g) == connectivity_by_pair_scan(g) == ConnectivityCert(2, (1, 5), False)
+    assert ran == {(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5)}
 
 
 def test_connectivity_budget_s5():

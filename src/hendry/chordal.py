@@ -9,10 +9,10 @@ elimination (a vertex is simple when the closed neighborhoods of its closed
 neighborhood form an inclusion chain); greedy deletion is complete because
 the property is hereditary and never lacks a simple vertex.
 
-Bull detection returns the lexicographically-first bull: it fills the
-witness position by position with the smallest vertex for which an anchored
-bitmask query still finds a bull, skipping vertex sets that induce more
-edges than a bull has on that many vertices.
+Bull detection sweeps the triangles for two horns, and only then fills the
+lexicographically-first bull position by position with the smallest vertex
+for which an anchored bitmask query still finds a bull, skipping vertex sets
+that induce more edges than a bull has on that many vertices.
 """
 
 from __future__ import annotations
@@ -227,18 +227,36 @@ def _bull_through(masks, allowed: int, required: int) -> bool:
     return False
 
 
+def _has_bull(masks) -> bool:
+    """Does some triangle x, y, z carry horns d ~ x and e ~ y with d !~ y, z, e
+    and e !~ x, z?  For each edge xy (x < y) and each non-adjacent pair d in
+    N(x) - N[y], e in N(y) - N[x], look for a tip z ~ x, y off N(d) and N(e)."""
+    for x, mx in enumerate(masks):
+        for y in bits_of(mx >> x + 1 << x + 1):
+            my = masks[y]
+            es = my & ~(mx | 1 << x)
+            if es:
+                common = mx & my
+                for d in bits_of(mx & ~(my | 1 << y)):
+                    for e in bits_of(es & ~masks[d]):
+                        if common & ~(masks[d] | masks[e]):
+                            return True
+    return False
+
+
 def is_bull_free(g: LabeledGraph) -> BullResult:
     """No 5 vertices induce a triangle with two pendant horns; otherwise the
     witness is the lexicographically-first bull, as a sorted 5-tuple.
 
-    The witness is filled one position at a time: each takes the smallest
-    vertex c above the last one such that _bull_through() finds a bull that
-    holds the chosen vertices and c and otherwise uses only vertices above
-    c.  A candidate is skipped when the required set induces more edges than
-    a bull has on that many vertices.  When no first position fits, the
-    graph is bull-free.
+    One triangle sweep (_has_bull) answers a bull-free graph.  Otherwise each
+    witness position takes the smallest vertex c above the last one such that
+    _bull_through() finds a bull holding the chosen vertices and c and else
+    only vertices above c, skipping c when the required set induces more
+    edges than a bull has on that many vertices.
     """
     masks = g.adjacency_masks()
+    if not _has_bull(masks):
+        return BullResult(True, None)
     chosen, c = 0, -1
     for k in range(1, 6):
         for c in range(c + 1, g.n):
@@ -248,6 +266,4 @@ def is_bull_free(g: LabeledGraph) -> BullResult:
                     and _bull_through(masks, chosen | (1 << g.n) - (1 << c), required)):
                 chosen = required
                 break
-        else:  # only at k = 1: a later position extends the bull already found
-            return BullResult(True, None)
     return BullResult(False, tuple(bits_of(chosen)))

@@ -403,6 +403,8 @@ class _Kernel:
         return i >> 1 if i >= 0 and j >= 0 and i >> 1 == j >> 1 else -1
 
     def lift(self, tour: list[int]) -> list[int]:
+        if not (self.pastes or self.segments):  # no rule fired: the tour is local
+            return tour
         members, adj = self.members, self.local_adj
         steps = list(zip(tour, tour[1:] + tour[:1]))
         end = [(mem & -mem).bit_length() - 1 for mem in members]

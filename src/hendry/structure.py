@@ -10,7 +10,8 @@ vertex of another component of G - C.  No flow runs that cannot beat the
 best so far (twin swaps, common neighbours, or a best already at a floor
 read off the maximum cardinality search order, which is kappa on chordal
 graphs), so the certificate is the full pair scan's.  Induced paths use
-backtracking over (last vertex, still-eligible set) states with memoization.
+backtracking over (last vertex, still-eligible set) states with memoization,
+trying one vertex of each twin class.
 """
 
 from __future__ import annotations
@@ -176,52 +177,55 @@ def _pair_flow(masks, s: int, t: int, common: int, cap: int) -> tuple[int, int]:
 # -- induced paths --------------------------------------------------------------
 
 def longest_induced_path(g: LabeledGraph):
-    """(vertex count, witness path) of a maximum induced path."""
+    """(vertex count, witness path) of a maximum induced path, taking the
+    lowest vertex at each step among those that reach the maximum.
+
+    A memoised search over (last vertex, still-eligible set) states; the
+    witness is read back from the memo.  Among a state's candidates, and
+    among the start vertices, only the lowest vertex of each twin class
+    (equal open or equal closed neighbourhoods) is tried: swapping two twins
+    is an automorphism fixing every other vertex, so both give the same
+    length, and the lower one wins the tie.
+    """
     if g.n > INDUCED_PATH_CAP:
         raise SizeCapError(f"induced-path search capped at {INDUCED_PATH_CAP} vertices")
     if g.n == 0:
         return 0, ()
     masks = g.adjacency_masks()
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    lower = [0] * g.n  # the twins of v below v
+    seen: dict[int, int] = {}  # an open or closed neighbourhood -> its vertices so far
+    for v, m in enumerate(masks):
+        for key in (m, m | 1 << v):
+            lower[v] |= seen.get(key, 0)
+            seen[key] = seen.get(key, 0) | 1 << v
+    memo: list[dict[int, int]] = [{} for _ in range(g.n)]
 
-    def best_from(last: int, eligible: int) -> tuple[int, int]:
-        """(additional length, best next vertex+1 or 0) from this state."""
-        key = (last, eligible)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res = (0, 0)
-        cand = masks[last] & eligible
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            sub = eligible & ~bit & ~masks[last]
-            ln, _ = best_from(w, sub)
-            if ln + 1 > res[0]:
-                res = (ln + 1, w + 1)
-        memo[key] = res
-        return res
+    def best_from(last: int, eligible: int) -> int:
+        """How many vertices of `eligible` an induced path ending at last can add."""
+        best = memo[last].get(eligible)
+        if best is None:
+            cand, rest = masks[last] & eligible, eligible & ~masks[last]
+            best, left = 0, cand
+            while left:
+                bit = left & -left
+                left ^= bit
+                w = bit.bit_length() - 1
+                if not lower[w] & cand:
+                    ln = best_from(w, rest) + 1
+                    if ln > best:
+                        best = ln
+            memo[last][eligible] = best
+        return best
 
     full = (1 << g.n) - 1
-    best_len, best_start = 0, 0
-    for s in range(g.n):
-        ln, _ = best_from(s, full & ~(1 << s))
-        if ln + 1 > best_len:
-            best_len, best_start = ln + 1, s
-
-    path = [best_start]
-    eligible = full & ~(1 << best_start)
-    last = best_start
-    while True:
-        _, nxt = best_from(last, eligible)
-        if not nxt:
-            break
-        w = nxt - 1
+    length = 1 + max(best_from(s, full ^ 1 << s) for s in range(g.n) if not lower[s])
+    path, cand, rest = [], full, full  # the start is any vertex
+    for need in range(length - 1, -1, -1):
+        w = next(w for w in bits_of(cand) if not lower[w] & cand
+                 and best_from(w, rest & ~(1 << w)) == need)
         path.append(w)
-        eligible = eligible & ~(1 << w) & ~masks[last]
-        last = w
-    return best_len, tuple(path)
+        cand, rest = masks[w] & rest, rest & ~(masks[w] | 1 << w)
+    return length, tuple(path)
 
 
 def is_pt_free(g: LabeledGraph, t: int) -> bool:

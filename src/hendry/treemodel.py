@@ -138,6 +138,8 @@ def _maximal_cliques(g: LabeledGraph) -> list[tuple[tuple[int, ...], int]]:
 def clique_tree(g: LabeledGraph) -> SubtreeModel:
     """Host = maximum-weight spanning tree of the clique graph (weights =
     intersection sizes, ties by clique order); assign(v) = cliques holding v."""
+    if not g.n:
+        raise GraphError("clique trees need a graph with at least one vertex")
     if not g.is_connected():
         raise GraphError("clique trees are built for connected graphs")
     found = _maximal_cliques(g)

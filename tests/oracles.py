@@ -1,13 +1,13 @@
 """Brute-force oracles the exact engines are checked against, and graph
 helpers only the tests use (small builders, induced subgraphs, contraction,
 isomorphism, labelled equality, blow-up blocks, one set's cell of a filled
-cyclable table).  The family builders, the
-model check, maximum cardinality search, the maximal-clique filter and the
-spanning-cycle search's front end (subset adjacency, kernel rows, forced-edge
-propagation) also have slow twins here, composed from public primitives or
-scanning vertices, pairs, candidates or single bits, as the fast paths did
-before they replaced them; the builder twins paste through `paste_clique`,
-which shares the one-pass loop.
+cyclable table).  The family builders, the model check, maximum
+cardinality search, the maximal-clique filter, the induced-path search and
+the spanning-cycle search's front end (subset adjacency, kernel rows,
+forced-edge propagation) also have slow twins here, composed from public
+primitives or scanning vertices, pairs, candidates or single bits, as the
+fast paths did before they replaced them; the builder twins paste through
+`paste_clique`, which shares the one-pass loop.
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -406,6 +406,55 @@ def brute_force_longest_induced_path(g: LabeledGraph) -> int:
             if len(seen) == size:
                 best = size
     return best
+
+
+def longest_induced_path_by_memo(g: LabeledGraph) -> tuple[int, tuple[int, ...]]:
+    """(vertex count, witness path) of a maximum induced path, trying every
+    candidate of every state: a memo of (length, next vertex) per (last
+    vertex, eligible set) state, taking the lowest vertex at each tie."""
+    if g.n == 0:
+        return 0, ()
+    masks = g.adjacency_masks()
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def best_from(last: int, eligible: int) -> tuple[int, int]:
+        """(additional length, best next vertex+1 or 0) from this state."""
+        key = (last, eligible)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        res = (0, 0)
+        cand = masks[last] & eligible
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            sub = eligible & ~bit & ~masks[last]
+            ln, _ = best_from(w, sub)
+            if ln + 1 > res[0]:
+                res = (ln + 1, w + 1)
+        memo[key] = res
+        return res
+
+    full = (1 << g.n) - 1
+    best_len, best_start = 0, 0
+    for s in range(g.n):
+        ln, _ = best_from(s, full & ~(1 << s))
+        if ln + 1 > best_len:
+            best_len, best_start = ln + 1, s
+
+    path = [best_start]
+    eligible = full & ~(1 << best_start)
+    last = best_start
+    while True:
+        _, nxt = best_from(last, eligible)
+        if not nxt:
+            break
+        w = nxt - 1
+        path.append(w)
+        eligible = eligible & ~(1 << w) & ~masks[last]
+        last = w
+    return best_len, tuple(path)
 
 
 def permutation_count_heavy_cycles(g: LabeledGraph, subset, heavy) -> int:

@@ -14,6 +14,7 @@ from hendry import (
     build_hk,
     build_jk,
     build_s,
+    chordal,
     complete_graph,
     find_simple_elimination_order,
     gk_reference_elimination_order,
@@ -263,6 +264,29 @@ def test_bull_named_cases():
                        ("horn", (1, 2, 3, 0, 4))):
         g = LabeledGraph(5, relabel(BULL, perm))
         assert is_bull_free(g) == bull_by_subsets(g) == BullResult(False, (0, 1, 2, 3, 4)), role
+
+
+def test_bull_sweep_skips_the_witness_search_on_bull_free_graphs(monkeypatch):
+    """The triangle sweep alone answers the bull-free families; graphs with a
+    bull still go to the positional witness search."""
+    calls = [0]
+    through = chordal._bull_through
+
+    def counted(*args):
+        calls[0] += 1
+        return through(*args)
+
+    monkeypatch.setattr(chordal, "_bull_through", counted)
+    free = [build_gk(k) for k in range(3, 13)]
+    free += [build_gkm(k, m) for k, m in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2))]
+    for g in free:
+        assert is_bull_free(g) == BullResult(True, None)
+    assert calls[0] == 0
+    for g in (build_hk(HkSpec.uniform(3)), build_h_plus(HkSpec.uniform(3)),
+              build_dn(20), build_s(3)):
+        calls[0] = 0
+        assert not is_bull_free(g)
+        assert calls[0] >= 1
 
 
 def test_bull_search_budget():

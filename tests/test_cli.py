@@ -377,6 +377,15 @@ def test_model_non_chordal_input(tmp_path, capsys):
     assert "chordal" in err
 
 
+def test_model_empty_input(tmp_path, capsys):
+    p = tmp_path / "empty.g6"
+    p.write_text("?\n")  # graph6 for the graph on no vertices
+    code, _, err = run_cli(capsys, "model", "--input", str(p))
+    assert code == 2
+    assert "at least one vertex" in err
+    assert "disconnected" not in err
+
+
 def test_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "certify", "--mode", "lemma:2.4", "--k", "4")
     _, out2, _ = run_cli(capsys, "certify", "--mode", "lemma:2.4", "--k", "4")

@@ -33,6 +33,7 @@ from oracles import (
     connectivity_by_pair_scan,
     cycle_graph,
     gnp,
+    longest_induced_path_by_memo,
     min_degree,
     random_chordal,
     small_graphs,
@@ -132,6 +133,31 @@ def test_longest_induced_path_agrees_with_brute_force():
         assert length == brute_force_longest_induced_path(g)
         if length:
             assert induces_path(g, path)
+
+
+def with_planted_twins(g, rng, count):
+    """g with `count` new vertices, each, when added, a true or false twin of a
+    vertex already there."""
+    edges, n = g.edges(), g.n
+    for _ in range(count):
+        v = rng.randrange(n)
+        nbrs = [b for a, b in edges if a == v] + [a for a, b in edges if b == v]
+        edges += [(u, n) for u in nbrs] + ([(v, n)] if rng.random() < 0.5 else [])
+        n += 1
+    return LabeledGraph(n, edges)
+
+
+def test_longest_induced_path_matches_memo_oracle():
+    """Twin skipping and the int memo keep the oracle's length and witness."""
+    rng = random.Random(22)
+    graphs = [g for g in census_family_members() if g.n <= 25]
+    graphs += [random_chordal(rng.randint(2, 25), rng) for _ in range(300)]
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        g = gnp(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng)
+        graphs.append(with_planted_twins(g, rng, rng.randint(1, 12 - n)))
+    for g in graphs:
+        assert longest_induced_path(g) == longest_induced_path_by_memo(g), g.edges()
 
 
 def test_pt_free():

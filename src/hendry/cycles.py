@@ -34,7 +34,12 @@ rule contracts straight back into forced pairs.
 
 Cycle extendibility is decided on vertex subsets: a cycle with vertex set S
 exists iff S is cyclable, and extending by s vertices is a superset question,
-asked of count vectors.
+asked of count vectors.  Plain extendibility (the jump set {1}) builds its
+table on a paste kernel instead of the graph: the same paste rule, restricted
+to pastes with a ~ b and at least two members, keeps only the highest member
+of each P, and the kernel's smallest failing set lifts back (all of P for
+each kept member) to the graph's.  So hk(3; s^5) and dn(n) need the table of
+a 15-vertex graph for every s and n.
 """
 
 from __future__ import annotations
@@ -118,8 +123,9 @@ def _twin_quotient(g: LabeledGraph) -> CyclableTable:
 
 
 def table_fits(g: LabeledGraph) -> bool:
-    """Does g's cyclable table fit the cap of 2^subset_cap() cells?"""
-    return _twin_quotient(g).cells <= 1 << subset_cap()
+    """Does the table that decides g's cycle extendibility (the paste
+    kernel's) fit the cap of 2^subset_cap() cells?"""
+    return _twin_quotient(_paste_kernel(g)[0]).cells <= 1 << subset_cap()
 
 
 def _digit_masks(table: CyclableTable):
@@ -394,7 +400,7 @@ class _Kernel:
     members: list[int]  # the local vertices behind each kernel vertex, as masks
     plain: int
     local_adj: list[int]  # pasted sets removed, their ab edges added
-    pastes: dict[tuple[int, int], list[int]]  # (a, b) -> the set crossed between them
+    pastes: dict[tuple[int, int], int]  # (a, b) -> the set crossed between them, as a mask
     segments: list[tuple[int, int, int, int, int]]  # (A-x, T, x, T', A'-x) as masks
 
     def _segment(self, c: int, d: int) -> int:
@@ -421,7 +427,7 @@ class _Kernel:
             seg = self._segment(c, d)
             if seg < 0:
                 u, v = sorted((end[c], end[d]))
-                out += self.pastes.get((u, v), ())
+                out += bits_of(self.pastes.get((u, v), 0))
                 continue
             # alternate the A's (first end, the rest, x, the rest, last end)
             # with the T's: e t a .. t x t' a' .. t' e'
@@ -433,6 +439,35 @@ class _Kernel:
                      for v in pair][1:]
             out += inner if c < d else inner[::-1]
         return out
+
+
+def _pastes(adj) -> dict[tuple[int, int], int]:
+    """The pasted sets of a local graph, as {(a, b): P} with a < b: the
+    vertices P whose closed neighbourhoods all equal P+{a,b}, where P+{a,b}
+    is not the whole graph.
+
+    Sets are taken in order of their closed neighbourhood, and one is skipped
+    when it holds an end of a set already taken, when one of its ends lies in
+    such a set, or when ab already has a set: the sets are disjoint, no end
+    is in any set, and each pair ab has one set.  a and b need not be adjacent.
+    """
+    full = (1 << len(adj)) - 1
+    closed: dict[int, int] = {}
+    for v, nb in enumerate(adj):
+        nb |= 1 << v
+        closed[nb] = closed.get(nb, 0) | 1 << v
+    pastes: dict[tuple[int, int], int] = {}
+    removed = ends = 0
+    for nb, p in sorted(closed.items()):
+        ab = nb & ~p
+        if ab.bit_count() != 2 or nb == full or p & ends or ab & removed:
+            continue
+        a, b = bits_of(ab)
+        if (a, b) not in pastes:
+            pastes[a, b] = p
+            removed |= p
+            ends |= ab
+    return pastes
 
 
 def _kernelize(adj: list[int]) -> _Kernel:
@@ -452,21 +487,11 @@ def _kernelize(adj: list[int]) -> _Kernel:
     """
     m = len(adj)
     full = (1 << m) - 1
-    closed: dict[int, int] = {}
-    for v in range(m):
-        nb = adj[v] | (1 << v)
-        closed[nb] = closed.get(nb, 0) | (1 << v)
-    pastes: dict[tuple[int, int], list[int]] = {}
+    pastes = _pastes(adj)
     removed = ends = 0
-    for nb, p in sorted(closed.items()):
-        ab = nb & ~p
-        if ab.bit_count() != 2 or nb == full or p & ends or ab & removed:
-            continue
-        a, b = bits_of(ab)
-        if (a, b) not in pastes:
-            pastes[a, b] = bits_of(p)
-            removed |= p
-            ends |= ab
+    for (a, b), p in pastes.items():
+        removed |= p
+        ends |= 1 << a | 1 << b
     alive = full & ~removed
     if removed:
         adj = [adj[v] & ~removed if alive >> v & 1 else 0 for v in range(m)]
@@ -626,6 +651,62 @@ def is_fully_cycle_extendible(g: LabeledGraph) -> bool:
     return all(vertex_on_triangle(g, v) for v in range(g.n)) and is_cycle_extendible(g).extendible
 
 
+def _paste_kernel(g: LabeledGraph) -> tuple[LabeledGraph, list[int] | None]:
+    """The graph on which g's plain cycle extendibility is decided, and the
+    vertices of g behind each of its vertices, as masks (None when nothing
+    is dropped and the kernel is g itself).
+
+    Of each paste P on ab (see _pastes) with a ~ b and |P| >= 2 only the
+    highest member p is kept; the kernel is the graph induced on the kept
+    vertices, where p has degree 2.  The image of a set S replaces each
+    nonempty S∩P by p, and the lift of a kernel set puts all of P back for
+    each p it holds.  A set fails when it is cyclable, not all of V, and no
+    one-vertex extension is cyclable; the failing sets of g are exactly the
+    lifts of the kernel's, and the smallest lifts to the smallest:
+
+    * a cyclable S that holds some but not all of P extends by one twin (a
+      missing member goes next to a member on the cycle, as all of P share
+      one closed neighbourhood), so every failing set holds each paste whole
+      or not at all;
+    * if S meets P and is not inside P+{a,b}, every spanning cycle of S
+      crosses S∩P as one block from a to b: members see only P, a and b, so
+      a block of members on the cycle lies between a and b (between one of
+      them and itself only if the cycle is that block plus it), and two
+      blocks would take both cycle edges at a and at b, closing the cycle
+      inside P+{a,b}.  A block and p (whose neighbours are a and b) are
+      interchangeable, so S is cyclable exactly when its image is;
+    * a subset of the clique P+{a,b} (a clique because a ~ b) of 3 or more
+      vertices that is not the whole clique extends inside it, and its image
+      has at most 2 vertices, so neither fails.  The whole clique and its
+      image, the triangle p a b, are both cyclable, and their one-vertex
+      extensions fall under the previous point;
+    * p is the highest member of P, so the lift keeps the numeric order of
+      sets: two lifts differ first, from the top, at the highest vertex of
+      the lift of the kernel sets' symmetric difference, which is a kept
+      vertex of that difference.
+
+    The witness is therefore the one g's own table gives.  Jumps longer than
+    one are not covered (a longer jump can take part of a paste), so other
+    jump sets keep g's table.
+    """
+    adj, full = g.adjacency_masks(), (1 << g.n) - 1
+    closed = [c for v, nb in enumerate(adj) if (c := nb | 1 << v) != full]
+    if len(set(closed)) == len(closed):  # no two vertices share a closed
+        return g, None                   # neighbourhood other than V
+    tops, dropped = {}, 0
+    for (a, b), p in _pastes(adj).items():
+        top = 1 << p.bit_length() - 1
+        if p != top and adj[a] >> b & 1:
+            tops[top] = p
+            dropped |= p ^ top
+    if not dropped:
+        return g, None
+    pos = {v: i for i, v in enumerate(bits_of(full & ~dropped))}
+    kernel = LabeledGraph(len(pos), [(pos[u], pos[v]) for u, v in g.edges()
+                                     if u in pos and v in pos])
+    return kernel, [tops.get(1 << v, 1 << v) for v in pos]
+
+
 def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
     """Every cyclable subset that could grow by some s in s_set must do so.
 
@@ -637,14 +718,16 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
     step (fewer than 2n).  Failing is invariant under twin swaps, so the
     witness, the numerically smallest failure, is the smallest
     representative set of a failing cell.  With s_set = {1} this coincides
-    with plain cycle extendibility.
+    with plain cycle extendibility, and the table is built on the paste
+    kernel, with the same verdict and witness (_paste_kernel).
     """
     jumps = sorted(set(s_set))
     if not jumps:
         raise GraphError("the extension set must be nonempty")
     if any(s < 1 for s in jumps):
         raise GraphError("extension lengths must be positive")
-    table = build_cyclable_table(g)
+    kernel, members = _paste_kernel(g) if jumps == [1] else (g, None)
+    table = build_cyclable_table(kernel)
     most = table.n - 3  # a cyclable set has 3 vertices or more: no longer jump applies
     if jumps[0] > most:
         return ExtensionVerdict(True, None)
@@ -658,7 +741,10 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
     bad = table.cyc & room & ~grown
     if not bad:
         return ExtensionVerdict(True, None)
-    return ExtensionVerdict(False, frozenset(table.representative(_smallest_cell(table, bad))))
+    witness = table.representative(_smallest_cell(table, bad))
+    if members:
+        witness = [v for i in witness for v in bits_of(members[i])]
+    return ExtensionVerdict(False, frozenset(witness))
 
 
 def _smallest_cell(table: CyclableTable, cand: int) -> int:

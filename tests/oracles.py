@@ -20,11 +20,13 @@ import itertools
 from hendry import (
     BullResult,
     ConnectivityCert,
+    ExtensionVerdict,
     GraphError,
     HkSpec,
     LabeledGraph,
     SizeCapError,
     SubtreeModel,
+    build_cyclable_table,
     complete_graph,
     disjoint_union,
     find_spanning_cycle,
@@ -35,7 +37,7 @@ from hendry import (
     path_graph,
 )
 from hendry.core import reach, shortest_path
-from hendry.cycles import _Kernel
+from hendry.cycles import _Kernel, _drops, _smallest_cell
 
 DEFINITIONAL_CAP = 14
 
@@ -510,6 +512,21 @@ def brute_force_s_extendible(g: LabeledGraph, s_set):
     return True, None
 
 
+def cycle_extendible_by_full_table(g: LabeledGraph) -> ExtensionVerdict:
+    """Plain cycle extendibility scanned on g's own table, pastes and all:
+    the failures are the cyclable cells other than V's that are not one
+    vertex short of a cyclable cell, and the witness is the smallest
+    representative set of one."""
+    table = build_cyclable_table(g)
+    if table.n < 4:  # every cyclable set is all of V
+        return ExtensionVerdict(True, None)
+    _, grown = _drops([table.cyc], [1], table)[0]
+    bad = table.cyc & ((1 << table.cells - 1) - 1) & ~grown
+    if not bad:
+        return ExtensionVerdict(True, None)
+    return ExtensionVerdict(False, frozenset(table.representative(_smallest_cell(table, bad))))
+
+
 def is_strongly_chordal_definitional(g: LabeledGraph, cap: int = DEFINITIONAL_CAP) -> bool:
     """Chordal, and every even cycle of length >= 6 has an odd chord.
 
@@ -929,7 +946,7 @@ def kernelize_by_vertex(adj: list[int]) -> _Kernel:
     for v in range(m):
         nb = adj[v] | (1 << v)
         closed[nb] = closed.get(nb, 0) | (1 << v)
-    pastes: dict[tuple[int, int], list[int]] = {}
+    pastes: dict[tuple[int, int], int] = {}
     removed = ends = 0
     for nb, p in sorted(closed.items()):
         ab = nb & ~p
@@ -937,7 +954,7 @@ def kernelize_by_vertex(adj: list[int]) -> _Kernel:
             continue
         a, b = _bits(ab)
         if (a, b) not in pastes:
-            pastes[a, b] = list(_bits(p))
+            pastes[a, b] = p
             removed |= p
             ends |= ab
     alive = full & ~removed

@@ -297,7 +297,7 @@ def test_capped_lemma_checks_report_null(capsys):
 
 @pytest.mark.parametrize("claim, family, sizes, cap", [
     ("2.8", build_hk, "3,3,3,3,3", "10"),      # 2^15 cells, past a lowered cap
-    ("3.1", build_h_plus, "5,5,5,5,5", "19")])  # 25 vertices in 2^20 cells, past a lowered cap
+    ("3.1", build_h_plus, "5,5,5,5,5", "14")])  # 25 vertices, a paste kernel of 2^15 cells
 def test_claims_search_the_frozen_set_past_the_table_cap(capsys, monkeypatch, claim, family,
                                                          sizes, cap):
     # instead of a table scan, V - {z, v3} and its two one-vertex extensions
@@ -316,6 +316,22 @@ def test_claim_2_8_searches_the_frozen_set_at_the_default_cap(capsys, monkeypatc
     assert not cycles.table_fits(g)
     assert_frozen_set_searched(
         g, 5, *run_cli(capsys, "certify", "--mode", "lemma:2.8", "--k", "5")[:2])
+
+
+def test_claim_2_8_scans_the_paste_kernel_past_the_search_cap(capsys, monkeypatch):
+    # hk(3; 9^5) has 45 vertices, past the 40-vertex search cap and, as a
+    # whole, past the table cap; its paste kernel has 15 vertices, so the
+    # claim scans it and the witness lifts back to V - {z, v3}
+    monkeypatch.delenv("HENDRY_SUBSET_CAP", raising=False)
+    g = build_hk(HkSpec(3, (9,) * 5))
+    assert cycles.table_fits(g)
+    code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:2.8", "--sizes", "9,9,9,9,9")
+    assert code == 0
+    by_name = {r["name"]: r for r in report_of(stdout)["results"]}
+    assert by_name["not cycle extendible"]["verdict"] is True
+    assert by_name["not cycle extendible"]["witness"] == sorted(
+        set(range(g.n)) - {g.vertex("z"), g.vertex("v3")})
+    assert all(r["verdict"] for r in by_name.values())
 
 
 def assert_frozen_set_searched(g, k, code, stdout):

@@ -40,6 +40,7 @@ from oracles import (
     brute_force_s_extendible,
     chained_classes_graph,
     containing,
+    cycle_extendible_by_full_table,
     cycle_graph,
     drop_one_by_cells,
     drop_one_by_list,
@@ -259,8 +260,10 @@ def test_streamed_drop_matches_mask_list():
 def test_extendibility_peak_memory_holds_no_mask_list():
     """A table build plus scan peaks below (2n + 9) 2^n-bit ints: n rows and n
     fill masks, the cyclable bits and a few temporaries, but no list of n
-    subset masks beside the table."""
+    subset masks beside the table.  hkm(3, 4) pastes only triangles, so
+    its {1}-scan runs on its own table, as its {2, 3}-scan does."""
     cases = [(build_h_plus(HkSpec(3, (3, 3, 3, 4, 5))), (1,)),
+             (build_hkm(3, 4, (3,) * 5), (1,)),
              (build_hkm(3, 4, (3,) * 5), (2, 3))]
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
@@ -396,6 +399,21 @@ def test_is_cycle_extendible_examples():
     assert verdict.witness == frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
 
 
+def test_every_n_from_15_is_decided_on_the_paste_kernel():
+    """The paper's "every n >= 15" statements at scale: hk(3; s^5) for
+    s = 3..9 (up to 45 vertices; from s = 8 on, the graph's own table is
+    past the cap) and dn(n) for n = 15..60 each fail to extend at exactly
+    V - {z, v3}, all within 1 s (about 0.07 s on a 2-core VM with Python
+    3.11)."""
+    graphs = [build_hk(HkSpec(3, (s,) * 5)) for s in range(3, 10)]
+    graphs += [build_dn(n) for n in range(15, 61)]
+    t0 = time.perf_counter()
+    verdicts = [is_cycle_extendible(g) for g in graphs]
+    assert time.perf_counter() - t0 < 1.0
+    for g, verdict in zip(graphs, verdicts):
+        assert verdict.witness == frozenset(range(g.n)) - {g.vertex("z"), g.vertex("v3")}, g.n
+
+
 def test_witnesses_revalidate():
     h = build_hk(HkSpec.uniform(3))
     verdict = is_cycle_extendible(h)
@@ -482,6 +500,66 @@ def test_jk_full_table_has_unique_frozen_set():
     lifted = lift_cycle(witness_long_heavy_cycle(3), j)
     assert not verdict.extendible
     assert verdict.witness == lifted.vertex_set
+
+
+def _multi_pasted(rng, n_base: int, pastes: int) -> LabeledGraph:
+    """G(n_base, 1/2) with `pastes` cliques of 1-3 new vertices, each complete
+    to a pair a, b of base vertices, joined or not; a later clique reuses an
+    earlier pair half the time, so one pair can carry two pastes."""
+    g = gnp(n_base, 0.5, rng)
+    n, edges, pairs = g.n, g.edges(), []
+    for _ in range(pastes):
+        a, b = rng.choice(pairs) if pairs and rng.random() < 0.5 else rng.sample(range(n_base), 2)
+        pairs.append((a, b))
+        new = range(n, n + rng.randint(1, 3))
+        edges += [(p, q) for p in new for q in new if p < q]
+        edges += [(p, e) for p in new for e in (a, b)]
+        if rng.random() < 0.7:
+            edges.append((a, b))
+        n = new.stop
+    return LabeledGraph(n, sorted(set(edges)))
+
+
+def _low_paste(rng, n_base: int) -> LabeledGraph:
+    """G(n_base, 1/2) on ids r.., with a clique P = {0..r-1} (r = 2 or 3)
+    complete to the two lowest base vertices a = r and b = r+1, mostly left
+    non-adjacent: P+{a,b} is then the lowest set that P can make cyclable."""
+    r = rng.randint(2, 3)
+    g = gnp(n_base, 0.5, rng)
+    edges = [(u + r, v + r) for u, v in g.edges() if (u, v) != (0, 1) or rng.random() < 0.3]
+    edges += [(p, q) for p in range(r) for q in range(p + 1, r + 2)]
+    return LabeledGraph(n_base + r, edges)
+
+
+def test_paste_kernel_scan_matches_the_full_table():
+    """is_cycle_extendible decides on the paste kernel; its verdict and exact
+    witness must be those of g's own table, and of brute force for n <= 8,
+    before and after the ids are shuffled (so that the kept member, the
+    highest of its paste, is not always the end of a run)."""
+    rng = random.Random(2025)
+    sizes = rng.sample([s for s in itertools.product((3, 4, 5), repeat=5) if sum(s) <= 21], 20)
+    graphs = [build(HkSpec(3, s)) for s in sizes for build in (build_hk, build_h_plus)]
+    graphs += [build_dn(n) for n in range(15, 25)]
+    graphs += [build_jk(3, (3,) * 5, 6), build_jk(3, (4, 3, 3, 4, 3), 7)]
+    graphs += [build_hkm(3, m, (4,) * 5) for m in (1, 2)]
+    graphs += [build_hendry_exception(which, n) for which in (1, 3) for n in (5, 6, 8, 10)]
+    graphs += [build_hendry_exception(2, 5)]
+    graphs += [_multi_pasted(rng, rng.randint(3, 7), rng.randint(1, 3)) for _ in range(150)]
+    graphs += [pasted_graph(rng, rng.randint(3, 6), 10) for _ in range(60)]
+    graphs += [_low_paste(rng, rng.randint(3, 7)) for _ in range(80)]
+    graphs += [random_chordal(rng.randint(4, 14), rng) for _ in range(60)]
+    graphs += [relabeled(g, rng) for g in graphs]
+    reduced = failed = brute = 0
+    for g in graphs:
+        got, want = is_cycle_extendible(g), cycle_extendible_by_full_table(g)
+        assert (got.extendible, got.witness) == (want.extendible, want.witness), g.edges()
+        if g.n <= 8:
+            ok, mask = brute_force_s_extendible(g, {1})
+            assert got.extendible == ok and (ok or sum(1 << v for v in got.witness) == mask)
+            brute += 1
+        reduced += cycles._paste_kernel(g)[1] is not None
+        failed += not got.extendible
+    assert reduced > 300 and failed > 500 and brute > 150, (reduced, failed, brute)
 
 
 def test_s_extendibility_errors():

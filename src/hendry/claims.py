@@ -4,6 +4,9 @@ Each claim id maps to a scripted exact verification: the claim builds the
 family, runs the relevant recognizers/searches and adds its checks (verdicts
 with witnesses) to the run that `run_claim` hands it.  The ids follow the
 claim table (docs/claims.md), so a run can be replayed by name from the CLI.
+Non-extendibility (claims 2.8, 2.9 and 3.1) is proved as the paper argues
+it, by three searches on kernels: V - {z, vk} is cyclable and neither
+one-vertex extension is.  No table is built, so the table cap does not apply.
 """
 
 from __future__ import annotations
@@ -90,26 +93,24 @@ def model_check(model, g):
 
 def claim_2_3(run, params):
     """Base graphs are strongly chordal; the standard ordering eliminates them."""
-    for k in params.get("k_range", [params.get("k", 3)]):
-        g = build_gk(k)
-        run.check(f"gk({k}) strongly chordal",
-                  lambda g=g: chordal.is_strongly_chordal(g))
-        order = gk_reference_elimination_order(k)
-        run.check(f"gk({k}) standard order is a simple elimination order",
-                  lambda g=g, o=order: chordal.is_simple_elimination_order(g, o))
+    k = params.get("k", 3)
+    g = build_gk(k)
+    run.check(f"gk({k}) strongly chordal", lambda: chordal.is_strongly_chordal(g))
+    order = gk_reference_elimination_order(k)
+    run.check(f"gk({k}) standard order is a simple elimination order",
+              lambda: chordal.is_simple_elimination_order(g, order))
 
 
 def _gk_witness(run, params, name, witness, missing):
     """gk(k)'s witness(k) spans V minus the roles missing(k) and takes every heavy edge."""
-    for k in params.get("k_range", [params.get("k", 3)]):
-        g = build_gk(k)
-        cyc = witness(k).validate(g)
-        want = frozenset(range(g.n)) - {g.vertex(role) for role in missing(k)}
-        run.check(f"gk({k}) {name} witness",
-                  lambda g=g, c=cyc, w=want: (
-                      c.vertex_set == w
-                      and all(e in c.edge_set() for e in g.heavy_edges),
-                      list(c)))
+    k = params.get("k", 3)
+    g = build_gk(k)
+    cyc = witness(k).validate(g)
+    want = frozenset(range(g.n)) - {g.vertex(role) for role in missing(k)}
+    run.check(f"gk({k}) {name} witness",
+              lambda: (cyc.vertex_set == want
+                       and all(e in cyc.edge_set() for e in g.heavy_edges),
+                       list(cyc)))
 
 
 def claim_2_4(run, params):
@@ -143,30 +144,19 @@ def claim_2_8(run, params) -> LabeledGraph:
     spec = HkSpec(k, _sizes(params, k))
     h = build_hk(spec)
     run.check(f"hk{spec.clique_sizes} Hamiltonian", lambda: _lifted_ham(k, h))
-    expect = frozenset(range(h.n)) - {h.vertex("z"), h.vertex(f"v{k}")}
-    if cycles.table_fits(h):
-        verdict = None
-
-        def scan():
-            nonlocal verdict
-            verdict = cycles.is_cycle_extendible(h)
-            return not verdict.extendible, sorted(verdict.witness or ())
-        run.check("not cycle extendible", scan)
-        run.check("witness misses exactly z and vk",
-                  lambda: (verdict.witness == expect, sorted(expect)))
-    else:
-        _frozen_set_checks(run, h, expect)
+    _not_extendible(run, h, k, "not cycle extendible")
     return h
 
 
-def _frozen_set_checks(run, g, frozen):
-    """Past the table cap, search the frozen set directly: it is cyclable, and
-    adding either vertex it misses is not."""
-    run.check("frozen set is cyclable",
-              lambda: (cycles.find_spanning_cycle(g, frozen) is not None, sorted(frozen)))
-    for v in sorted(set(range(g.n)) - frozen):
-        run.check(f"frozen set + vertex {v} is not cyclable",
-                  lambda v=v: (cycles.find_spanning_cycle(g, frozen | {v}) is None, None))
+def _not_extendible(run, g, k, name):
+    """g is not cycle extendible: V - {z, vk} is cyclable, and adding z or vk
+    is not (the paper's argument).  The witness is V - {z, vk}."""
+    z, vk = g.vertex("z"), g.vertex(f"v{k}")
+    frozen = set(range(g.n)) - {z, vk}
+    run.check(name, lambda: (
+        cycles.find_spanning_cycle(g, frozen) is not None
+        and all(cycles.find_spanning_cycle(g, frozen | {v}) is None for v in (z, vk)),
+        sorted(frozen)))
 
 
 def claim_2_9(run, params):
@@ -194,15 +184,7 @@ def claim_3_1(run, params):
               lambda: (structure.is_pt_free(hp, 9), None))
     run.check("h_plus strongly chordal", lambda: chordal.is_strongly_chordal(hp))
     run.check("h_plus Hamiltonian", lambda: _lifted_ham(3, hp))
-    expect = frozenset(range(hp.n)) - {hp.vertex("z"), hp.vertex("v3")}
-    if cycles.table_fits(hp):
-        def scan():
-            verdict = cycles.is_cycle_extendible(hp)
-            return (not verdict.extendible and verdict.witness == expect,
-                    sorted(verdict.witness or ()))
-        run.check("h_plus not cycle extendible", scan)
-    else:
-        _frozen_set_checks(run, hp, expect)
+    _not_extendible(run, hp, 3, "h_plus not cycle extendible")
 
 
 def claim_3_2(run, params):
@@ -252,9 +234,9 @@ def claim_3_5(run, params):
     """Counterexamples exist at every connectivity: 2 via pastes, k >= 3 via blow-ups."""
     h = build_hk(HkSpec(3, (3,) * 5))
     run.check("hk(3, all 3) has connectivity exactly 2", lambda: _kappa_is(h, 2))
-    for k in params.get("k_range", [params.get("k", 3)]):
-        run.check(f"s({k}) has connectivity exactly {k}",
-                  lambda s=build_s(k), k=k: _kappa_is(s, k))
+    k = params.get("k", 3)
+    s = build_s(k)
+    run.check(f"s({k}) has connectivity exactly {k}", lambda: _kappa_is(s, k))
 
 
 def claim_3_6(run, params):
@@ -278,11 +260,10 @@ def claim_3_6(run, params):
 
 def claim_4_1(run, params):
     """Edge counts of the dense family; the three dense exceptions do not extend."""
-    for n in params.get("n_range", [params.get("n", 15)]):
-        d = build_dn(n)
-        want = (n - 12) * (n - 13) // 2 + 37
-        run.check(f"dn({n}) has {want} edges",
-                  lambda d=d, w=want: (d.edge_count == w, d.edge_count))
+    n = params.get("n", 15)
+    d = build_dn(n)
+    want = (n - 12) * (n - 13) // 2 + 37
+    run.check(f"dn({n}) has {want} edges", lambda: (d.edge_count == want, d.edge_count))
     for which, n in ((1, 8), (2, 5), (3, 8)):
         g = build_hendry_exception(which, n)
         run.check(f"exception {which} fails full cycle extendibility",

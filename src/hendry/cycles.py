@@ -19,18 +19,19 @@ Two exact mechanisms back every predicate here, one per kind of question:
   miss is a proof of nonexistence.
 
 Before an existence search, the set is kernelized: segments that every
-spanning cycle must cross in one piece are contracted to forced pairs, and a
-kernel cycle is lifted back and validated on the full graph.  The paste rule
-turns a clique P whose closed neighbourhoods are all P+{a,b} into a forced
-edge ab (so hk reduces to gk with its heavy edges forced).  The chain rule
-takes two tight twin classes (T on A, T' on A', |A| = |T|+1, |A'| = |T'|+1)
-whose sets share exactly one vertex x: x must end both alternating paths, so
-A+T+A'+T' is one segment, contracted to its two end sets A-x and A'-x joined
-by a forced edge (in s(k) this is each F_i+x_i+T_i+F'_i+T'_i).  A lone tight
-class is left to the search: both of its ends come from one set, and that
-choice is coupled across segments.  A heavy-cycle question is the same
-search on the set with a triangle pasted on each heavy edge, which the paste
-rule contracts straight back into forced pairs.
+spanning cycle must cross in one piece are contracted to forced pairs, the
+search cap bounds this kernel, and a kernel cycle is lifted back and
+validated on the full graph.  The paste rule turns a clique P whose closed
+neighbourhoods are all P+{a,b} into a forced edge ab (so hk reduces to gk
+with its heavy edges forced).  The chain rule takes two tight twin classes (T
+on A, T' on A', |A| = |T|+1, |A'| = |T'|+1) whose sets share exactly one
+vertex x: x must end both alternating paths, so A+T+A'+T' is one segment,
+contracted to its two end sets A-x and A'-x joined by a forced edge (in s(k)
+this is each F_i+x_i+T_i+F'_i+T'_i).  A lone tight class is left to the
+search: both of its ends come from one set, and that choice is coupled across
+segments.  A heavy-cycle question is the same search on the set with a
+triangle pasted on each heavy edge, which the paste rule contracts straight
+back into forced pairs.
 
 Cycle extendibility is decided on vertex subsets: a cycle with vertex set S
 exists iff S is cyclable, and extending by s vertices is a superset question,
@@ -120,12 +121,6 @@ def _twin_quotient(g: LabeledGraph) -> CyclableTable:
     class_of, masks = _twin_classes(g.adjacency_masks(), [0] * g.n, g.n)
     masks += [1 << v for v in range(g.n) if class_of[v] < 0]
     return CyclableTable(g.n, sorted(masks, key=lambda m: m & -m))
-
-
-def table_fits(g: LabeledGraph) -> bool:
-    """Does the table that decides g's cycle extendibility (the paste
-    kernel's) fit the cap of 2^subset_cap() cells?"""
-    return _twin_quotient(_paste_kernel(g)[0]).cells <= 1 << subset_cap()
 
 
 def _digit_masks(table: CyclableTable):
@@ -542,14 +537,11 @@ def _kernelize(adj: list[int]) -> _Kernel:
     return _Kernel(kadj, forced, members, plain, adj, pastes, segments)
 
 
-def _members(g: LabeledGraph, subset, cap: int) -> list[int]:
-    """The sorted ids of `subset`, checked against g and the cap."""
+def _members(g: LabeledGraph, subset) -> list[int]:
+    """The sorted ids of `subset`, checked against g."""
     vs = sorted(set(subset))
     if any(not 0 <= v < g.n for v in vs):
         raise GraphError("subset contains invalid vertex ids")
-    if len(vs) > cap:
-        raise SizeCapError(
-            f"spanning-cycle search capped at {cap} vertices, got {len(vs)}")
     return vs
 
 
@@ -591,15 +583,19 @@ def find_spanning_cycle(g: LabeledGraph, subset=None, cap: int = BACKTRACK_CAP) 
 
     Exhaustive backtracking on the kernel of the set (contracted pastes and
     chained tight classes, then twin symmetry), so the blow-ups answer in
-    milliseconds.  The cap bounds the set before kernelization.
+    milliseconds.  The cap bounds the kernel, the graph the search runs on:
+    s(k) contracts to 4k-3 vertices, while gk(k) does not shrink.
     """
-    vs = _members(g, range(g.n) if subset is None else subset, cap)
+    vs = _members(g, range(g.n) if subset is None else subset)
     if len(vs) < 3:
         return None
     adj = _local_adjacency(g, vs)
     if any(nb.bit_count() < 2 for nb in adj):
         return None
     kernel = _kernelize(adj)
+    if len(kernel.adj) > cap:
+        raise SizeCapError(
+            f"spanning-cycle search capped at {cap} kernel vertices, got {len(kernel.adj)}")
     tour = _spanning_cycle_search(kernel.adj, kernel.forced)
     return Cycle(vs[i] for i in kernel.lift(tour)).validate(g) if tour else None
 
@@ -611,19 +607,18 @@ def find_heavy_cycle(g: LabeledGraph, subset) -> Cycle | None:
     edge ab (a new vertex w adjacent to a and b alone) is Hamiltonian: a
     spanning cycle crosses each w as a-w-b, and dropping the w's leaves the
     heavy cycle.  The kernel's paste rule contracts each w back into a forced
-    pair ab.  A heavy edge with an endpoint outside the subset answers None
-    before the search's cap applies to the subset.
+    pair ab, so the search's cap counts no w.  A heavy edge with an endpoint
+    outside the subset answers None without a search.
     """
     if not g.heavy_edges:
         raise GraphError("graph has no heavy edges")
-    vs = _members(g, subset, g.n)  # ids checked before the heavy test, the cap after
+    vs = _members(g, subset)
     if len(vs) < 3 or not all(a in vs and b in vs for a, b in g.heavy_edges):
         return None
-    _members(g, vs, BACKTRACK_CAP)
     n, ws = g.n, list(range(g.n, g.n + len(g.heavy_edges)))
     pasted = LabeledGraph(n + len(ws), g.edges() + [
         (u, w) for w, e in zip(ws, g.heavy_edges) for u in e])
-    tour = find_spanning_cycle(pasted, vs + ws, cap=len(vs) + len(ws))
+    tour = find_spanning_cycle(pasted, vs + ws)
     return Cycle(v for v in tour if v < n).validate(g) if tour else None
 
 

@@ -77,10 +77,6 @@ class HkSpec:
         if any(s < 3 for s in sizes):
             raise GraphError("every pasted clique must have order >= 3")
 
-    @classmethod
-    def uniform(cls, k: int) -> "HkSpec":
-        return cls(k, default_clique_sizes(k))
-
 
 def build_hk(spec: HkSpec) -> LabeledGraph:
     """Paste one clique per heavy edge of the base graph."""

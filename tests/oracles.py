@@ -1,13 +1,13 @@
 """Brute-force oracles the exact engines are checked against, and graph
-helpers only the tests use (small builders, induced subgraphs, contraction,
-isomorphism, labelled equality, blow-up blocks, one set's cell of a filled
-cyclable table).  The family builders, the model check, maximum
-cardinality search, the maximal-clique filter, the induced-path search and
-the spanning-cycle search's front end (subset adjacency, kernel rows,
-forced-edge propagation) also have slow twins here, composed from public
-primitives or scanning vertices, pairs, candidates or single bits, as the
-fast paths did before they replaced them; the builder twins paste through
-`paste_clique`, which shares the one-pass loop.
+helpers only the tests use (small builders, the default hk spec, induced
+subgraphs, contraction, isomorphism, labelled equality, blow-up blocks, one
+set's cell of a filled cyclable table).  The family builders, the model
+check, maximum cardinality search, the maximal-clique filter, the
+induced-path search and the spanning-cycle search's front end (subset
+adjacency, kernel rows, forced-edge propagation) also have slow twins here,
+composed from public primitives or scanning vertices, pairs, candidates or
+single bits, as the fast paths did before they replaced them; the builder
+twins paste through `paste_clique`, which shares the one-pass loop.
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -38,8 +38,14 @@ from hendry import (
 )
 from hendry.core import reach, shortest_path
 from hendry.cycles import _Kernel, _drops, _smallest_cell
+from hendry.families import default_clique_sizes
 
 DEFINITIONAL_CAP = 14
+
+
+def uniform_spec(k: int) -> HkSpec:
+    """hk(k)'s spec with the default clique sizes."""
+    return HkSpec(k, default_clique_sizes(k))
 
 
 def gnp(n: int, p: float, rng) -> LabeledGraph:

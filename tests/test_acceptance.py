@@ -54,6 +54,7 @@ from oracles import (
     permutation_cyclable_sets,
     table_cyclable,
     three_sun,
+    uniform_spec,
 )
 
 
@@ -116,7 +117,7 @@ def test_criterion_4_pasted_counterexamples():
     # n = 15 gets the full subset table; 16..20 get the targeted witness checks
     ok = True
     t0 = time.perf_counter()
-    h15 = build_hk(HkSpec.uniform(3))
+    h15 = build_hk(uniform_spec(3))
     expect = frozenset(range(h15.n)) - {h15.vertex("z"), h15.vertex("v3")}
     table = build_cyclable_table(h15)
     verdict = is_cycle_extendible(h15)
@@ -157,7 +158,7 @@ def test_criterion_5_induced_path_bound():
     named = [g.vertex(nm) for nm in ("u1", "u3", "z", "v3", "v2", "v1")]
     ok &= induces_path(gp, named)
 
-    hp = build_h_plus(HkSpec.uniform(3))
+    hp = build_h_plus(uniform_spec(3))
     ok &= is_pt_free(hp, 9)
     ok &= bool(is_chordal(hp)) and is_strongly_chordal(hp)
     table = build_cyclable_table(hp)
@@ -263,7 +264,7 @@ def test_criterion_8_tree_models():
     t0 = time.perf_counter()
     ok = True
     for k in range(3, 7):
-        spec = HkSpec.uniform(k)
+        spec = uniform_spec(k)
         model = explicit_model_hk(spec)
         good, _ = verify_model(model, build_hk(spec))
         ok &= good and tree_stats(model.host) == (2 * k - 1, 2 * k - 3, 3)

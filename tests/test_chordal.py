@@ -40,6 +40,7 @@ from oracles import (
     peo_violation_by_pairs,
     random_chordal,
     three_sun,
+    uniform_spec,
 )
 
 
@@ -107,8 +108,8 @@ def test_is_chordal_certificates():
     assert not res
     assert len(res.hole) == 5
     assert_induced_cycle(cycle_graph(5), res.hole)
-    res = is_chordal(build_hk(HkSpec.uniform(3)))
-    assert res and is_peo(build_hk(HkSpec.uniform(3)), list(res.peo))
+    res = is_chordal(build_hk(uniform_spec(3)))
+    assert res and is_peo(build_hk(uniform_spec(3)), list(res.peo))
     assert is_chordal(build_s(3))
 
 
@@ -133,7 +134,7 @@ def test_simple_vertex_examples():
 
 
 def test_greedy_simple_order_is_simple_by_definition():
-    for g in (build_gk(3), build_gk(4), build_hk(HkSpec.uniform(3)), complete_graph(5)):
+    for g in (build_gk(3), build_gk(4), build_hk(uniform_spec(3)), complete_graph(5)):
         order = find_simple_elimination_order(g)
         assert order is not None
         for i, v in enumerate(order):
@@ -157,7 +158,7 @@ def test_simple_elimination_greedy():
 def test_hk_elimination_pasted_first_order_is_valid():
     # deleting the pasted interiors in any order and then following the base
     # graph's reference order is a simple elimination ordering
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     pasted = h.vertices_with_prefix("paste")
     order = pasted + gk_reference_elimination_order(3)
     assert is_simple_elimination_order(h, order)
@@ -170,7 +171,7 @@ def test_strongly_chordal_families():
         assert is_strongly_chordal(build_gk(k))
     assert is_strongly_chordal(build_jk(3, (3,) * 5, 6))
     assert is_strongly_chordal(build_gkm(3, 2))
-    assert is_strongly_chordal(build_hk(HkSpec.uniform(3)))
+    assert is_strongly_chordal(build_hk(uniform_spec(3)))
 
 
 def test_three_sun_separates():
@@ -189,7 +190,7 @@ def test_definitional_agreement_smoke():
 
 def test_definitional_cap():
     with pytest.raises(SizeCapError):
-        is_strongly_chordal_definitional(build_hk(HkSpec.uniform(3)))
+        is_strongly_chordal_definitional(build_hk(uniform_spec(3)))
 
 
 def test_greedy_orders_always_validate():
@@ -205,10 +206,10 @@ def test_greedy_orders_always_validate():
 def test_bull_free_examples():
     assert is_bull_free(complete_graph(5))
     assert is_bull_free(path_graph(5))
-    res = is_bull_free(build_hk(HkSpec.uniform(3)))
+    res = is_bull_free(build_hk(uniform_spec(3)))
     assert not res
     w = res.witness
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     degs = sorted(sum(1 for u in w if u != v and h.has_edge(u, v)) for v in w)
     assert degs == [1, 1, 2, 3, 3]
 
@@ -282,7 +283,7 @@ def test_bull_sweep_skips_the_witness_search_on_bull_free_graphs(monkeypatch):
     for g in free:
         assert is_bull_free(g) == BullResult(True, None)
     assert calls[0] == 0
-    for g in (build_hk(HkSpec.uniform(3)), build_h_plus(HkSpec.uniform(3)),
+    for g in (build_hk(uniform_spec(3)), build_h_plus(uniform_spec(3)),
               build_dn(20), build_s(3)):
         calls[0] = 0
         assert not is_bull_free(g)

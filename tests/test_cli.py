@@ -11,9 +11,9 @@ from hendry import (
     build_hk, build_hkm, build_jk, build_s, chordal, cli, cycles, encode_graph6, load_graph,
     save_graph, structure,
 )
-from hendry.claims import CLAIMS
+from hendry.claims import CLAIMS, run_claim
 from hendry.cli import main
-from oracles import cycle_graph
+from oracles import cycle_graph, uniform_spec
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -69,7 +69,7 @@ FAMILY_CASES = [
     ("hk", "--k 3 --sizes 3,4,3,4,3", "hk(k=3, sizes=(3, 4, 3, 4, 3))",
      lambda: build_hk(HkSpec(3, (3, 4, 3, 4, 3)))),
     ("hplus", "--k 3", "hplus(k=3, sizes=(3, 3, 3, 3, 3))",
-     lambda: build_h_plus(HkSpec.uniform(3))),
+     lambda: build_h_plus(uniform_spec(3))),
     ("s", "--k 3", "s(k=3)", lambda: build_s(3)),
     ("gkm", "--k 3 --m 2", "gkm(k=3, m=2)", lambda: build_gkm(3, 2)),
     ("hkm", "--k 3 --m 1 --sizes 3,5,3,3,3", "hkm(k=3, m=1, sizes=(3, 5, 3, 3, 3))",
@@ -257,14 +257,18 @@ def test_certify_lemma_26(capsys):
 
 @pytest.mark.parametrize("k, want_code, want", [(7, 0, True), (13, 0, True), (14, 3, None)])
 def test_certify_lemma_26_up_to_the_search_cap(capsys, k, want_code, want):
-    # V - z and V - vk of gk(k) have 3k vertices: k = 13 fits the 40-vertex
-    # search cap, and past it each check reports a null verdict
-    code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:2.6", "--k", str(k))
+    # gk(k) does not shrink, so the kernels of V - z and V - vk keep their 3k
+    # vertices: k = 13 fits the 40-vertex search cap, and past it each check
+    # is still reported, with a null verdict
+    code, stdout, err = run_cli(capsys, "certify", "--mode", "lemma:2.6", "--k", str(k))
     assert code == want_code
     results = report_of(stdout)["results"]
     assert [r["verdict"] for r in results] == [want] * 4
     if want is None:
-        assert all(r["detail"].startswith("cap exceeded: ") for r in results)
+        for r in results:
+            assert r["detail"] == ("cap exceeded: spanning-cycle search capped at 40 "
+                                   "kernel vertices, got 42")
+            assert f"{r['name']}: {r['detail']}\n" in err
 
 
 def test_certify_lemma_36(capsys):
@@ -282,70 +286,68 @@ def test_certify_s_extendibility(capsys):
     assert res["verdict"] is False
 
 
-def test_capped_lemma_checks_report_null(capsys):
-    # s(5) has 62 vertices: every search in claim 3.3 exceeds the 40-vertex cap,
-    # yet each check is still reported
-    code, stdout, err = run_cli(capsys, "certify", "--mode", "lemma:3.3", "--k", "5")
-    assert code == 3
-    results = report_of(stdout)["results"]
-    assert len(results) == 3
-    for r in results:
-        assert r["verdict"] is None
-        assert r["detail"].startswith("cap exceeded: ")
-        assert f"{r['name']}: {r['detail']}\n" in err
-
-
-@pytest.mark.parametrize("claim, family, sizes, cap", [
-    ("2.8", build_hk, "3,3,3,3,3", "10"),      # 2^15 cells, past a lowered cap
-    ("3.1", build_h_plus, "5,5,5,5,5", "14")])  # 25 vertices, a paste kernel of 2^15 cells
-def test_claims_search_the_frozen_set_past_the_table_cap(capsys, monkeypatch, claim, family,
-                                                         sizes, cap):
-    # instead of a table scan, V - {z, v3} and its two one-vertex extensions
-    # are searched; claim 3.1 used to drop its extendibility check here
-    monkeypatch.setenv("HENDRY_SUBSET_CAP", cap)
-    g = family(HkSpec(3, tuple(map(int, sizes.split(",")))))
-    assert_frozen_set_searched(
-        g, 3, *run_cli(capsys, "certify", "--mode", f"lemma:{claim}", "--sizes", sizes)[:2])
-
-
-def test_claim_2_8_searches_the_frozen_set_at_the_default_cap(capsys, monkeypatch):
-    # hk(5) has 25 vertices and no twins, so its table has 2^25 cells: the
-    # frozen-set search is the only way to certify it at the default cap
-    monkeypatch.delenv("HENDRY_SUBSET_CAP", raising=False)
-    g = build_hk(HkSpec.uniform(5))
-    assert not cycles.table_fits(g)
-    assert_frozen_set_searched(
-        g, 5, *run_cli(capsys, "certify", "--mode", "lemma:2.8", "--k", "5")[:2])
-
-
-def test_claim_2_8_scans_the_paste_kernel_past_the_search_cap(capsys, monkeypatch):
-    # hk(3; 9^5) has 45 vertices, past the 40-vertex search cap and, as a
-    # whole, past the table cap; its paste kernel has 15 vertices, so the
-    # claim scans it and the witness lifts back to V - {z, v3}
-    monkeypatch.delenv("HENDRY_SUBSET_CAP", raising=False)
-    g = build_hk(HkSpec(3, (9,) * 5))
-    assert cycles.table_fits(g)
-    code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:2.8", "--sizes", "9,9,9,9,9")
+def test_lemma_3_3_at_k5_is_exact_on_its_kernel(capsys):
+    # s(5) has 62 vertices, past the 40-vertex search cap, but the cap bounds
+    # the kernel, and the chain rule contracts s(5) to 17 vertices
+    code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:3.3", "--k", "5")
     assert code == 0
     by_name = {r["name"]: r for r in report_of(stdout)["results"]}
-    assert by_name["not cycle extendible"]["verdict"] is True
-    assert by_name["not cycle extendible"]["witness"] == sorted(
-        set(range(g.n)) - {g.vertex("z"), g.vertex("v3")})
-    assert all(r["verdict"] for r in by_name.values())
+    assert {name: r["verdict"] for name, r in by_name.items()} == {
+        "s(5): V minus z,v5 cyclable": True,
+        "s(5): V minus z not cyclable": True,
+        "s(5): V minus v5 not cyclable": True}
+    s5 = build_s(5)
+    assert by_name["s(5): V minus z,v5 cyclable"]["witness"] == sorted(
+        set(range(s5.n)) - {s5.vertex("z"), s5.vertex("v5")})
 
 
-def assert_frozen_set_searched(g, k, code, stdout):
-    """The report holds V - {z, vk} as cyclable, neither one-vertex extension
-    as cyclable, and every other check true; the run exits 0."""
-    z, vk = g.vertex("z"), g.vertex(f"v{k}")
-    assert code == 0
-    by_name = {r["name"]: r for r in report_of(stdout)["results"]}
-    frozen = [by_name.pop(name) for name in (
-        "frozen set is cyclable", f"frozen set + vertex {z} is not cyclable",
-        f"frozen set + vertex {vk} is not cyclable")]
-    assert [r["verdict"] for r in frozen] == [True] * 3
-    assert frozen[0]["witness"] == sorted(set(range(g.n)) - {z, vk})
-    assert all(r["verdict"] for r in by_name.values())
+@pytest.mark.parametrize("k", range(3, 10))
+def test_blowup_lemmas_are_exact_up_to_k9(k):
+    # s(k) contracts to a kernel of 4k - 3 vertices, so every check answers;
+    # at k = 3 the smallest blow-up has a spanning cycle on V - z
+    assert all(r.verdict for r in run_claim("3.2", {"k": k}).results)
+    verdicts = {r.name: r.verdict for r in run_claim("3.3", {"k": k}).results}
+    refuted = {"s(3): V minus z not cyclable"} if k == 3 else set()
+    assert {name for name, v in verdicts.items() if v is not True} == refuted
+    assert all(v is False for name, v in verdicts.items() if name in refuted)
+
+
+def test_claim_2_8_is_exact_up_to_k13():
+    # hk(k) contracts to gk(k) with its heavy edges forced: V - {z, vk} plus
+    # one vertex has 3k vertices, within the 40-vertex search cap up to k = 13;
+    # all eleven runs take about 0.02 s on a 2-core VM with Python 3.11
+    t0 = time.perf_counter()
+    runs = [run_claim("2.8", {"k": k}) for k in range(3, 14)]
+    assert time.perf_counter() - t0 < 2.0
+    for k, run in zip(range(3, 14), runs):
+        assert [r.verdict for r in run.results] == [True, True], k
+
+
+@pytest.mark.parametrize("claim, k, sizes", [
+    ("2.8", 3, "3,3,3,3,3"), ("2.8", 3, "9,9,9,9,9"), ("2.8", 4, None), ("2.8", 5, None),
+    ("3.1", 3, "5,5,5,5,5")])
+def test_claims_prove_non_extendibility_on_the_frozen_set(capsys, monkeypatch, claim, k, sizes):
+    # one check: V - {z, vk} is cyclable and neither one-vertex extension is,
+    # with V - {z, vk} as witness; no table is built, so the table cap
+    # (lowered to 2^3 cells) changes nothing
+    argv = ["certify", "--mode", f"lemma:{claim}"]
+    argv += ["--k", str(k)] if claim == "2.8" else []
+    argv += ["--sizes", sizes] if sizes else []
+    spec = HkSpec(k, tuple(map(int, sizes.split(",")))) if sizes else uniform_spec(k)
+    g = (build_h_plus if claim == "3.1" else build_hk)(spec)
+    name = "h_plus not cycle extendible" if claim == "3.1" else "not cycle extendible"
+    for cap in (None, "3"):
+        if cap is None:
+            monkeypatch.delenv("HENDRY_SUBSET_CAP", raising=False)
+        else:
+            monkeypatch.setenv("HENDRY_SUBSET_CAP", cap)
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        by_name = {r["name"]: r for r in report_of(stdout)["results"]}
+        assert by_name[name]["verdict"] is True
+        assert by_name[name]["witness"] == sorted(
+            set(range(g.n)) - {g.vertex("z"), g.vertex(f"v{k}")})
+        assert all(r["verdict"] for r in by_name.values())
 
 
 def test_claim_time_goes_to_the_check_that_does_the_work(capsys, monkeypatch):

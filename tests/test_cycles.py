@@ -60,6 +60,7 @@ from oracles import (
     table_by_sweeps,
     table_cyclable,
     twin_blowup,
+    uniform_spec,
 )
 
 
@@ -319,7 +320,7 @@ def test_gk_targeted_sets():
 
 
 def test_hamiltonian_cycle_certificates():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     c = find_spanning_cycle(h)
     assert c is not None and c.vertex_set == frozenset(range(h.n))
     s = build_s(3)
@@ -340,7 +341,7 @@ def test_subdivided_and_center_pasted_families_hamiltonian():
 
 def test_search_cycles_for_cyclable_sets():
     # the first 200 cyclable sets of the table each get a validated spanning cycle
-    g = build_hk(HkSpec.uniform(3))
+    g = build_hk(uniform_spec(3))
     t = build_cyclable_table(g)
     reps = representative_masks(t.classes)
     masks = [reps[cell] for cell in bits_of(t.cyc)[:200]]
@@ -367,7 +368,7 @@ def _no_vertex_extends(g, subset):
 
 
 def test_hk_witness_has_no_extension():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     t = build_cyclable_table(h)
     frozen = frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
     assert table_cyclable(t, frozen)
@@ -384,7 +385,7 @@ def test_jk_lifted_long_cycle_has_no_extension():
 def test_targeted_extension_emptiness_k3_to_5():
     # the frozen two-short set never extends, checked without a full table
     for k in (3, 4, 5):
-        h = build_hk(HkSpec.uniform(k))
+        h = build_hk(uniform_spec(k))
         frozen = set(range(h.n)) - {h.vertex("z"), h.vertex(f"v{k}")}
         assert find_spanning_cycle(h, frozen) is not None
         for v in (h.vertex("z"), h.vertex(f"v{k}")):
@@ -393,7 +394,7 @@ def test_targeted_extension_emptiness_k3_to_5():
 
 def test_is_cycle_extendible_examples():
     assert is_cycle_extendible(complete_graph(6)).extendible
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     verdict = is_cycle_extendible(h)
     assert not verdict.extendible
     assert verdict.witness == frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
@@ -415,7 +416,7 @@ def test_every_n_from_15_is_decided_on_the_paste_kernel():
 
 
 def test_witnesses_revalidate():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     verdict = is_cycle_extendible(h)
     assert is_cyclable(h, verdict.witness)
     assert all(not is_cyclable(h, set(verdict.witness) | {v})
@@ -451,7 +452,7 @@ def test_s_extendibility_examples():
 
 def test_hk_two_jump_extendibility():
     # the frozen set repairs only by adding both z and vk at once
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     t = build_cyclable_table(h)
     frozen = frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
     assert table_cyclable(t, frozen | {h.vertex("z"), h.vertex("v3")})
@@ -720,6 +721,16 @@ def test_size_caps():
         is_cyclable(big)
     with pytest.raises(SizeCapError):
         find_heavy_cycle(build_gk(14), range(43))
+
+
+def test_search_cap_bounds_the_kernel():
+    # s(5) has 62 vertices and a 17-vertex kernel, so the default cap admits
+    # it; gk(14) has no twins and no rule fires, so its kernel keeps 43
+    s5 = build_s(5)
+    c = find_spanning_cycle(s5)
+    assert c is not None and c.validate(s5).vertex_set == frozenset(range(s5.n))
+    with pytest.raises(SizeCapError, match="capped at 40 kernel vertices, got 43"):
+        find_spanning_cycle(build_gk(14))
 
 
 def test_subset_cap_env(monkeypatch):

@@ -33,6 +33,7 @@ from oracles import (
     paste_one_by_one,
     same_adjacency,
     same_labelled_graph,
+    uniform_spec,
 )
 
 
@@ -72,11 +73,11 @@ def test_heavy_edge_order_fixed():
 
 
 def test_hk_counts():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     assert (h.n, h.edge_count) == (15, 40)
     h2 = build_hk(HkSpec(3, (3, 3, 3, 3, 4)))
     assert h2.n == 16
-    for spec in (HkSpec.uniform(3), HkSpec(3, (3, 3, 3, 3, 4)), HkSpec(4, (3, 4, 5, 6, 3, 4, 7))):
+    for spec in (uniform_spec(3), HkSpec(3, (3, 3, 3, 3, 4)), HkSpec(4, (3, 4, 5, 6, 3, 4, 7))):
         assert build_hk(spec).n == hk_order(spec)
 
 
@@ -90,7 +91,7 @@ def test_hk_spec_errors():
 
 
 def test_h_plus():
-    hp = build_h_plus(HkSpec.uniform(3))
+    hp = build_h_plus(uniform_spec(3))
     assert (hp.n, hp.edge_count) == (15, 41)
     assert hp.has_edge(hp.vertex("u1"), hp.vertex("u3"))
 
@@ -153,7 +154,7 @@ def test_dn():
 
 
 def test_dn_15_is_uniform_hk():
-    assert same_adjacency(build_dn(15), build_hk(HkSpec.uniform(3)))
+    assert same_adjacency(build_dn(15), build_hk(uniform_spec(3)))
 
 
 def test_hendry_exceptions():
@@ -188,7 +189,7 @@ def test_witness_cycles_validate():
 
 
 def test_lift_cycle():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     lifted = lift_cycle(witness_heavy_ham_cycle(3), h)
     assert len(lifted) == 15
     assert lifted.vertex_set == frozenset(range(h.n))
@@ -199,14 +200,14 @@ def test_lift_cycle():
 
 
 def test_lift_one_vertex_per_triangle():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     base = witness_heavy_ham_cycle(3)
     lifted = lift_cycle(base, h)
     assert len(lifted) - len(base) == 5
 
 
 def test_lift_requires_all_heavy_edges():
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     from hendry import Cycle
     triangle = Cycle([h.vertex("x1"), h.vertex("u1"), h.vertex("x2")]).validate(h)
     with pytest.raises(GraphError):

@@ -7,7 +7,6 @@ import oracles
 from hendry import (
     ConnectivityCert,
     GraphError,
-    HkSpec,
     LabeledGraph,
     SizeCapError,
     build_dn,
@@ -39,6 +38,7 @@ from oracles import (
     small_graphs,
     split_digraph_flow,
     twin_blowup,
+    uniform_spec,
 )
 from test_chordal import census_family_members
 
@@ -81,7 +81,7 @@ def test_kappa_blowups_exact():
 
 
 def test_kappa_hk_is_two():
-    assert vertex_connectivity(build_hk(HkSpec.uniform(3))).kappa == 2
+    assert vertex_connectivity(build_hk(uniform_spec(3))).kappa == 2
 
 
 def test_kappa_disconnected():
@@ -163,10 +163,10 @@ def test_longest_induced_path_matches_memo_oracle():
 def test_pt_free():
     assert is_pt_free(cycle_graph(5), 5)
     assert not is_pt_free(path_graph(5), 5)
-    hp = build_h_plus(HkSpec.uniform(3))
+    hp = build_h_plus(uniform_spec(3))
     assert is_pt_free(hp, 9)
     # the plain pasted graph keeps a long induced path through the u-side
-    h = build_hk(HkSpec.uniform(3))
+    h = build_hk(uniform_spec(3))
     length, _ = longest_induced_path(h)
     assert is_pt_free(h, 9) == (length < 9)
     with pytest.raises(GraphError):
@@ -323,7 +323,7 @@ def test_separator_floor_is_kappa_and_certificate_is_the_pair_scans_on_chordal_g
 
 def test_connectivity_runs_one_flow_on_the_paper_families(monkeypatch):
     graphs = [build_s(k) for k in range(3, 9)] + [build_gk(k) for k in range(3, 8)]
-    for g in graphs + [build_hk(HkSpec.uniform(3))]:
+    for g in graphs + [build_hk(uniform_spec(3))]:
         ran = flow_pairs(monkeypatch)
         vertex_connectivity(g)
         assert len(ran) == 1, ran

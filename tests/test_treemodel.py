@@ -30,6 +30,7 @@ from oracles import (
     cycle_graph,
     maximal_cliques_by_containment,
     random_chordal,
+    uniform_spec,
     verify_model_by_pairs,
 )
 from test_chordal import census_family_members
@@ -81,7 +82,7 @@ def test_clique_tree_examples():
 
 
 def test_clique_tree_verifies_on_families():
-    graphs = [build_gk(3), build_hk(HkSpec.uniform(3)),
+    graphs = [build_gk(3), build_hk(uniform_spec(3)),
               build_hk(HkSpec(3, (4, 3, 3, 3, 5))), build_s(3),
               build_jk(3, (3,) * 5, 6)]
     for g in graphs:
@@ -186,7 +187,7 @@ def test_verify_model_catches_wrong_adjacency():
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_explicit_model_hk(k):
-    spec = HkSpec.uniform(k)
+    spec = uniform_spec(k)
     model = explicit_model_hk(spec)
     ok, why = verify_model(model, build_hk(spec))
     assert ok, why
@@ -243,7 +244,7 @@ def test_jk_center_assignments():
 
 
 def test_model_serialization():
-    model = explicit_model_hk(HkSpec.uniform(3))
+    model = explicit_model_hk(uniform_spec(3))
     d = model.to_dict()
     assert set(d) == {"host_edges", "host_labels", "assign"}
     assert len(d["assign"]) == 15

@@ -636,14 +636,11 @@ def is_cycle_extendible(g: LabeledGraph) -> ExtensionVerdict:
     return is_s_cycle_extendible(g, (1,))
 
 
-def vertex_on_triangle(g: LabeledGraph, v: int) -> bool:
-    masks = g.adjacency_masks()
-    return any(masks[v] & masks[u] for u in g.neighbors(v))
-
-
 def is_fully_cycle_extendible(g: LabeledGraph) -> bool:
     """Cycle extendible, and every vertex lies on a triangle."""
-    return all(vertex_on_triangle(g, v) for v in range(g.n)) and is_cycle_extendible(g).extendible
+    masks = g.adjacency_masks()
+    on_triangle = (any(m & masks[u] for u in bits_of(m)) for m in masks)
+    return all(on_triangle) and is_cycle_extendible(g).extendible
 
 
 def _paste_kernel(g: LabeledGraph) -> tuple[LabeledGraph, list[int] | None]:
@@ -685,9 +682,6 @@ def _paste_kernel(g: LabeledGraph) -> tuple[LabeledGraph, list[int] | None]:
     jump sets keep g's table.
     """
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
-    closed = [c for v, nb in enumerate(adj) if (c := nb | 1 << v) != full]
-    if len(set(closed)) == len(closed):  # no two vertices share a closed
-        return g, None                   # neighbourhood other than V
     tops, dropped = {}, 0
     for (a, b), p in _pastes(adj).items():
         top = 1 << p.bit_length() - 1

@@ -7,11 +7,11 @@ of a breadth-first search alternating between in-side and out-side masks;
 the cut is read off the last, failed search.  Sources v_0..v_kappa suffice
 (Even, 1975): one of them lies off a minimum cut C and is paired with a
 vertex of another component of G - C.  No flow runs that cannot beat the
-best so far (twin swaps, common neighbours, or a best already at a floor
-read off the maximum cardinality search order, which is kappa on chordal
-graphs), so the certificate is the full pair scan's.  Induced paths use
-backtracking over (last vertex, still-eligible set) states with memoization,
-trying one vertex of each twin class.
+best so far (common neighbours, or a best already at a floor read off the
+maximum cardinality search order, which is kappa on chordal graphs), so the
+certificate is the full pair scan's.  Induced paths use backtracking over
+(last vertex, still-eligible set) states with memoization, trying one vertex
+of each twin class.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
     bound, each pair's flow capped at the best so far), but no flow runs
     whose value is already known not to beat the best:
 
-    - Twins.  twin[v] is the lowest u with N(u)-v = N(v)-u.  Swapping two
-      twins is an automorphism fixing every other vertex, so a source with
-      a lower twin u repeats u's pairs, and a pair (s, t) whose t has a lower
-      twin t' other than s repeats (s, t') or (t', s).  After that earlier
-      pair the best is at most its flow, so the skipped pair could not have
-      improved it.
     - Common neighbours.  The c paths s-w-t through common neighbours w are
       vertex-disjoint: a pair with c >= best is skipped, and otherwise its
       flow starts from them.
@@ -71,20 +65,12 @@ def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:
         return ConnectivityCert(0, (), False)
 
     masks = g.adjacency_masks()
-    # false twins share N(v), true twins share N(v)+v; the two keys cannot
-    # collide, and no vertex has both kinds of twin
-    lowest: dict[int, int] = {}
-    twin = [min(lowest.setdefault(m, v), lowest.setdefault(m | 1 << v, v))
-            for v, m in enumerate(masks)]
-
     best, best_cut, floor = n, 0, None
     for s in range(n):
         if s > best or best == floor:  # Even's bound, or the best is kappa
             break
-        if twin[s] != s:
-            continue
         for t in range(s + 1, n):
-            if masks[s] >> t & 1 or twin[t] not in (s, t):
+            if masks[s] >> t & 1:
                 continue
             common = masks[s] & masks[t]
             if common.bit_count() < best:

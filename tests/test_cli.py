@@ -297,8 +297,8 @@ def test_lemma_3_3_at_k5_is_exact_on_its_kernel(capsys):
         "s(5): V minus z not cyclable": True,
         "s(5): V minus v5 not cyclable": True}
     s5 = build_s(5)
-    assert by_name["s(5): V minus z,v5 cyclable"]["witness"] == sorted(
-        set(range(s5.n)) - {s5.vertex("z"), s5.vertex("v5")})
+    cyc = Cycle(by_name["s(5): V minus z,v5 cyclable"]["witness"]).validate(s5)
+    assert cyc.vertex_set == set(range(s5.n)) - {s5.vertex("z"), s5.vertex("v5")}
 
 
 @pytest.mark.parametrize("k", range(3, 10))

@@ -7,6 +7,7 @@ import oracles
 from hendry import (
     ConnectivityCert,
     GraphError,
+    HkSpec,
     LabeledGraph,
     SizeCapError,
     build_dn,
@@ -180,7 +181,7 @@ def test_size_caps():
         vertex_connectivity(complete_graph(1))
 
 
-# -- connectivity: twin and common-neighbour pruning against the pair scan ------
+# -- connectivity: common-neighbour pruning against the pair scan --------------
 
 def test_connectivity_matches_pair_scan():
     rng = random.Random(91)
@@ -254,22 +255,6 @@ def flow_pairs(monkeypatch):
     return pairs
 
 
-def test_connectivity_skips_a_twin_source(monkeypatch):
-    # 0 and 1 are false twins (N = {2, 3}), then true twins (N[.] = {0, 1, 2, 3}),
-    # on the cycle 0 2 4 5 3: (1, 4) has one common neighbour but flow 2 = kappa,
-    # so only the twin rule keeps source 1 from running it
-    cycle = [(0, 2), (2, 4), (4, 5), (5, 3), (3, 0), (1, 2), (1, 3)]
-    false_twins = LabeledGraph(6, cycle)
-    true_twins = LabeledGraph(6, cycle + [(0, 1)])
-    for g in (false_twins, true_twins):
-        scanned = scanned_pairs(monkeypatch)
-        ran = flow_pairs(monkeypatch)
-        cert = vertex_connectivity(g)
-        assert cert == connectivity_by_pair_scan(g) == ConnectivityCert(2, (2, 3), False)
-        assert (1, 4) in scanned
-        assert ran and not any(s == 1 for s, _ in ran)
-
-
 def test_connectivity_skips_a_pair_by_common_neighbours(monkeypatch):
     # (0, 1) sets best = 2; (0, 2) has common neighbours {3, 4}, so it is
     # skipped although its flow is 3; (0, 7) then sets the cut {6}
@@ -327,12 +312,19 @@ def test_connectivity_runs_one_flow_on_the_paper_families(monkeypatch):
         ran = flow_pairs(monkeypatch)
         vertex_connectivity(g)
         assert len(ran) == 1, ran
+    # twin-rich members, up to dn(60)'s 48-vertex pasted clique: the floor,
+    # not twin skipping, ends the scan at its first flow
+    for g in (build_hk(HkSpec(3, (9,) * 5)), build_dn(60), build_h_plus(HkSpec(3, (3, 3, 3, 4, 5))),
+              build_jk(3, (3,) * 5, 8), build_hkm(3, 3, (3,) * 5)):
+        ran = flow_pairs(monkeypatch)
+        assert vertex_connectivity(g) == ConnectivityCert(2, (1, 4), False)
+        assert len(ran) == 1, ran
 
 
 def test_connectivity_runs_every_pruned_pair_below_a_weak_floor(monkeypatch):
     # on the 6-cycle the MCS order 0 1 2 3 4 5 drops at 2 with one earlier
     # neighbour, so F = 1 < kappa = 2 and the floor never ends the scan: the
-    # flows are the twin- and common-neighbour-pruned scan's
+    # flows are the common-neighbour-pruned scan's
     g = cycle_graph(6)
     assert structure._separator_floor(g) == 1
     ran = flow_pairs(monkeypatch)

@@ -9,10 +9,9 @@ elimination (a vertex is simple when the closed neighborhoods of its closed
 neighborhood form an inclusion chain); greedy deletion is complete because
 the property is hereditary and never lacks a simple vertex.
 
-Bull detection sweeps the triangles for two horns, and only then fills the
-lexicographically-first bull position by position with the smallest vertex
-for which an anchored bitmask query still finds a bull, skipping vertex sets
-that induce more edges than a bull has on that many vertices.
+Bull detection is one sweep over the edges of the graph for a triangle with
+two horns; the witness is the first bull the sweep meets, not the
+lexicographically-first one.
 """
 
 from __future__ import annotations
@@ -184,53 +183,17 @@ class BullResult:
         return self.bull_free
 
 
-# the most edges k vertices of a bull can induce, k = 0..5
-_BULL_EDGES = (0, 0, 1, 3, 4, 5)
+def is_bull_free(g: LabeledGraph) -> BullResult:
+    """No 5 vertices induce a triangle x, y, z with horns d ~ x and e ~ y,
+    where d !~ y, z, e and e !~ x, z; otherwise the witness is the first bull
+    of one sweep, as a sorted 5-tuple.
 
-
-def _horned_triangle(masks, allowed, x, y, z, required) -> bool:
-    """A bull inside `allowed` holding every required vertex, on triangle
-    x, y, z with horns d in N(x) - N[y] - N[z] and e in N(y) - N[x] - N[z],
-    d !~ e; required vertices off the triangle fill at most one horn each."""
-    cx, cy, cz = masks[x] | 1 << x, masks[y] | 1 << y, masks[z] | 1 << z
-    ds = masks[x] & allowed & ~(cy | cz)
-    es = masks[y] & allowed & ~(cx | cz)
-    rest = required & ~(1 << x | 1 << y | 1 << z)
-    on_d, on_e = rest & ds, rest & es
-    if rest != on_d | on_e or on_d & (on_d - 1) or on_e & (on_e - 1):
-        return False
-    es = on_e or es
-    return any(es & ~masks[d] for d in bits_of(on_d or ds))
-
-
-def _bull_through(masks, allowed: int, required: int) -> bool:
-    """Is there a bull B with required <= B <= allowed (masks, required non-empty)?
-
-    A bull is a triangle x, y, z with horns d ~ x and e ~ y, where d !~ y, z, e
-    and e !~ x, z.  The query is anchored at the lowest required vertex r,
-    which up to symmetry is x, the tip z or the horn d."""
-    r = (required & -required).bit_length() - 1
-    nr = masks[r] & allowed
-    far = allowed & ~(masks[r] | 1 << r)
-    for u in bits_of(nr):
-        for w in bits_of(nr & masks[u]):
-            # r = x with y = u and tip w, or the tip r with x = u < y = w
-            if (_horned_triangle(masks, allowed, r, u, w, required)
-                    or u < w and _horned_triangle(masks, allowed, u, w, r, required)):
-                return True
-        # r = d on x = u, with y = w and tip t both off N[r]
-        off = masks[u] & far
-        for w in bits_of(off):
-            for t in bits_of(off & masks[w]):
-                if _horned_triangle(masks, allowed, u, w, t, required):
-                    return True
-    return False
-
-
-def _has_bull(masks) -> bool:
-    """Does some triangle x, y, z carry horns d ~ x and e ~ y with d !~ y, z, e
-    and e !~ x, z?  For each edge xy (x < y) and each non-adjacent pair d in
-    N(x) - N[y], e in N(y) - N[x], look for a tip z ~ x, y off N(d) and N(e)."""
+    The sweep takes the edges xy with x < y in id order, then the pairs
+    d in N(x) - N[y], e in N(y) - N[x] with d !~ e, d and e ascending, and
+    stops at the first such pair with a common neighbour z of x and y off
+    N(d) and N(e), taking the lowest such tip z.
+    """
+    masks = g.adjacency_masks()
     for x, mx in enumerate(masks):
         for y in bits_of(mx >> x + 1 << x + 1):
             my = masks[y]
@@ -239,31 +202,8 @@ def _has_bull(masks) -> bool:
                 common = mx & my
                 for d in bits_of(mx & ~(my | 1 << y)):
                     for e in bits_of(es & ~masks[d]):
-                        if common & ~(masks[d] | masks[e]):
-                            return True
-    return False
-
-
-def is_bull_free(g: LabeledGraph) -> BullResult:
-    """No 5 vertices induce a triangle with two pendant horns; otherwise the
-    witness is the lexicographically-first bull, as a sorted 5-tuple.
-
-    One triangle sweep (_has_bull) answers a bull-free graph.  Otherwise each
-    witness position takes the smallest vertex c above the last one such that
-    _bull_through() finds a bull holding the chosen vertices and c and else
-    only vertices above c, skipping c when the required set induces more
-    edges than a bull has on that many vertices.
-    """
-    masks = g.adjacency_masks()
-    if not _has_bull(masks):
-        return BullResult(True, None)
-    chosen, c = 0, -1
-    for k in range(1, 6):
-        for c in range(c + 1, g.n):
-            required = chosen | 1 << c
-            edges = sum((masks[v] & required).bit_count() for v in bits_of(required))
-            if (edges // 2 <= _BULL_EDGES[k]
-                    and _bull_through(masks, chosen | (1 << g.n) - (1 << c), required)):
-                chosen = required
-                break
-    return BullResult(False, tuple(bits_of(chosen)))
+                        tips = common & ~(masks[d] | masks[e])
+                        if tips:
+                            z = (tips & -tips).bit_length() - 1
+                            return BullResult(False, tuple(sorted((x, y, z, d, e))))
+    return BullResult(True, None)

@@ -80,15 +80,16 @@ def _lifted_ham(k, h):
     return ham.vertex_set == frozenset(range(h.n)), list(ham)
 
 
-def _spanning(g, subset=None):
-    """(is subset cyclable, the validated spanning cycle or None)."""
-    cyc = cycles.find_spanning_cycle(g, subset)
-    return cyc is not None, cyc
-
-
 def _kappa_is(g, k):
     cert = structure.vertex_connectivity(g)
     return cert.kappa == k, cert.cut
+
+
+def spanning_check(g, subset=None):
+    """find_spanning_cycle as a check: (is subset cyclable, the validated
+    spanning cycle or None); subset defaults to all of V."""
+    cyc = cycles.find_spanning_cycle(g, subset)
+    return cyc is not None, cyc
 
 
 def model_check(model, g):
@@ -198,7 +199,7 @@ def claim_3_2(run, params):
     k = params.get("k", 3)
     s = build_s(k)
     run.check(f"s({k}) chordal", lambda: bool(chordal.is_chordal(s)))
-    run.check(f"s({k}) Hamiltonian", lambda: _spanning(s))
+    run.check(f"s({k}) Hamiltonian", lambda: spanning_check(s))
     run.check(f"s({k}) connectivity is exactly {k}", lambda: _kappa_is(s, k))
 
 
@@ -208,7 +209,7 @@ def claim_3_3(run, params):
     s = build_s(k)
     z, vk = s.vertex("z"), s.vertex(f"v{k}")
     both = set(range(s.n)) - {z, vk}
-    run.check(f"s({k}): V minus z,v{k} cyclable", lambda: _spanning(s, both))
+    run.check(f"s({k}): V minus z,v{k} cyclable", lambda: spanning_check(s, both))
     for drop, v in (("z", z), (f"v{k}", vk)):
         sub = set(range(s.n)) - {v}
         run.check(f"s({k}): V minus {drop} not cyclable",
@@ -229,7 +230,7 @@ def claim_3_4(run, params):
         return not verdict.extendible, sorted(verdict.witness or ())
     run.check(f"hkm(k={k},m={m}) not {{{','.join(map(str, s_set))}}}-cycle extendible", scan)
     if verdict is not None and verdict.witness is not None:
-        run.check("witness is cyclable", lambda: _spanning(h, verdict.witness))
+        run.check("witness is cyclable", lambda: spanning_check(h, verdict.witness))
 
 
 def claim_3_5(run, params):

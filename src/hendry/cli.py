@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__, chordal, cycles, structure, treemodel
-from .claims import CLAIMS, CheckResult, ClaimRun, model_check, run_claim
+from .claims import CLAIMS, CheckResult, ClaimRun, model_check, run_claim, spanning_check
 from .core import Cycle, GraphError, LabeledGraph, SizeCapError
 from .families import (
     HkSpec,
@@ -184,10 +184,7 @@ def cmd_check(args) -> int:
             return order is not None, order, "" if order is None else "simple elimination order"
         run.check("strongly-chordal", strong_fn)
     if args.hamiltonian:
-        def ham_fn():
-            cyc = cycles.find_spanning_cycle(g)
-            return cyc is not None, cyc, ""
-        run.check("hamiltonian", ham_fn)
+        run.check("hamiltonian", lambda: spanning_check(g))
     if args.connectivity:
         def conn_fn():
             cert = structure.vertex_connectivity(g)

@@ -746,14 +746,11 @@ def _smallest_cell(table: CyclableTable, cand: int) -> int:
     for i, m in enumerate(table.classes):
         for t, v in enumerate(bits_of(m)):
             rank[v] = i, t
+    zeros = {i: z for i, z, *_ in _digit_masks(table)}  # cells whose digits 0..i are all 0
     for v in reversed(range(table.n)):
         if not cand & (cand - 1):
             break
         i, t = rank[v]
-        w = table.strides[i]
-        z, span = 1, w * (table.classes[i].bit_count() + 1)
-        while span < table.cells:  # z: the cells whose digits 0..i are all 0, and more past the top
-            z |= z << span
-            span <<= 1
-        cand = cand & (z << (t + 1) * w) - z or cand
+        z = zeros[i]
+        cand = cand & (z << (t + 1) * table.strides[i]) - z or cand
     return cand.bit_length() - 1

@@ -14,7 +14,6 @@ from hendry import (
     build_hk,
     build_jk,
     build_s,
-    chordal,
     complete_graph,
     find_simple_elimination_order,
     gk_reference_elimination_order,
@@ -203,23 +202,51 @@ def test_greedy_orders_always_validate():
             assert peo_violation(g, order) is None
 
 
+def assert_bull(g, witness):
+    """witness is a sorted tuple of 5 distinct vertices inducing a bull."""
+    assert len(witness) == 5 and list(witness) == sorted(set(witness)), witness
+    degs = sorted(sum(1 for u in witness if u != v and g.has_edge(u, v)) for v in witness)
+    assert degs == [1, 1, 2, 3, 3], witness
+
+
 def test_bull_free_examples():
     assert is_bull_free(complete_graph(5))
     assert is_bull_free(path_graph(5))
-    res = is_bull_free(build_hk(uniform_spec(3)))
-    assert not res
-    w = res.witness
     h = build_hk(uniform_spec(3))
-    degs = sorted(sum(1 for u in w if u != v and h.has_edge(u, v)) for v in w)
-    assert degs == [1, 1, 2, 3, 3]
+    res = is_bull_free(h)
+    assert not res
+    assert_bull(h, res.witness)
 
 
 def test_bull_in_bigger_pastes():
-    res = is_bull_free(build_hk(HkSpec(3, (4, 3, 3, 3, 3))))
+    g = build_hk(HkSpec(3, (4, 3, 3, 3, 3)))
+    res = is_bull_free(g)
     assert not res
+    assert_bull(g, res.witness)
 
 
-# -- bulls: the anchored search against the 5-subset scan -----------------------
+def test_bull_verdicts_on_the_paper_families():
+    free = [build_gk(k) for k in range(3, 13)]
+    free += [build_gkm(k, m) for k, m in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2))]
+    for g in free:
+        assert is_bull_free(g) == BullResult(True, None)
+    for g in (build_hk(uniform_spec(3)), build_h_plus(uniform_spec(3)),
+              build_dn(20), build_s(3)):
+        res = is_bull_free(g)
+        assert not res
+        assert_bull(g, res.witness)
+
+
+def test_bull_witness_is_the_sweeps_first():
+    """The witness is the first bull of the edge sweep, sorted: on s(3) that
+    differs from the lexicographically-first bull."""
+    s3 = build_s(3)
+    assert is_bull_free(s3) == BullResult(False, (0, 1, 6, 10, 12))
+    assert bull_by_subsets(s3).witness != (0, 1, 6, 10, 12)
+    assert is_bull_free(build_hk(uniform_spec(3))) == BullResult(False, (0, 1, 2, 10, 11))
+
+
+# -- bulls: the triangle sweep against the 5-subset scan -----------------------
 
 def census_family_members():
     yield from (build_gk(k) for k in range(3, 8))
@@ -240,7 +267,11 @@ def test_bull_search_matches_subset_scan():
     outcomes = [0, 0]
     for g in graphs:
         res = is_bull_free(g)
-        assert res == bull_by_subsets(g)
+        assert res.bull_free == bull_by_subsets(g).bull_free
+        if res.bull_free:
+            assert res.witness is None
+        else:
+            assert_bull(g, res.witness)
         outcomes[res.bull_free] += 1
     assert min(outcomes) >= 300, outcomes
 
@@ -256,38 +287,15 @@ def test_bull_named_cases():
     assert is_bull_free(LabeledGraph(5, BULL)) == BullResult(False, (0, 1, 2, 3, 4))
     for g in (complete_graph(5), path_graph(5)):
         assert is_bull_free(g) == BullResult(True, None)
-    # K5 on 0..4 beside a bull on 5..9: the descent runs to the last vertex
+    # K5 on 0..4 beside a bull on 5..9: the sweep runs past every edge of the K5
     k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     last = LabeledGraph(10, k5 + relabel(BULL, range(5, 10)))
     assert is_bull_free(last) == BullResult(False, (5, 6, 7, 8, 9))
-    # vertex 0 anchors every query; make it each role in turn
+    # vertex 0 takes each role in turn: horned, tip, horn
     for role, perm in (("horned", (0, 1, 2, 3, 4)), ("tip", (1, 2, 0, 3, 4)),
                        ("horn", (1, 2, 3, 0, 4))):
         g = LabeledGraph(5, relabel(BULL, perm))
         assert is_bull_free(g) == bull_by_subsets(g) == BullResult(False, (0, 1, 2, 3, 4)), role
-
-
-def test_bull_sweep_skips_the_witness_search_on_bull_free_graphs(monkeypatch):
-    """The triangle sweep alone answers the bull-free families; graphs with a
-    bull still go to the positional witness search."""
-    calls = [0]
-    through = chordal._bull_through
-
-    def counted(*args):
-        calls[0] += 1
-        return through(*args)
-
-    monkeypatch.setattr(chordal, "_bull_through", counted)
-    free = [build_gk(k) for k in range(3, 13)]
-    free += [build_gkm(k, m) for k, m in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2))]
-    for g in free:
-        assert is_bull_free(g) == BullResult(True, None)
-    assert calls[0] == 0
-    for g in (build_hk(uniform_spec(3)), build_h_plus(uniform_spec(3)),
-              build_dn(20), build_s(3)):
-        calls[0] = 0
-        assert not is_bull_free(g)
-        assert calls[0] >= 1
 
 
 def test_bull_search_budget():

@@ -139,22 +139,40 @@ def _digit_masks(table: CyclableTable):
         z = low
 
 
-def _drops(xs: list[int], steps: list[int], table: CyclableTable) -> list[list[int]]:
-    """For each x and its step count m, [x, D(x), ..., D^m(x)], where D(x)
-    holds the cells one vertex short of a cell of x.
+def _drops(x: int, steps: int, table: CyclableTable) -> list[int]:
+    """[x, D(x), ..., D^steps(x)], where D(x) holds the cells one vertex
+    short of a cell of x.
 
     Dropping t vertices takes some a_i of them from each class i, so the
     classes are visited once, top down, and each class's mask is derived
-    once for every x and step: D^t gains the class-i drops of D^(t-1),
-    which already holds its own class-i drops.
+    once for every step: D^t gains the class-i drops of D^(t-1), which
+    already holds its own class-i drops.
     """
-    chains = [[x] + [0] * m for x, m in zip(xs, steps)]
+    chain = [x] + [0] * steps
     for i, z, _, top, _ in _digit_masks(table):
         w, keep = table.strides[i], top - z  # keep: digit i below its top
-        for ys in chains:
-            for t in range(1, len(ys)):
-                ys[t] |= (ys[t - 1] >> w) & keep
-    return chains
+        for t in range(1, len(chain)):
+            chain[t] |= (chain[t - 1] >> w) & keep
+    return chain
+
+
+def _crowded(table: CyclableTable, s: int) -> int:
+    """The cells fewer than s vertices short of V's, the ones no jump of s or
+    more fits.
+
+    One pass over the classes, bottom up: short[k] holds the cells of the
+    classes seen so far that miss at most k of their members, and a class of
+    c members adds digit c - j to the cells of short[k - j], j of them missing.
+    """
+    short = [1] * s
+    for m, w in zip(table.classes, table.strides):
+        c = m.bit_count()
+        for k in reversed(range(s)):  # short[k - j] is still the old row
+            row = short[k] << c * w
+            for j in range(1, min(k, c) + 1):
+                row |= short[k - j] << (c - j) * w
+            short[k] = row
+    return short[-1]
 
 
 def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
@@ -180,9 +198,16 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
         raise SizeCapError(
             f"cyclable table needs {cells} cells (2^{math.log2(cells):.2f}); "
             f"cap is 2^{cap} cells")
-    adj = g.adjacency_masks()
-    stale = [_mask_of(f for f, m in enumerate(classes) if adj[(c & -c).bit_length() - 1] & m)
-             for c in classes]  # stale[e]: neighbour classes grown since e's update
+    adj, class_of = g.adjacency_masks(), [0] * g.n
+    for f, m in enumerate(classes):
+        for v in bits_of(m):
+            class_of[v] = f
+    stale = []  # stale[e]: neighbour classes grown since e's update
+    for c in classes:
+        row = 0
+        for v in bits_of(adj[(c & -c).bit_length() - 1]):
+            row |= 1 << class_of[v]
+        stale.append(row)
     nbrs = [bits_of(m) for m in stale]
     # grow[e]: the cells where a class-e vertex can come last: all but those
     # with digit e = 0 (one - z) and those with digit e = 1 over lower zeros
@@ -701,14 +726,16 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
 
     The chosen reading: a subset with room for no jump in the set is exempt.
     Decided for all subsets at once: with D(X) the subsets one vertex short
-    of a member of X, the failures are cyc & D^(min s)(all) & ~OR_s D^s(cyc);
-    jumps past n - 3 extend no cyclable set and are dropped.  One pass over
-    the classes computes every drop step of both chains, holding one int per
-    step (fewer than 2n).  Failing is invariant under twin swaps, so the
-    witness, the numerically smallest failure, is the smallest
-    representative set of a failing cell.  With s_set = {1} this coincides
-    with plain cycle extendibility, and the table is built on the paste
-    kernel, with the same verdict and witness (_paste_kernel).
+    of a member of X, the failures are the cyclable sets missing at least
+    min s vertices outside OR_s D^s(cyc); jumps past n - 3 extend no cyclable
+    set and are dropped.  One pass over the classes computes every drop step
+    of that chain, holding one int per step (at most n - 2), and one more
+    builds the exempt cells, those fewer than min s vertices short of V.
+    Failing is invariant under twin swaps, so the witness, the numerically
+    smallest failure, is the smallest representative set of a failing cell.
+    With s_set = {1} this coincides with plain cycle extendibility, and the
+    table is built on the paste kernel, with the same verdict and witness
+    (_paste_kernel).
     """
     jumps = sorted(set(s_set))
     if not jumps:
@@ -720,14 +747,12 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
     most = table.n - 3  # a cyclable set has 3 vertices or more: no longer jump applies
     if jumps[0] > most:
         return ExtensionVerdict(True, None)
-    rooms, reaches = _drops([(1 << table.cells - 1) - 1, table.cyc],  # every cell but V's
-                            [jumps[0] - 1, min(jumps[-1], most)], table)
-    room, grown = rooms[-1], 0
+    reaches, passed = _drops(table.cyc, min(jumps[-1], most), table), 0
     for s in jumps:
         if s < len(reaches):
-            grown |= reaches[s]
-    rooms = reaches = None  # free the chains
-    bad = table.cyc & room & ~grown
+            passed |= reaches[s]
+    reaches = None  # free the chain before the exempt cells are built
+    bad = table.cyc & ~(passed | _crowded(table, jumps[0]))
     if not bad:
         return ExtensionVerdict(True, None)
     witness = table.representative(_smallest_cell(table, bad))
@@ -739,18 +764,25 @@ def is_s_cycle_extendible(g: LabeledGraph, s_set) -> ExtensionVerdict:
 def _smallest_cell(table: CyclableTable, cand: int) -> int:
     """The cell of `cand` whose representative set is numerically smallest.
 
-    Deciding vertices from the highest down, vertex v (rank t in its class)
-    is left out whenever some candidate cell takes at most t class members.
+    Deciding vertices from the highest down, vertex v (rank t in class i) is
+    left out whenever some candidate cell takes at most t class members.  The
+    cells whose digits 0..i are all 0 are the multiples of stride[i] times
+    (|C_i| + 1); that mask is built when the walk first reaches class i, so a
+    one-cell candidate builds none.
     """
-    rank = {}
-    for i, m in enumerate(table.classes):
-        for t, v in enumerate(bits_of(m)):
-            rank[v] = i, t
-    zeros = {i: z for i, z, *_ in _digit_masks(table)}  # cells whose digits 0..i are all 0
+    classes, strides, zeros = table.classes, table.strides, {}
     for v in reversed(range(table.n)):
-        if not cand & (cand - 1):
+        if cand.bit_count() < 2:
             break
-        i, t = rank[v]
-        z = zeros[i]
-        cand = cand & (z << (t + 1) * table.strides[i]) - z or cand
+        i = next(i for i, m in enumerate(classes) if m >> v & 1)
+        if i not in zeros:
+            period = strides[i] * (classes[i].bit_count() + 1)
+            z = q = 0  # z: the multiples of period below q * period
+            for bit in bin(table.cells // period)[2:]:
+                z, q = z | z << q * period, 2 * q
+                if bit == "1":
+                    z, q = z << period | 1, q + 1
+            zeros[i] = z
+        z, t = zeros[i], (classes[i] & (1 << v) - 1).bit_count()
+        cand = cand & (z << (t + 1) * strides[i]) - z or cand
     return cand.bit_length() - 1

@@ -7,7 +7,11 @@ induced-path search and the spanning-cycle search's front end (subset
 adjacency, kernel rows, forced-edge propagation) also have slow twins here,
 composed from public primitives or scanning vertices, pairs, candidates or
 single bits, as the fast paths did before they replaced them; the builder
-twins paste through `paste_clique`, which shares the one-pass loop.
+twins paste through `paste_clique`, which shares the one-pass loop.  The
+S-extendibility scan keeps its earlier form here too: the room for the
+smallest jump as a drop chain, and a witness walk that derives every class's
+digit mask first; these share the drop step `_drops`, which is checked on its
+own against decoded count vectors.
 
 Each oracle is deliberately naive (permutations, subset scans, cut
 enumeration) so it shares no code path with the implementation it verifies.
@@ -37,7 +41,7 @@ from hendry import (
     path_graph,
 )
 from hendry.core import reach, shortest_path
-from hendry.cycles import _Kernel, _drops, _smallest_cell
+from hendry.cycles import _Kernel, _digit_masks, _drops, _paste_kernel, _smallest_cell
 from hendry.families import default_clique_sizes
 
 DEFINITIONAL_CAP = 14
@@ -526,11 +530,59 @@ def cycle_extendible_by_full_table(g: LabeledGraph) -> ExtensionVerdict:
     table = build_cyclable_table(g)
     if table.n < 4:  # every cyclable set is all of V
         return ExtensionVerdict(True, None)
-    _, grown = _drops([table.cyc], [1], table)[0]
+    _, grown = _drops(table.cyc, 1, table)
     bad = table.cyc & ((1 << table.cells - 1) - 1) & ~grown
     if not bad:
         return ExtensionVerdict(True, None)
     return ExtensionVerdict(False, frozenset(table.representative(_smallest_cell(table, bad))))
+
+
+def room_by_drops(table, s: int) -> int:
+    """The cells with room for a jump of s: those s - 1 drop steps below some
+    cell other than V's."""
+    return _drops((1 << table.cells - 1) - 1, s - 1, table)[-1]
+
+
+def smallest_cell_eager(table, cand: int) -> int:
+    """The smallest-representative cell of `cand`, walking vertices from the
+    highest down with every class's digit mask derived up front."""
+    rank = {}
+    for i, m in enumerate(table.classes):
+        for t, v in enumerate(_bits(m)):
+            rank[v] = i, t
+    zeros = {i: z for i, z, *_ in _digit_masks(table)}  # cells whose digits 0..i are all 0
+    for v in reversed(range(table.n)):
+        if not cand & (cand - 1):
+            break
+        i, t = rank[v]
+        z = zeros[i]
+        cand = cand & (z << (t + 1) * table.strides[i]) - z or cand
+    return cand.bit_length() - 1
+
+
+def s_extendible_by_drop_chains(g: LabeledGraph, s_set) -> ExtensionVerdict:
+    """S-extendibility with the exempt cells found by drop steps: the room
+    for the smallest jump is a second drop chain, from every cell but V's,
+    and the witness comes from the eager walk."""
+    jumps = sorted(set(s_set))
+    kernel, members = _paste_kernel(g) if jumps == [1] else (g, None)
+    table = build_cyclable_table(kernel)
+    most = table.n - 3
+    if jumps[0] > most:
+        return ExtensionVerdict(True, None)
+    room = room_by_drops(table, jumps[0])
+    reaches = _drops(table.cyc, min(jumps[-1], most), table)
+    grown = 0
+    for s in jumps:
+        if s < len(reaches):
+            grown |= reaches[s]
+    bad = table.cyc & room & ~grown
+    if not bad:
+        return ExtensionVerdict(True, None)
+    witness = table.representative(smallest_cell_eager(table, bad))
+    if members:
+        witness = [v for i in witness for v in _bits(members[i])]
+    return ExtensionVerdict(False, frozenset(witness))
 
 
 def is_strongly_chordal_definitional(g: LabeledGraph, cap: int = DEFINITIONAL_CAP) -> bool:

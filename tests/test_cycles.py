@@ -57,6 +57,8 @@ from oracles import (
     random_chordal,
     relabeled,
     representative_masks,
+    room_by_drops,
+    s_extendible_by_drop_chains,
     table_by_sweeps,
     table_cyclable,
     twin_blowup,
@@ -244,18 +246,57 @@ def test_streamed_drop_matches_mask_list():
         has = [containing(n, v) for v in range(n)]
         xs = [sum(1 << s for s in range(1 << n) if rng.random() < density)
               for density in (0.05, 0.5, 0.95, 1.0)]
-        for x, (_, dx) in zip(xs, cycles._drops(xs, [1] * 4, _layout([1] * n))):
-            assert dx == drop_one_by_list(x, has)
+        for x in xs:
+            assert cycles._drops(x, 1, _layout([1] * n))[1] == drop_one_by_list(x, has)
     for sizes in [[rng.randint(1, 4) for _ in range(rng.randint(1, 5))] for _ in range(30)]:
         t = _layout(sizes)
         xs = [sum(1 << c for c in range(t.cells) if rng.random() < density)
               for density in (0.05, 0.5, 1.0)]
         steps = [rng.randint(0, 4) for _ in xs]
-        for x, m, chain in zip(xs, steps, cycles._drops(xs, steps, t)):
+        for x, m in zip(xs, steps):
             want = [x]
             for _ in range(m):
                 want.append(drop_one_by_cells(want[-1], sizes))
-            assert chain == want, sizes
+            assert cycles._drops(x, m, t) == want, sizes
+
+
+def test_crowded_cells_are_the_rooms_complement():
+    # the cells fewer than s vertices short of V, built in one pass, are
+    # exactly those the drop chain from every cell but V's leaves out
+    rng = random.Random(29)
+    layouts = [[1] * n for n in range(4, 11)] + [[4] * 3, [1, 2, 3, 4]]
+    layouts += [[rng.randint(1, 4) for _ in range(rng.randint(2, 6))] for _ in range(40)]
+    checked = 0
+    for sizes in layouts:
+        t = _layout(sizes)
+        for s in range(1, t.n - 2):
+            room = room_by_drops(t, s)
+            assert cycles._crowded(t, s) == ((1 << t.cells) - 1) ^ room, (sizes, s)
+            checked += 1
+    assert checked > 150, checked
+
+
+def test_smallest_cell_builds_no_mask_for_one_cell():
+    """hkm(3, 4)'s {2, 3}-scan leaves one failing cell; picking it must not
+    allocate a single 2^n-bit int, where a digit mask for every class took
+    one each."""
+    g = build_hkm(3, 4, (3,) * 5)
+    t = build_cyclable_table(g)
+    reaches = cycles._drops(t.cyc, 3, t)
+    bad = t.cyc & room_by_drops(t, 2) & ~(reaches[2] | reaches[3])
+    assert bad.bit_count() == 1
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cell = cycles._smallest_cell(t, bad)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert 1 << cell == bad
+    assert peak < (1 << g.n) // 8, peak
 
 
 def test_extendibility_peak_memory_holds_no_mask_list():
@@ -493,6 +534,27 @@ def test_s_extendibility_witnesses_on_twin_rich_graphs():
                 failed += 1
                 assert sum(1 << v for v in got.witness) == want_wit
     assert failed >= 50, failed
+
+
+def test_s_extendibility_matches_the_drop_chain_scan():
+    """Verdict and exact witness against the scan that finds the room for the
+    smallest jump by drop steps and walks from every class's digit mask, on
+    twin-free and twin-rich graphs (ids shuffled) and family members."""
+    rng = random.Random(2910)
+    graphs = [gnp(rng.randint(4, 11), rng.choice((0.5, 0.7)), rng) for _ in range(40)]
+    graphs += [random_chordal(rng.randint(5, 12), rng) for _ in range(20)]
+    graphs += [relabeled(twin_blowup(rng, rng.randint(3, 5), rng.choice((0.5, 0.8))), rng)
+               for _ in range(30)]
+    graphs += [relabeled(pasted_graph(rng, rng.randint(3, 5), 11), rng) for _ in range(20)]
+    graphs += [build_hk(uniform_spec(3)), build_h_plus(HkSpec(3, (3, 3, 3, 4, 5))),
+               *(build_hkm(3, m, (3,) * 5) for m in (2, 3, 4))]
+    failed = 0
+    for g in graphs:
+        for s_set in ({1}, {2}, {3}, {1, 2}, {2, 3}, {2, 4}, {3, 5}):
+            got, want = is_s_cycle_extendible(g, s_set), s_extendible_by_drop_chains(g, s_set)
+            assert (got.extendible, got.witness) == (want.extendible, want.witness), (g.edges(), s_set)
+            failed += not got.extendible
+    assert failed >= 150, failed
 
 
 def test_jk_full_table_has_unique_frozen_set():

@@ -16,7 +16,7 @@ lexicographically-first one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import GraphError, LabeledGraph, bits_of, shortest_path
 
@@ -74,11 +74,10 @@ def peo_violation(g: LabeledGraph, order) -> tuple[int, int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ChordalityResult:
-    chordal: bool
-    peo: tuple[int, ...] | None
-    hole: tuple[int, ...] | None  # induced cycle of length >= 4 when not chordal
+class ChordalityResult(namedtuple("ChordalityResult", "chordal peo hole")):
+    """(chordal, peo, hole); a PEO if chordal, else a hole: an induced cycle of length >= 4."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.chordal
@@ -174,10 +173,10 @@ def is_strongly_chordal(g: LabeledGraph) -> bool:
 
 # -- bulls ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BullResult:
-    bull_free: bool
-    witness: tuple[int, ...] | None  # 5 vertices inducing a bull
+class BullResult(namedtuple("BullResult", "bull_free witness")):
+    """(bull_free, witness); witness is the 5 vertices of a bull as a sorted tuple, or None."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.bull_free

@@ -12,7 +12,6 @@ one-vertex extension is.  No table is built, so the table cap does not apply.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import chordal, cycles, structure, treemodel
 from .core import GraphError, LabeledGraph, SizeCapError
@@ -35,34 +34,42 @@ from .families import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    verdict: bool | None
-    witness: object = None
-    detail: str = ""
-    elapsed_ms: float = 0.0
+    """One check: verdict (None when a size cap stopped it), witness, detail, time."""
+
+    __slots__ = ("name", "verdict", "witness", "detail", "elapsed_ms")
+
+    def __init__(self, name: str, verdict: bool | None, witness: object = None,
+                 detail: str = "", elapsed_ms: float = 0.0):
+        self.name, self.verdict, self.witness = name, verdict, witness
+        self.detail, self.elapsed_ms = detail, elapsed_ms
 
 
-@dataclass
 class ClaimRun:
-    results: list[CheckResult] = field(default_factory=list)
+    """The checks of one run, in the order they ran."""
+
+    __slots__ = ("results",)
+
+    def __init__(self, results: list[CheckResult] | None = None):
+        self.results = [] if results is None else results
 
     def check(self, name, fn):
         """Run fn and record its (verdict, witness[, detail]) or bare verdict.
 
         A size cap hit inside fn fails only this check: its verdict is None.
+        A result type (ChordalityResult, ...) is a tuple too, but unwrapped
+        it is a bare verdict: its bool() is recorded, with no witness.
         """
         t0 = time.perf_counter()
         try:
             out = fn()
         except SizeCapError as exc:
             out = (None, None, f"cap exceeded: {exc}")
-        if isinstance(out, tuple):
+        if type(out) is tuple:
             verdict, witness = out[0], out[1]
             detail = out[2] if len(out) > 2 else ""
         else:
-            verdict, witness, detail = out, None, ""
+            verdict, witness, detail = bool(out), None, ""
         self.results.append(CheckResult(
             name, verdict, witness, detail,
             (time.perf_counter() - t0) * 1000.0))

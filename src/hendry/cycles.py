@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import Cycle, GraphError, LabeledGraph, SizeCapError, _step, bits_of, reach
 
@@ -405,23 +405,20 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
 
 # -- kernel: segments that every spanning cycle crosses in one piece -----------
 
-@dataclass
-class _Kernel:
+class _Kernel(namedtuple("_Kernel", "adj forced members plain local_adj pastes segments")):
     """A local graph with its forced segments contracted.
 
     The graph has a spanning cycle iff the kernel (`adj`) has one through
     every `forced` pair, and lift() maps a kernel tour back to a local tour.
     Kernel vertices below `plain` are the local vertices left standing; after
     them each segment adds its two end sets, joined by a forced edge.
+    `members` holds the local vertices behind each kernel vertex, `local_adj`
+    the local graph with pasted sets removed and their ab edges added,
+    `pastes` maps (a, b) to the set crossed between them, and `segments`
+    holds (A-x, T, x, T', A'-x); every set is a mask.
     """
 
-    adj: list[int]
-    forced: list[tuple[int, int]]
-    members: list[int]  # the local vertices behind each kernel vertex, as masks
-    plain: int
-    local_adj: list[int]  # pasted sets removed, their ab edges added
-    pastes: dict[tuple[int, int], int]  # (a, b) -> the set crossed between them, as a mask
-    segments: list[tuple[int, int, int, int, int]]  # (A-x, T, x, T', A'-x) as masks
+    __slots__ = ()
 
     def _segment(self, c: int, d: int) -> int:
         """Index of the segment whose forced edge is cd, or -1."""
@@ -647,10 +644,10 @@ def find_heavy_cycle(g: LabeledGraph, subset) -> Cycle | None:
     return Cycle(v for v in tour if v < n).validate(g) if tour else None
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
-    extendible: bool
-    witness: frozenset[int] | None
+class ExtensionVerdict(namedtuple("ExtensionVerdict", "extendible witness")):
+    """(extendible, witness); witness is a cyclable set that does not extend, or None."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.extendible

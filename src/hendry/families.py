@@ -15,7 +15,7 @@ center (jk), or grow one pasted clique for density (dn).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     Cycle,
@@ -59,23 +59,21 @@ def build_gk(k: int) -> LabeledGraph:
     return LabeledGraph(n, edges, roles, heavy)
 
 
-@dataclass(frozen=True)
-class HkSpec:
+class HkSpec(namedtuple("HkSpec", "k clique_sizes")):
     """Clique sizes to paste onto the heavy edges of gk(k), in the fixed order."""
 
-    k: int
-    clique_sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 3:
-            raise GraphError(f"hk needs k >= 3, got {self.k}")
-        sizes = tuple(self.clique_sizes)
-        object.__setattr__(self, "clique_sizes", sizes)
-        if len(sizes) != 2 * self.k - 1:
+    def __new__(cls, k: int, clique_sizes):
+        if k < 3:
+            raise GraphError(f"hk needs k >= 3, got {k}")
+        sizes = tuple(clique_sizes)
+        if len(sizes) != 2 * k - 1:
             raise GraphError(
-                f"expected {2 * self.k - 1} clique sizes, got {len(sizes)}")
+                f"expected {2 * k - 1} clique sizes, got {len(sizes)}")
         if any(s < 3 for s in sizes):
             raise GraphError("every pasted clique must have order >= 3")
+        return super().__new__(cls, k, sizes)
 
 
 def build_hk(spec: HkSpec) -> LabeledGraph:

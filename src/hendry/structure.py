@@ -16,7 +16,7 @@ of each twin class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chordal import mcs_order
 from .core import GraphError, LabeledGraph, SizeCapError, bits_of
@@ -24,11 +24,10 @@ from .core import GraphError, LabeledGraph, SizeCapError, bits_of
 INDUCED_PATH_CAP = 25
 
 
-@dataclass(frozen=True)
-class ConnectivityCert:
-    kappa: int
-    cut: tuple[int, ...] | None  # None for complete graphs
-    complete: bool
+class ConnectivityCert(namedtuple("ConnectivityCert", "kappa cut complete")):
+    """(kappa, cut, complete); cut is a minimum separating set, None for complete graphs."""
+
+    __slots__ = ()
 
 
 def vertex_connectivity(g: LabeledGraph) -> ConnectivityCert:

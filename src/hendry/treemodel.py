@@ -11,7 +11,7 @@ explicit hosts are what the tree-structure results are about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .chordal import is_chordal
 from .core import GraphError, LabeledGraph, bits_of, reach
@@ -63,12 +63,11 @@ def tree_stats(tree: HostTree) -> tuple[int, int, int]:
             max(degs))
 
 
-@dataclass(frozen=True)
-class SubtreeModel:
-    """One subtree of the host per graph vertex; adjacency = subtree intersection."""
+class SubtreeModel(namedtuple("SubtreeModel", "host assign")):
+    """One subtree of the host per graph vertex, as `assign`: vertex -> frozenset
+    of host nodes; adjacency = subtree intersection."""
 
-    host: HostTree
-    assign: dict[int, frozenset[int]] = field(default_factory=dict)
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -27,6 +27,7 @@ from hendry import (
     ExtensionVerdict,
     GraphError,
     HkSpec,
+    HostTree,
     LabeledGraph,
     SizeCapError,
     SubtreeModel,
@@ -735,6 +736,30 @@ def random_chordal(n: int, rng) -> LabeledGraph:
             adj[v].add(w)
             adj[w].add(v)
     return LabeledGraph(n, edges)
+
+
+def spider_model(rng, max_n: int = 13) -> tuple[SubtreeModel, LabeledGraph]:
+    """A subtree model on a spider, and the graph it models.
+
+    The host is a centre node 0 with 1-4 legs of 1-4 nodes each, so it has
+    at most one branch vertex (with two legs or fewer it is a path).  Each of
+    the 3..max_n graph vertices takes, with even odds, a sub-path of one leg
+    or the centre plus a prefix (maybe empty) of every leg: between them
+    these are all the subtrees of a spider.
+    """
+    legs, length = rng.randint(1, 4), rng.randint(1, 4)
+    node = [[1 + i * length + j for j in range(length)] for i in range(legs)]
+    host = HostTree(1 + legs * length, [(leg[j - 1] if j else 0, leg[j])
+                                        for leg in node for j in range(length)])
+    n, assign = rng.randint(3, max_n), {}
+    for v in range(n):
+        if rng.random() < 0.5:
+            a, b = sorted(rng.randrange(length) for _ in range(2))
+            assign[v] = frozenset(rng.choice(node)[a:b + 1])
+        else:
+            assign[v] = frozenset([0, *(x for leg in node for x in leg[:rng.randint(0, length)])])
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if assign[u] & assign[v]]
+    return SubtreeModel(host, assign), LabeledGraph(n, edges)
 
 
 def pasted_graph(rng, n_base: int, max_n: int = 12) -> LabeledGraph:

@@ -11,7 +11,7 @@ from hendry import (
     build_hk, build_hkm, build_jk, build_s, chordal, cli, cycles, encode_graph6, load_graph,
     save_graph, structure,
 )
-from hendry.claims import CLAIMS, run_claim
+from hendry.claims import CLAIMS, CheckResult, ClaimRun, run_claim
 from hendry.cli import main
 from oracles import cycle_graph, uniform_spec
 
@@ -361,6 +361,28 @@ def test_claim_time_goes_to_the_check_that_does_the_work(capsys, monkeypatch):
     assert code == 0
     by_name = {r["name"]: r for r in report_of(stdout)["results"]}
     assert by_name["hkm(k=3,m=3) not {1,2}-cycle extendible"]["elapsed_ms"] >= 50
+
+
+def test_check_records_keep_their_defaults_and_own_lists():
+    r = CheckResult("x", True)
+    assert (r.witness, r.detail, r.elapsed_ms) == (None, "", 0.0)
+    a, b = ClaimRun(), ClaimRun()
+    a.check("x", lambda: True)
+    assert len(a.results) == 1 and b.results == []
+
+
+def test_an_unwrapped_result_type_is_a_bare_verdict():
+    """The result types are tuples, but check() unpacks only a plain tuple:
+    one returned unwrapped records its bool() and no witness, so its fields
+    are never read as (verdict, witness, detail)."""
+    c4 = cycle_graph(4)
+    run = ClaimRun()
+    assert run.check("chordal", lambda: chordal.is_chordal(c4)) is False
+    run.check("bull-free", lambda: chordal.is_bull_free(c4))
+    run.check("extendible", lambda: cycles.ExtensionVerdict(False, frozenset({0, 1, 2})))
+    run.check("plain", lambda: (False, [0, 1], "why"))
+    assert [(r.verdict, r.witness, r.detail) for r in run.results] == [
+        (False, None, ""), (True, None, ""), (False, None, ""), (False, [0, 1], "why")]
 
 
 def test_certify_unknown_lemma(capsys):

@@ -1,14 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 import hendry
 from hendry import (
+    BullResult,
+    ChordalityResult,
+    ConnectivityCert,
     Cycle,
+    ExtensionVerdict,
     GraphError,
+    HkSpec,
+    HostTree,
     LabeledGraph,
+    SubtreeModel,
     complete_graph,
     cycle_from_edge_set,
     disjoint_union,
@@ -18,6 +29,7 @@ from hendry import (
     path_graph,
 )
 from hendry.core import shortest_path
+from hendry.cycles import _Kernel
 from oracles import contract_parts, cycle_graph, gnp, induced, is_isomorphic, same_adjacency
 
 
@@ -45,6 +57,54 @@ def test_public_names():
     exported = {name for name, value in vars(hendry).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_importing_the_cli_generates_no_code():
+    """The package defines no dataclasses: each one generates and execs code
+    as its module loads, and the first pulls in dataclasses, inspect, ast, dis
+    and tokenize, in every CLI process.  A fresh interpreter imports
+    hendry.cli; modules it had loaded before (at site start-up) do not count."""
+    probe = ("import sys; before = set(sys.modules); import hendry.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(hendry.__file__).parent.parent)}
+    added = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                               text=True, check=True, timeout=60).stdout.split())
+    assert "hendry.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
+# each immutable value type with the fields of one value; the last two hold a
+# dict or lists, so they are immutable but not hashable
+VALUES = [
+    (ChordalityResult, (False, None, (0, 1, 2, 3))),
+    (BullResult, (False, (0, 1, 2, 3, 4))),
+    (ExtensionVerdict, (False, frozenset({0, 1, 2}))),
+    (ConnectivityCert, (2, (3, 5), False)),
+    (HkSpec, (3, (3, 4, 5, 3, 3))),
+    (SubtreeModel, (HostTree(2, [(0, 1)]), {0: frozenset({0, 1})})),
+    (_Kernel, ([6, 5, 3], [], [1, 2, 4], 3, [6, 5, 3], {}, [])),
+]
+
+
+@pytest.mark.parametrize("cls, fields", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+def test_value_types_are_immutable_tuples(cls, fields):
+    value = cls(*fields)
+    assert value == cls(*fields) == fields and tuple(value) == fields
+    assert value == cls(**dict(zip(value._fields, fields)))
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):  # no instance dict either
+        value.note = None
+    if cls not in (SubtreeModel, _Kernel):
+        assert hash(value) == hash(cls(*fields))
+
+
+@pytest.mark.parametrize("cls", [ChordalityResult, BullResult, ExtensionVerdict],
+                         ids=lambda cls: cls.__name__)
+def test_result_truth_is_the_verdict(cls):
+    rest = (None,) * (len(cls._fields) - 1)
+    assert bool(cls(True, *rest)) is True and bool(cls(False, *rest)) is False
 
 
 def test_basic_validation():

@@ -31,6 +31,8 @@ from hendry import (
     lift_cycle,
     path_graph,
     subset_cap,
+    tree_stats,
+    verify_model,
     witness_long_heavy_cycle,
 )
 from hendry.core import bits_of
@@ -59,6 +61,7 @@ from oracles import (
     representative_masks,
     room_by_drops,
     s_extendible_by_drop_chains,
+    spider_model,
     table_by_sweeps,
     table_cyclable,
     twin_blowup,
@@ -439,6 +442,28 @@ def test_is_cycle_extendible_examples():
     verdict = is_cycle_extendible(h)
     assert not verdict.extendible
     assert verdict.witness == frozenset(range(h.n)) - {h.vertex("z"), h.vertex("v3")}
+
+
+def test_hamiltonian_spider_intersection_graphs_are_cycle_extendible():
+    """A published theorem as the table scan's oracle: Hamiltonian
+    intersection graphs of subtrees of a spider (a tree with at most one
+    branch vertex) are cycle extendible (Abueida, Busch and Sritharan,
+    "Hamiltonian spider intersection graphs are cycle extendable", SIAM J.
+    Discrete Math., 2013).  500 seeded models, each checked by verify_model;
+    about 280 of their graphs (n <= 13) are Hamiltonian, on path hosts and
+    on spiders with a branch vertex alike, and each must extend."""
+    rng = random.Random(2013)
+    hamiltonian = [0, 0]  # by the host's branch vertices
+    for _ in range(500):
+        model, g = spider_model(rng)
+        assert verify_model(model, g) == (True, None)
+        branch = tree_stats(model.host)[1]
+        assert branch <= 1
+        if find_spanning_cycle(g) is not None:
+            hamiltonian[branch] += 1
+            verdict = is_cycle_extendible(g)
+            assert verdict.extendible, (model.host.edges, model.assign, verdict.witness)
+    assert min(hamiltonian) >= 100, hamiltonian
 
 
 def test_every_n_from_15_is_decided_on_the_paste_kernel():

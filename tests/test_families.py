@@ -88,6 +88,15 @@ def test_hk_spec_errors():
         HkSpec(3, (3, 3, 3, 3))
     with pytest.raises(GraphError):
         HkSpec(3, (3, 3, 3, 3, 2))
+    with pytest.raises(GraphError):  # checked by keyword too
+        HkSpec(k=3, clique_sizes=[3, 3, 3, 3])
+
+
+def test_hk_spec_is_a_hashable_value():
+    spec = HkSpec(3, [3, 4, 5, 3, 3])
+    assert spec.clique_sizes == (3, 4, 5, 3, 3) and type(spec.clique_sizes) is tuple
+    assert spec == HkSpec(k=3, clique_sizes=(3, 4, 5, 3, 3))
+    assert {spec: "hk"}[HkSpec(3, (3, 4, 5, 3, 3))] == "hk"
 
 
 def test_h_plus():

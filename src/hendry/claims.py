@@ -4,14 +4,15 @@ Each claim id maps to a scripted exact verification: the claim builds the
 family, runs the relevant recognizers/searches and adds its checks (verdicts
 with witnesses) to the run that `run_claim` hands it.  The ids follow the
 claim table (docs/claims.md), so a run can be replayed by name from the CLI.
-Non-extendibility (claims 2.8, 2.9 and 3.1) is proved as the paper argues
-it, by three searches on kernels: V - {z, vk} is cyclable and neither
-one-vertex extension is.  No table is built, so the table cap does not apply.
+Non-extendibility (claims 2.8, 2.9, 3.1, 3.4) is proved as the paper argues
+it, by kernel searches: W is cyclable and W + A is not, for each jump A out of
+W.  Only claim 4.1's small exceptions build a table; the cap spares the rest.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 from . import chordal, cycles, structure, treemodel
 from .core import GraphError, LabeledGraph, SizeCapError
@@ -158,19 +159,27 @@ def claim_2_8(run, params) -> LabeledGraph:
     spec = HkSpec(k, _sizes(params, k))
     h = build_hk(spec)
     run.check(f"hk{spec.clique_sizes} Hamiltonian", lambda: _lifted_ham(k, h))
-    _not_extendible(run, h, k, "not cycle extendible")
+    _not_extendible(run, h, "not cycle extendible", ("z", f"v{k}"), (1,))
     return h
 
 
-def _not_extendible(run, g, k, name):
-    """g is not cycle extendible: V - {z, vk} is cyclable, and adding z or vk
-    is not (the paper's argument).  The witness is V - {z, vk}."""
-    z, vk = g.vertex("z"), g.vertex(f"v{k}")
-    frozen = set(range(g.n)) - {z, vk}
-    run.check(name, lambda: (
-        cycles.find_spanning_cycle(g, frozen) is not None
-        and all(cycles.find_spanning_cycle(g, frozen | {v}) is None for v in (z, vk)),
-        sorted(frozen)))
+def _not_extendible(run, g, name, dropped, jumps):
+    """g is not S-cycle extendible for S = jumps, by the paper's argument:
+    W = V minus the `dropped` roles is cyclable, has room for min(S) more
+    vertices, and no W + A is, for A a j-subset of the dropped vertices and j
+    in S.  The witness is W; returns W's validated cycle, or None on failure."""
+    drop = sorted(g.vertex(role) for role in dropped)
+    frozen = set(range(g.n)) - set(drop)
+    found = None
+
+    def proof():
+        nonlocal found
+        found = cycles.find_spanning_cycle(g, frozen)
+        return (found is not None and len(drop) >= min(jumps)
+                and all(cycles.find_spanning_cycle(g, frozen.union(a)) is None
+                        for j in jumps for a in combinations(drop, j)),
+                sorted(frozen))
+    return found if run.check(name, proof) else None
 
 
 def claim_2_9(run, params):
@@ -198,7 +207,7 @@ def claim_3_1(run, params):
               lambda: (structure.is_pt_free(hp, 9), None))
     run.check("h_plus strongly chordal", lambda: chordal.is_strongly_chordal(hp))
     run.check("h_plus Hamiltonian", lambda: _lifted_ham(3, hp))
-    _not_extendible(run, hp, 3, "h_plus not cycle extendible")
+    _not_extendible(run, hp, "h_plus not cycle extendible", ("z", "v3"), (1,))
 
 
 def claim_3_2(run, params):
@@ -227,17 +236,14 @@ def claim_3_4(run, params):
     """Subdivided pastes defeat extension by any length in the given set."""
     k = params.get("k", 3)
     s_set = sorted(set(params.get("s_set", (1, 2))))
+    if not s_set or s_set[0] < 1:
+        raise GraphError("the extension set must be nonempty, with positive lengths")
     m = max(s_set) + 1 if params.get("m") is None else params["m"]
     h = build_hkm(k, m, _sizes(params, k))
-    verdict = None
-
-    def scan():
-        nonlocal verdict
-        verdict = cycles.is_s_cycle_extendible(h, s_set)
-        return not verdict.extendible, sorted(verdict.witness or ())
-    run.check(f"hkm(k={k},m={m}) not {{{','.join(map(str, s_set))}}}-cycle extendible", scan)
-    if verdict is not None and verdict.witness is not None:
-        run.check("witness is cyclable", lambda: spanning_check(h, verdict.witness))
+    name = f"hkm(k={k},m={m}) not {{{','.join(map(str, s_set))}}}-cycle extendible"
+    cyc = _not_extendible(run, h, name, ["z"] + [f"v{i}" for i in range(k, k + m + 1)], s_set)
+    if cyc is not None:
+        run.check("witness is cyclable", lambda: (True, cyc))
 
 
 def claim_3_5(run, params):

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from hendry import (
-    Cycle, HkSpec, build_dn, build_gk, build_gkm, build_h_plus, build_hendry_exception,
+    Cycle, GraphError, HkSpec, build_dn, build_gk, build_gkm, build_h_plus, build_hendry_exception,
     build_hk, build_hkm, build_jk, build_s, chordal, cli, cycles, encode_graph6, load_graph,
     save_graph, structure,
 )
@@ -350,17 +350,94 @@ def test_claims_prove_non_extendibility_on_the_frozen_set(capsys, monkeypatch, c
         assert all(r["verdict"] for r in by_name.values())
 
 
+def _claim_3_4_witness(g, k, m):
+    """V minus z, vk and the subdivision v(k+1)..v(k+m): claim 3.4's W."""
+    dropped = {g.vertex(role) for role in ["z"] + [f"v{i}" for i in range(k, k + m + 1)]}
+    return sorted(set(range(g.n)) - dropped)
+
+
+@pytest.mark.parametrize("k, m, top", [(3, 3, 2), (4, 6, 5), (6, 8, 7)])
+def test_claim_3_4_proves_non_extendibility_past_the_table_cap(capsys, monkeypatch, k, m, top):
+    # S = {1..top}: W is cyclable and no W + A is, for A a j-subset of the
+    # m + 2 vertices W misses and j in S.  The searches run on kernels of at
+    # most 3k+1+m vertices and no table is built, so hkm(4, 6) (2^26 cells)
+    # and hkm(6, 8) answer, and lowering the table cap to 2^3 cells changes
+    # nothing, the default run (k = 3, m = 3, S = {1,2}) included
+    argv = ["certify", "--mode", "lemma:3.4"]
+    s_set = ",".join(map(str, range(1, top + 1)))
+    if (k, m, top) != (3, 3, 2):
+        argv += ["--k", str(k), "--m", str(m), "--set", s_set]
+    g = build_hkm(k, m, (3,) * (2 * k - 1))
+    for cap in (None, "3"):
+        if cap is None:
+            monkeypatch.delenv("HENDRY_SUBSET_CAP", raising=False)
+        else:
+            monkeypatch.setenv("HENDRY_SUBSET_CAP", cap)
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        proof, cyclable = report_of(stdout)["results"]
+        assert proof["name"] == f"hkm(k={k},m={m}) not {{{s_set}}}-cycle extendible"
+        assert proof["verdict"] is True
+        assert proof["witness"] == _claim_3_4_witness(g, k, m)
+        assert (cyclable["name"], cyclable["verdict"]) == ("witness is cyclable", True)
+        assert Cycle(cyclable["witness"]).validate(g).vertex_set == set(proof["witness"])
+
+
+def test_claim_3_4_agrees_with_the_table_scan():
+    # the claim against the S-extendibility scan of hkm(3, m)'s own table:
+    # the same verdict and, at all-3 sizes, the same witness W.  S = {1, m+5}
+    # has a jump past the m + 2 vertices W misses.  With S = {m+3} W has no
+    # room for a jump (it is exempt), and with S = {2, m+2} W grows into V:
+    # the table finds both extendible, and the proof fails without a
+    # "witness is cyclable" check.  With a clique of order 4 the table's
+    # smallest failing set can differ from W; the verdicts agree and the
+    # claim reports W.  A scan of hkm(3, 6) or hkm(3, 7) takes 0.1-0.3 s,
+    # so those two get two sets each
+    for sizes, ms in (((3,) * 5, range(1, 8)), ((3, 3, 4, 3, 3), range(1, 4))):
+        for m in ms:
+            h = build_hkm(3, m, sizes)
+            for s_set in [(1, m + 5), (m + 3,)] + ([(1, 2), (m,), (2, m + 2)] if m < 6 else []):
+                proof, *rest = run_claim("3.4", {"m": m, "sizes": sizes, "s_set": s_set}).results
+                scan = cycles.is_s_cycle_extendible(h, s_set)
+                assert proof.verdict is not scan.extendible, (sizes, m, s_set)
+                assert [r.name for r in rest] == (["witness is cyclable"] if proof.verdict else [])
+                assert proof.witness == _claim_3_4_witness(h, 3, m)
+                if sizes == (3,) * 5 and not scan.extendible:
+                    assert proof.witness == sorted(scan.witness), (m, s_set)
+
+
+@pytest.mark.parametrize("params", [{"s_set": ()}, {"s_set": (), "m": 3}, {"s_set": (0,)}])
+def test_claim_3_4_rejects_an_empty_or_nonpositive_jump_set(params):
+    with pytest.raises(GraphError):
+        run_claim("3.4", params)
+
+
+def test_no_claim_but_4_1_builds_a_table(monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"a table was built on {g.n} vertices")
+    monkeypatch.setattr(cycles, "build_cyclable_table", refuse)
+    for claim_id in CLAIMS:
+        if claim_id != "4.1":
+            run_claim(claim_id)
+
+
 def test_claim_time_goes_to_the_check_that_does_the_work(capsys, monkeypatch):
-    real = cycles.is_s_cycle_extendible
+    # claim 3.4's proof runs 16 searches: W, then W plus each 1- and 2-subset
+    # of the 5 vertices it misses.  Each sleeps 10 ms here, so the proof's
+    # time holds all 16, while "witness is cyclable" records the cycle of the
+    # first search and takes less than one sleep: it does not search again
+    real, calls = cycles.find_spanning_cycle, []
 
     def slow(*args, **kwargs):
-        time.sleep(0.05)
+        calls.append(args)
+        time.sleep(0.01)
         return real(*args, **kwargs)
-    monkeypatch.setattr(cycles, "is_s_cycle_extendible", slow)
+    monkeypatch.setattr(cycles, "find_spanning_cycle", slow)
     code, stdout, _ = run_cli(capsys, "certify", "--mode", "lemma:3.4")
-    assert code == 0
+    assert code == 0 and len(calls) == 16
     by_name = {r["name"]: r for r in report_of(stdout)["results"]}
-    assert by_name["hkm(k=3,m=3) not {1,2}-cycle extendible"]["elapsed_ms"] >= 50
+    assert by_name["hkm(k=3,m=3) not {1,2}-cycle extendible"]["elapsed_ms"] >= 160
+    assert by_name["witness is cyclable"]["elapsed_ms"] < 10
 
 
 def test_check_records_keep_their_defaults_and_own_lists():

@@ -6,13 +6,15 @@ with witnesses) to the run that `run_claim` hands it.  The ids follow the
 claim table (docs/claims.md), so a run can be replayed by name from the CLI.
 Non-extendibility (claims 2.8, 2.9, 3.1, 3.4) is proved as the paper argues
 it, by kernel searches: W is cyclable and W + A is not, for each jump A out of
-W.  Only claim 4.1's small exceptions build a table; the cap spares the rest.
+W.  Only claim 4.1's small exceptions build a table; the table cap spares
+the rest, and a proof's search count has a cap of its own.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import combinations
+from math import comb
 
 from . import chordal, cycles, structure, treemodel
 from .core import GraphError, LabeledGraph, SizeCapError
@@ -34,6 +36,9 @@ from .families import (
     witness_long_heavy_cycle,
 )
 
+# the most spanning-cycle searches one non-extendibility proof may run
+_PROOF_SEARCH_CAP = 1 << 16
+
 
 class CheckResult:
     """One check: verdict (None when a size cap stopped it), witness, detail, time."""
@@ -51,8 +56,8 @@ class ClaimRun:
 
     __slots__ = ("results",)
 
-    def __init__(self, results: list[CheckResult] | None = None):
-        self.results = [] if results is None else results
+    def __init__(self):
+        self.results: list[CheckResult] = []
 
     def check(self, name, fn):
         """Run fn and record its (verdict, witness[, detail]) or bare verdict.
@@ -167,13 +172,19 @@ def _not_extendible(run, g, name, dropped, jumps):
     """g is not S-cycle extendible for S = jumps, by the paper's argument:
     W = V minus the `dropped` roles is cyclable, has room for min(S) more
     vertices, and no W + A is, for A a j-subset of the dropped vertices and j
-    in S.  The witness is W; returns W's validated cycle, or None on failure."""
+    in S.  The witness is W; returns W's validated cycle, or None on failure.
+    A proof of more than _PROOF_SEARCH_CAP searches hits the cap before the
+    first one."""
     drop = sorted(g.vertex(role) for role in dropped)
     frozen = set(range(g.n)) - set(drop)
     found = None
 
     def proof():
         nonlocal found
+        searches = 1 + sum(comb(len(drop), j) for j in jumps)
+        if searches > _PROOF_SEARCH_CAP:
+            raise SizeCapError(f"the proof needs {searches} spanning-cycle searches; "
+                               f"cap is {_PROOF_SEARCH_CAP}")
         found = cycles.find_spanning_cycle(g, frozen)
         return (found is not None and len(drop) >= min(jumps)
                 and all(cycles.find_spanning_cycle(g, frozen.union(a)) is None

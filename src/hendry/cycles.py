@@ -297,21 +297,27 @@ def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[i
 
 def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | None:
     """A cycle through every vertex and all forced pairs, as a local-id tour,
-    or None when there is none.
+    or None when there is none.  The graph is the kernel of a set of at least
+    3 vertices with minimum degree 2 (find_spanning_cycle), and such a kernel
+    has at least 3 vertices.
 
     Forced edges are propagated first, and a cut vertex ends the search.
     The DFS starts at a vertex of least degree and takes forced edges when it
-    has them; it prunes when an independent class with one shared
-    neighbourhood needs more edges than that neighbourhood has left, when the
-    unexplored region is not connected to both ends of the path, and by twin
-    symmetry (only the lowest unvisited twin is tried).  Forced edges closing
-    a cycle short of all vertices need no test of their own: propagation
-    leaves no arc into such a cycle, so a start outside it fails the region
-    check and a start on it fails after one forced lap.
+    has them; it prunes when an independent twin class needs more edges than
+    its shared neighbourhood has left, when the unexplored region is not
+    connected to both ends of the path, and by twin symmetry (only the lowest
+    unvisited twin is tried).  Forced edges closing a cycle short of all
+    vertices need no test of their own: propagation leaves no arc into such a
+    cycle, so a start outside it fails the region check and a start on it
+    fails after one forced lap.
+
+    After propagation a vertex with two forced edges lies in no `allowed` row
+    but its forced partners', so a step never enters a vertex with two forced
+    edges still to take, and the path leaves every vertex but the start along
+    its unused forced edge: the only visited forced partner a new vertex can
+    have, besides the one it is entered from, is the start.
     """
     m = len(adj_masks)
-    if m < 3:
-        return None
     allowed = list(adj_masks)
     forced = [0] * m
     for a, b in forced_pairs:
@@ -323,25 +329,14 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
     # ways, so without v one neighbour of v still reaches all the others
     full = (1 << m) - 1
     for v in range(m):
-        nbrs, rest = allowed[v], full & ~(1 << v)
-        seen = frontier = nbrs & -nbrs
-        while nbrs & ~seen:
-            frontier = _step(allowed, frontier) & rest & ~seen
-            if not frontier:
-                return None
-            seen |= frontier
+        if allowed[v] & ~reach(allowed, allowed[v] & -allowed[v], full & ~(1 << v)):
+            return None
 
     class_of, class_masks = _twin_classes(allowed, forced, m)
-
-    # independent classes with a shared neighborhood bound the search: every
-    # unvisited member still needs two edges into that neighborhood
-    indep_classes = []
-    seen_nbhd: dict[int, int] = {}
-    for v in range(m):
-        seen_nbhd[allowed[v]] = seen_nbhd.get(allowed[v], 0) | (1 << v)
-    for nmask, amask in sorted(seen_nbhd.items()):
-        if amask.bit_count() >= 2:
-            indep_classes.append((amask, nmask))
+    # an independent class (open twins) bounds the search: every unvisited
+    # member still needs two edges into the members' shared neighbourhood
+    indep_classes = [(c, allowed[(c & -c).bit_length() - 1]) for c in class_masks]
+    indep_classes = [(c, nmask) for c, nmask in indep_classes if not c & nmask]
 
     start = min(range(m), key=lambda v: (allowed[v].bit_count(), v))
     start_bit = 1 << start
@@ -387,13 +382,9 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
                 unvisited_cls = class_masks[cls] & ~visited
                 if (unvisited_cls & -unvisited_cls).bit_length() - 1 != w:
                     continue
-            wbit = 1 << w
-            new_visited = visited | wbit
-            viol = forced[w] & visited & ~(1 << v)
-            if viol and not (viol == start_bit and new_visited == full):
-                continue
-            if (forced[w] & ~new_visited).bit_count() >= 2:
-                continue
+            new_visited = visited | 1 << w
+            if forced[w] & start_bit & ~(1 << v) and new_visited != full:
+                continue  # the start's forced partner comes last
             path.append(w)
             if dfs(w, new_visited):
                 return True
@@ -458,10 +449,10 @@ class _Kernel(namedtuple("_Kernel", "adj forced members plain local_adj pastes s
         return out
 
 
-def _pastes(adj) -> dict[tuple[int, int], int]:
+def _pastes(adj) -> tuple[dict[tuple[int, int], int], int, int]:
     """The pasted sets of a local graph, as {(a, b): P} with a < b: the
     vertices P whose closed neighbourhoods all equal P+{a,b}, where P+{a,b}
-    is not the whole graph.
+    is not the whole graph; then the masks of their members and of their ends.
 
     Sets are taken in order of their closed neighbourhood, and one is skipped
     when it holds an end of a set already taken, when one of its ends lies in
@@ -484,7 +475,7 @@ def _pastes(adj) -> dict[tuple[int, int], int]:
             pastes[a, b] = p
             removed |= p
             ends |= ab
-    return pastes
+    return pastes, removed, ends
 
 
 def _kernelize(adj: list[int]) -> _Kernel:
@@ -504,11 +495,7 @@ def _kernelize(adj: list[int]) -> _Kernel:
     """
     m = len(adj)
     full = (1 << m) - 1
-    pastes = _pastes(adj)
-    removed = ends = 0
-    for (a, b), p in pastes.items():
-        removed |= p
-        ends |= 1 << a | 1 << b
+    pastes, removed, ends = _pastes(adj)
     alive = full & ~removed
     if removed:
         adj = [adj[v] & ~removed if alive >> v & 1 else 0 for v in range(m)]
@@ -705,7 +692,7 @@ def _paste_kernel(g: LabeledGraph) -> tuple[LabeledGraph, list[int] | None]:
     """
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     tops, dropped = {}, 0
-    for (a, b), p in _pastes(adj).items():
+    for (a, b), p in _pastes(adj)[0].items():
         top = 1 << p.bit_length() - 1
         if p != top and adj[a] >> b & 1:
             tops[top] = p

@@ -27,8 +27,6 @@ _CHAR_BITS = {chr(63 + v): format(v, "06b") for v in range(64)}
 
 
 def _size_groups(n: int) -> list[int]:
-    if n < 0:
-        raise GraphError("negative vertex count")
     if n <= 62:
         return [n]
     if n <= 258047:
@@ -69,22 +67,13 @@ def _decode(data) -> tuple[int, list[tuple[int, int]]]:
         ch = next(ch for ch in s if not "?" <= ch <= "~")
         raise GraphError(f"invalid graph6 byte {ch!r}")
     vals = [ord(ch) - 63 for ch in s[:8]]
-
-    if vals[0] != 63:
-        n = vals[0]
-        pos = 1
-    elif len(vals) >= 2 and vals[1] != 63:
-        if len(vals) < 4:
-            raise GraphError("malformed graph6 length header")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        pos = 4
-    else:
-        if len(vals) < 8:
-            raise GraphError("malformed graph6 length header")
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        pos = 8
+    # the size takes 1, 4 or 8 bytes, each longer form behind one more 63
+    pos = 1 if vals[0] != 63 else 4 if vals[1:2] != [63] else 8
+    if len(vals) < pos:
+        raise GraphError("malformed graph6 length header")
+    n = 0
+    for v in vals[pos // 4:pos]:
+        n = (n << 6) | v
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6

@@ -406,6 +406,26 @@ def test_claim_3_4_agrees_with_the_table_scan():
                     assert proof.witness == sorted(scan.witness), (m, s_set)
 
 
+def test_claim_3_4_caps_its_search_count_before_searching(capsys, monkeypatch):
+    # the proof runs 1 + sum over j in S of C(m+2, j) searches: m = 12 with
+    # S = {1..11} runs its 16278, while m = 20 with S = {1..19} (4194050)
+    # hits the cap before the first, so its check alone has a null verdict
+    calls = []
+
+    def stub(g, subset=None):  # W is cyclable, no W + A is
+        calls.append(subset)
+        return "a cycle on W" if len(calls) == 1 else None
+    monkeypatch.setattr(cycles, "find_spanning_cycle", stub)
+    proof, _ = run_claim("3.4", {"m": 12, "s_set": range(1, 12)}).results
+    assert proof.verdict is True and len(calls) == 16278
+    calls.clear()
+    code, stdout, err = run_cli(capsys, "certify", "--mode", "lemma:3.4", "--k", "3", "--m", "20",
+                                "--set", ",".join(map(str, range(1, 20))))
+    assert code == 3 and calls == [] and "4194050 spanning-cycle searches" in err
+    (proof,) = report_of(stdout)["results"]
+    assert (proof["verdict"], proof["witness"]) == (None, None)
+
+
 @pytest.mark.parametrize("params", [{"s_set": ()}, {"s_set": (), "m": 3}, {"s_set": (0,)}])
 def test_claim_3_4_rejects_an_empty_or_nonpositive_jump_set(params):
     with pytest.raises(GraphError):
@@ -557,6 +577,19 @@ def test_check_computes_each_engine_result_once(capsys, monkeypatch):
 def test_usage_errors(capsys):
     assert run_cli(capsys, "check")[0] == 2  # no input, no checks
     assert run_cli(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "--family", "hk", "--k", "3", "--sizes", "3,x", "--chordal"),
+     "error: could not parse clique sizes '3,x'"),
+    (("check", "--family", "gk", "--k", "3"), "no checks requested"),
+    (("certify", "--family", "hk", "--k", "3", "--mode", "s-extendibility"),
+     "error: s-extendibility needs --set, e.g. --set 1,2"),
+    (("certify", "--family", "gk", "--k", "3", "--mode", "bogus"),
+     "error: unknown certify mode 'bogus'"),
+    (("model",), "error: model needs --family hk|jk or an input graph")])
+def test_usage_errors_name_their_cause(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err + "\n")
 
 
 def test_bad_jump_set_is_usage_error(capsys):

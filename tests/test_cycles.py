@@ -1010,7 +1010,7 @@ def test_kernel_matches_vertex_by_vertex_rows():
     rng = random.Random(73)
     graphs = _census_family_members(24) + [build_s(k) for k in range(3, 7)] + [build_dn(60)]
     graphs += [random_chordal(rng.randint(6, 40), rng) for _ in range(150)]
-    fired = {"paste": 0, "segment": 0}
+    fired = {"paste": 0, "segment": 0, "searched": 0}
     for g in graphs:
         sets = [list(range(g.n))] + [sorted(rng.sample(range(g.n), rng.randint(3, g.n)))
                                      for _ in range(3)]
@@ -1023,7 +1023,10 @@ def test_kernel_matches_vertex_by_vertex_rows():
             assert got == want, vs
             fired["paste"] += bool(got.pastes)
             fired["segment"] += bool(got.segments)
-    assert fired["paste"] > 100 and fired["segment"] > 30, fired
+            if min(nb.bit_count() for nb in adj) >= 2:  # a set the search is run on
+                assert len(got.adj) >= 3, vs
+                fired["searched"] += 1
+    assert fired["paste"] > 100 and fired["segment"] > 30 and fired["searched"] > 100, fired
 
 
 def _forced_instances(rng):
@@ -1064,4 +1067,7 @@ def test_propagation_matches_the_neighbour_scan():
         if ok:
             assert (got_a, got_f) == (want_a, want_f)
             dropped += got_a != allowed
+            # the search's invariant: a saturated vertex is only in its forced partners' rows
+            sat = sum(1 << v for v in range(m) if got_f[v].bit_count() == 2)
+            assert not any(got_a[v] & sat & ~got_f[v] for v in range(m))
     assert min(outcomes.values()) > 100 and dropped > 50, (outcomes, dropped)

@@ -77,13 +77,18 @@ def test_multibyte_size():
     s = encode_graph6(g)
     assert s.startswith("~")
     assert decode_graph6(s).n == 63
+    # K3 in the 4- and 8-byte size forms, which the encoder only writes past
+    # 62 and 258047 vertices
+    for header in ("~??B", "~~?????B"):
+        assert decode_graph6(header + "w").edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_decode_errors():
     with pytest.raises(GraphError):
         decode_graph6("")
-    with pytest.raises(GraphError):
-        decode_graph6("~?")  # truncated multi-byte length
+    for text in ("~", "~?", "~??", "~~", "~~?????"):  # each long size form cut short
+        with pytest.raises(GraphError, match="malformed graph6 length header"):
+            decode_graph6(text)
     with pytest.raises(GraphError):
         decode_graph6("Bww")  # trailing garbage
     with pytest.raises(GraphError):

@@ -208,7 +208,7 @@ def cmd_check(args) -> int:
         run.check("bull-free", bull_fn)
 
     if not run.results:
-        print("no checks requested", file=sys.stderr)
+        print("error: no checks requested", file=sys.stderr)
         return EXIT_USAGE
     return _emit("check", desc, {"n": g.n, "edges": g.edge_count}, run.results)
 

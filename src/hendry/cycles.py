@@ -6,17 +6,19 @@ Two exact mechanisms back every predicate here, one per kind of question:
   Hamiltonian paths (the cyclable table) on the twin quotient: twins can be
   swapped by an automorphism, so a set's cyclability depends only on how
   many vertices it takes from each twin class, and the table has one cell per
-  such count vector (2^n cells when there are no twins), bit-sliced into one
-  integer per class and bounded by a cap on the cell count; its masks are
-  derived by shifts where they are used, its fill updates a class only from
-  the neighbours whose rows grew, and the scans read the fill's ints as they
-  are; and
+  such count vector (2^n cells when there are no twins), bounded by a cap on
+  the cell count.  Its fill is bit-sliced, one integer per class: it sweeps
+  the classes below the top one, then fills the top class one block of
+  cells at a time, at the width of one block, updating a class only from the
+  neighbours whose rows grew.  The table keeps one integer of cyclable bits,
+  which the scans read as it is; and
 * a question about one set (is it cyclable, which cycle spans it) goes to a
   backtracking search for cycles spanning that set, with forced edges (from
   the kernel, or implied by degree-2 vertices) propagated up front and a cut
-  vertex ending it at once, then pruned by a degree bound on independent twin
-  classes, the connectivity of the unexplored region and twin symmetry.  The search is exhaustive, so a
-  miss is a proof of nonexistence.
+  vertex ending it at once, then pruned by a degree bound on open twins
+  (vertices with one neighbourhood), the connectivity of the unexplored
+  region and twin symmetry.  The search is exhaustive, so a miss is a proof
+  of nonexistence.
 
 Before an existence search, the set is kernelized: segments that every
 spanning cycle must cross in one piece are contracted to forced pairs, the
@@ -90,12 +92,9 @@ class CyclableTable:
     cell takes the c_i lowest members of each class; its anchor is its
     lowest vertex.  With every class a single vertex, cell c is vertex mask c.
 
-    `ends` holds one `cells`-bit int per class e: bit c of ends[e] is set iff
-    the representative set of c has a Hamiltonian path from its anchor to a
-    member of class e other than the anchor (or is the anchor alone).  Bit c
-    of the int `cyc` is set iff the representative set is cyclable.
-    Whole-graph scans read these ints; a question about a single set (which
-    cycle spans it) goes to find_spanning_cycle.
+    Bit c of the `cells`-bit int `cyc` is set iff the representative set of
+    c is cyclable.  Whole-graph scans read that int; a question about a
+    single set (which cycle spans it) goes to find_spanning_cycle.
     """
 
     def __init__(self, n: int, classes: list[int]):
@@ -104,7 +103,6 @@ class CyclableTable:
         for m in classes:
             self.strides.append(self.cells)
             self.cells *= m.bit_count() + 1
-        self.ends: list[int] = []
         self.cyc = 0
 
     def representative(self, cell: int) -> list[int]:
@@ -123,19 +121,29 @@ def _twin_quotient(g: LabeledGraph) -> CyclableTable:
     return CyclableTable(g.n, sorted(masks, key=lambda m: m & -m))
 
 
-def _digit_masks(table: CyclableTable):
-    """(i, z, one, top, low) for each class i from the top down: z holds the
-    cells whose digits 0..i are all 0, one and top are z with digit i at 1
-    and at its largest value, and low holds the cells whose digits below i
-    are all 0 (z with every value of digit i), each derived by shifts."""
+def _repeat(x: int, step: int, count: int) -> int:
+    """x | x << step | ... | x << (count - 1) * step: count >= 1 copies of x,
+    `step` bits apart, built by doubling (x itself when count is 1)."""
+    out, q = x, 1  # out holds q copies
+    for bit in bin(count)[3:]:
+        out, q = out | out << q * step, 2 * q
+        if bit == "1":
+            out, q = out << step | x, q + 1
+    return out
+
+
+def _digit_masks(classes: list[int], strides: list[int]):
+    """(i, z, one, top, low) for each class i from the top down, over the
+    cells of the layout `classes` and `strides` spans: z holds the cells whose
+    digits 0..i are all 0, one and top are z with digit i at 1 and at its
+    largest value, and low holds the cells whose digits below i are all 0 (z
+    with every value of digit i), each derived by shifts."""
     z = 1
-    for i in reversed(range(len(table.classes))):
-        one = top = z << table.strides[i]
-        low = z | one
-        for _ in range(table.classes[i].bit_count() - 1):
-            top <<= table.strides[i]
-            low |= top
-        yield i, z, one, top, low
+    for i in reversed(range(len(classes))):
+        size, w = classes[i].bit_count(), strides[i]
+        one = z << w
+        low = z | (_repeat(one, w, size) if size > 1 else one)
+        yield i, z, one, one if size == 1 else z << size * w, low
         z = low
 
 
@@ -149,7 +157,7 @@ def _drops(x: int, steps: int, table: CyclableTable) -> list[int]:
     already holds its own class-i drops.
     """
     chain = [x] + [0] * steps
-    for i, z, _, top, _ in _digit_masks(table):
+    for i, z, _, top, _ in _digit_masks(table.classes, table.strides):
         w, keep = table.strides[i], top - z  # keep: digit i below its top
         for t in range(1, len(chain)):
             chain[t] |= (chain[t - 1] >> w) & keep
@@ -175,22 +183,85 @@ def _crowded(table: CyclableTable, s: int) -> int:
     return short[-1]
 
 
+def _sweep(rows: list[int], stale: list[set[int]], strides: list[int], grow: list[int],
+           notify: list[list[int]]) -> None:
+    """Grow rows[e], for each e < len(grow), to the least fixed point of
+    rows[e] |= (OR of e's neighbours' rows) << strides[e] & grow[e]; later
+    rows are read and not updated.  stale[e] holds the neighbours grown since
+    e's last update, and notify[e] the classes whose stale entry a growth of
+    row e marks.
+
+    The update is a union of one term per neighbour and only grows rows, so
+    the fixed point does not depend on the order of updates: sweeps of
+    alternating direction update a class only after a neighbour's row grew,
+    from those neighbours alone, until no row grows.
+    """
+    order = list(range(len(grow)))
+    while any(stale):
+        for e in order:
+            grew = stale[e]
+            if grew:
+                reach = 0
+                for f in grew:
+                    reach |= rows[f]
+                grew.clear()
+                row = rows[e] | (reach << strides[e]) & grow[e]
+                if row != rows[e]:
+                    rows[e] = row
+                    for u in notify[e]:
+                        stale[u].add(e)
+        order.reverse()
+
+
+def _close(rows: list[int], nbrs: list[list[int]], anchored: list[int]) -> int:
+    """The cyclable bits of one block: anchored[a] holds the cells whose
+    anchor is in class a, and such a cell is cyclable when a path spanning
+    its set ends at a neighbour of the anchor, in the row of a neighbour
+    class of a."""
+    cyc = 0
+    for a, cells in enumerate(anchored):
+        reach = 0
+        for f in nbrs[a]:
+            reach |= rows[f]
+        cyc |= reach & cells
+    return cyc
+
+
 def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
     """Run the anchored Hamiltonian-path DP (Held-Karp) over every count
-    vector of g's twin classes.
+    vector of g's twin classes, and keep the cyclable bits.
 
-    ends[e] gets bit c when the representative set of c has a Hamiltonian
-    path from its anchor to a member v of class e, which (unless the set is
-    the anchor alone) extends a path to a neighbour of v spanning the set
-    minus v, whose cell is c minus one class-e vertex.  Class f is a
-    neighbour of class e when their members are adjacent; a class of true
-    twins is its own neighbour.  OR_f ends[f] shifted left by stride[e] adds
-    a class-e vertex to every cell, and masking to the cells where class e is
-    nonempty and not the anchor alone drops the carries.  The update is a
-    union of one term per neighbour and only grows rows, so the least fixed
-    point does not depend on the order of updates: sweeps of alternating
-    direction update a class only after a neighbour's row grew, from those
-    neighbours alone, until no row grows.
+    Row e of the DP gets bit c when the representative set of c has a
+    Hamiltonian path from its anchor to a member v of class e other than the
+    anchor, or is the anchor alone.  Unless the set is the anchor alone, the
+    path extends one to a neighbour of v spanning the set minus v, whose cell
+    is c minus one class-e vertex.  Class f is a neighbour of class e when
+    their members are adjacent; a class of true twins is its own neighbour.
+    So row e grows by the OR of its neighbours' rows shifted left by
+    stride[e], masked to the cells where class e is nonempty and not the
+    anchor alone: the least fixed point of that update (_sweep).
+
+    The fill runs in two stages on ints of width w = stride[t], t the top
+    class, and block d (d = 0..|C_t|) holds the cells with d members of C_t,
+    cell d*w + c' at bit c'.  The masks of the classes below t depend only on
+    the digits below t, so one width-w mask serves every block.  Their width
+    drops the bits a shift by stride[e] carries past w; w is a multiple of
+    the period stride[e] * (|C_e| + 1), so such a carry wraps digit e to 0,
+    which the mask leaves out in the full-width fill too.
+
+    * Stage 1 fills the classes below t on block 0, the table of g - C_t.
+    * Stage 2 fills blocks 1..|C_t| in turn.  A class-t end is added last to
+      a path of the block before, so row t is the OR of that block's rows
+      over t's neighbours, with no shift, plus the anchor alone in block 1.
+      Removing a lower-class end keeps digit t, so the rows below t are the
+      least fixed point of the same update within the block, seeded from
+      row t alone.
+
+    A set is cyclable when a path spanning it ends at a neighbour of its
+    anchor (_close); in blocks 1 and up, the cell c' = 0 holds C_t's members
+    alone, anchored in C_t, and closes through row t when C_t is a class of
+    true twins.  A block's rows seed the next block's row t and are then
+    dropped, so no full-width row is ever built.
     """
     table, cap = _twin_quotient(g), subset_cap()
     classes, strides, cells = table.classes, table.strides, table.cells
@@ -198,51 +269,48 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
         raise SizeCapError(
             f"cyclable table needs {cells} cells (2^{math.log2(cells):.2f}); "
             f"cap is 2^{cap} cells")
+    if not classes:
+        return table
     adj, class_of = g.adjacency_masks(), [0] * g.n
     for f, m in enumerate(classes):
         for v in bits_of(m):
             class_of[v] = f
-    stale = []  # stale[e]: neighbour classes grown since e's update
+    near = []  # near[e]: e's neighbour classes, as a mask
     for c in classes:
         row = 0
         for v in bits_of(adj[(c & -c).bit_length() - 1]):
             row |= 1 << class_of[v]
-        stale.append(row)
-    nbrs = [bits_of(m) for m in stale]
-    # grow[e]: the cells where a class-e vertex can come last: all but those
-    # with digit e = 0 (one - z) and those with digit e = 1 over lower zeros
-    full = (1 << cells) - 1
-    grow = [full ^ (one - z) ^ one for _, z, one, _, _ in _digit_masks(table)][::-1]
-    ends, order = [1 << w for w in strides], list(range(len(classes)))
+        near.append(row)
+    nbrs = [bits_of(m) for m in near]
+    t, w, size = len(classes) - 1, strides[-1], classes[-1].bit_count()
+    notify = [[f for f in nb if f < t] for nb in nbrs[:t]]  # the neighbours below t
+    # grow[e]: the cells where a class-e vertex can come last, all but those
+    # with digit e = 0 (one - z) and those with digit e = 1 over lower zeros;
+    # anchored[a]: the cells whose lowest nonzero digit is a
+    full, grow, anchored = (1 << w) - 1, [0] * t, [0] * t
+    for i, z, one, _, low in _digit_masks(classes[:t], strides[:t]):
+        grow[i], anchored[i] = full ^ (one - z) ^ one, low ^ z
     full = 0  # free the mask before the fill
-    while any(stale):
-        for e in order:
-            if stale[e]:
-                reach = 0
-                for f in bits_of(stale[e]):
-                    reach |= ends[f]
-                stale[e] = 0
-                grown = ends[e] | (reach << strides[e]) & grow[e]
-                if grown != ends[e]:
-                    ends[e] = grown
-                    for u in nbrs[e]:
-                        stale[u] |= 1 << e
-        order.reverse()
-    # S is cyclable when a path spanning S ends at a neighbour of its anchor
-    cyc = grown = grow = 0  # grown: free the fill's last candidate row
-    for a, z, _, _, low in _digit_masks(table):
-        reach = 0
-        for f in nbrs[a]:
-            reach |= ends[f]
-        cyc |= reach & (low ^ z)  # the cells whose anchor is in class a
+    twins = near[t] >> t  # 1 when C_t is a class of true twins: then the mask of cell c' = 0
+    rows, stale, cyc = [1 << s for s in strides[:t]] + [0], [set(nb) for nb in notify], 0
+    for d in range(size + 1):
+        _sweep(rows, stale, strides, grow, notify)
+        block = _close(rows, nbrs, anchored) | rows[t] & twins
+        if d < size:
+            top = int(d == 0)
+            for f in nbrs[t]:
+                top |= rows[f]
+            rows, stale = [0] * t + [top], [{t} if m >> t & 1 else set() for m in near[:t]]
+        cyc |= block << d * w
+    rows = grow = anchored = block = None  # free the fill's ints
     # a two-vertex path is not a cycle, nor is the one-vertex path of a class
-    # of true twins, yet the loop set their bits: clear them all in one pass
-    small = [w + strides[f] for a, w in enumerate(strides) for f in nbrs[a] if f >= a]
-    small += [w for a, w in enumerate(strides) if a in nbrs[a]]
+    # of true twins, yet the blocks set their bits: clear them all in one pass
+    small = [step + strides[f] for a, step in enumerate(strides) for f in nbrs[a] if f >= a]
+    small += [step for a, step in enumerate(strides) if a in nbrs[a]]
     clear = bytearray(cells // 8 + 1)
     for c in small:
         clear[c >> 3] |= 1 << (c & 7)
-    table.ends, table.cyc = ends, cyc ^ int.from_bytes(clear, "little")
+    table.cyc = cyc ^ int.from_bytes(clear, "little")
     return table
 
 
@@ -303,13 +371,14 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
 
     Forced edges are propagated first, and a cut vertex ends the search.
     The DFS starts at a vertex of least degree and takes forced edges when it
-    has them; it prunes when an independent twin class needs more edges than
-    its shared neighbourhood has left, when the unexplored region is not
-    connected to both ends of the path, and by twin symmetry (only the lowest
-    unvisited twin is tried).  Forced edges closing a cycle short of all
-    vertices need no test of their own: propagation leaves no arc into such a
-    cycle, so a start outside it fails the region check and a start on it
-    fails after one forced lap.
+    has them; it prunes when open twins (vertices with one `allowed` row,
+    whatever their forced edges) need more edges than their shared
+    neighbourhood has left, when the unexplored region is not connected to
+    both ends of the path, and by twin symmetry (only the lowest unvisited
+    twin is tried; twins there also have equal forced edges).  Forced edges
+    closing a cycle short of all vertices need no test of their own:
+    propagation leaves no arc into such a cycle, so a start outside it fails
+    the region check and a start on it fails after one forced lap.
 
     After propagation a vertex with two forced edges lies in no `allowed` row
     but its forced partners', so a step never enters a vertex with two forced
@@ -333,10 +402,13 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
             return None
 
     class_of, class_masks = _twin_classes(allowed, forced, m)
-    # an independent class (open twins) bounds the search: every unvisited
-    # member still needs two edges into the members' shared neighbourhood
-    indep_classes = [(c, allowed[(c & -c).bit_length() - 1]) for c in class_masks]
-    indep_classes = [(c, nmask) for c, nmask in indep_classes if not c & nmask]
+    # vertices with one `allowed` row are independent and bound the search,
+    # whatever their forced edges: every unvisited one still needs two edges
+    # into the shared row
+    shared: dict[int, int] = {}
+    for v, row in enumerate(allowed):
+        shared[row] = shared.get(row, 0) | 1 << v
+    indep_classes = [(c, nmask) for nmask, c in shared.items() if c & c - 1]
 
     start = min(range(m), key=lambda v: (allowed[v].bit_count(), v))
     start_bit = 1 << start
@@ -761,12 +833,7 @@ def _smallest_cell(table: CyclableTable, cand: int) -> int:
         i = next(i for i, m in enumerate(classes) if m >> v & 1)
         if i not in zeros:
             period = strides[i] * (classes[i].bit_count() + 1)
-            z = q = 0  # z: the multiples of period below q * period
-            for bit in bin(table.cells // period)[2:]:
-                z, q = z | z << q * period, 2 * q
-                if bit == "1":
-                    z, q = z << period | 1, q + 1
-            zeros[i] = z
+            zeros[i] = _repeat(1, period, table.cells // period)
         z, t = zeros[i], (classes[i] & (1 << v) - 1).bit_count()
         cand = cand & (z << (t + 1) * strides[i]) - z or cand
     return cand.bit_length() - 1

@@ -42,7 +42,8 @@ from hendry import (
     path_graph,
 )
 from hendry.core import reach, shortest_path
-from hendry.cycles import _Kernel, _digit_masks, _drops, _paste_kernel, _smallest_cell
+from hendry.cycles import (_Kernel, _digit_masks, _drops, _paste_kernel, _smallest_cell,
+                           _twin_quotient)
 from hendry.families import default_clique_sizes
 
 DEFINITIONAL_CAP = 14
@@ -202,6 +203,54 @@ def table_by_sweeps(g: LabeledGraph) -> tuple[list[int], int]:
         cyc |= reach & (containing(n, a) ^ below[a])
     for a, b in g.edges():
         cyc &= ~(1 << ((1 << a) | (1 << b)))
+    return ends, cyc
+
+
+def table_by_one_stage_fill(g: LabeledGraph) -> tuple[list[int], int]:
+    """(ends, cyc) of g's twin-quotient table filled in one stage: one
+    full-width row per class beside one full-width grow mask per class.
+
+    ends[e] has bit c when the representative set of c has a Hamiltonian
+    path from its anchor to a member of class e other than the anchor, or is
+    the anchor alone.  Each row grows by its neighbours' rows shifted left by
+    its stride and masked to the cells where class e is nonempty and not the
+    anchor alone, in sweeps of alternating direction until no row grows.  A
+    cell is cyclable when a path spanning it ends at a neighbour of its
+    anchor, two-vertex paths and the one-vertex path of a class of true twins
+    aside."""
+    table = _twin_quotient(g)
+    classes, strides, cells = table.classes, table.strides, table.cells
+    adj, class_of = g.adjacency_masks(), {}
+    for f, m in enumerate(classes):
+        for v in _bits(m):
+            class_of[v] = f
+    nbrs = [sorted({class_of[v] for v in _bits(adj[(c & -c).bit_length() - 1])}) for c in classes]
+    full = (1 << cells) - 1
+    grow = [full ^ (one - z) ^ one for _, z, one, _, _ in _digit_masks(classes, strides)][::-1]
+    ends, order = [1 << w for w in strides], list(range(len(classes)))
+    changed = True
+    while changed:
+        changed = False
+        for e in order:
+            reach = 0
+            for f in nbrs[e]:
+                reach |= ends[f]
+            grown = ends[e] | (reach << strides[e]) & grow[e]
+            changed |= grown != ends[e]
+            ends[e] = grown
+        order.reverse()
+    cyc = 0
+    for a, z, _, _, low in _digit_masks(classes, strides):
+        reach = 0
+        for f in nbrs[a]:
+            reach |= ends[f]
+        cyc |= reach & (low ^ z)
+    for a, w in enumerate(strides):
+        for f in nbrs[a]:
+            if f >= a:
+                cyc &= ~(1 << w + strides[f])
+        if a in nbrs[a]:
+            cyc &= ~(1 << w)
     return ends, cyc
 
 
@@ -373,14 +422,15 @@ def split_digraph_flow(g: LabeledGraph, s: int, t: int, cap: int) -> tuple[int, 
     return flow, 0
 
 
-def twin_blowup(rng, n_base: int, p: float = 0.5) -> LabeledGraph:
-    """G(n_base, p) with each vertex replaced by a clique or an independent
-    set of 1-3 vertices; blocks of adjacent base vertices are joined
-    completely.  Rich in true and false twins."""
+def twin_blowup(rng, n_base: int, p: float = 0.5, sizes=None) -> LabeledGraph:
+    """G(n_base, p) with each vertex v replaced by a clique or an independent
+    set of sizes[v] vertices (1-3 at random when sizes is None), in runs of
+    ids; blocks of adjacent base vertices are joined completely.  Rich in
+    true and false twins."""
     base = gnp(n_base, p, rng)
     blocks, n = [], 0
-    for _ in range(n_base):
-        size = rng.randint(1, 3)
+    for v in range(n_base):
+        size = rng.randint(1, 3) if sizes is None else sizes[v]
         blocks.append(range(n, n + size))
         n += size
     edges = []
@@ -551,7 +601,7 @@ def smallest_cell_eager(table, cand: int) -> int:
     for i, m in enumerate(table.classes):
         for t, v in enumerate(_bits(m)):
             rank[v] = i, t
-    zeros = {i: z for i, z, *_ in _digit_masks(table)}  # cells whose digits 0..i are all 0
+    zeros = {i: z for i, z, *_ in _digit_masks(table.classes, table.strides)}  # digits 0..i all 0
     for v in reversed(range(table.n)):
         if not cand & (cand - 1):
             break

@@ -582,7 +582,7 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("argv, err", [
     (("check", "--family", "hk", "--k", "3", "--sizes", "3,x", "--chordal"),
      "error: could not parse clique sizes '3,x'"),
-    (("check", "--family", "gk", "--k", "3"), "no checks requested"),
+    (("check", "--family", "gk", "--k", "3"), "error: no checks requested"),
     (("certify", "--family", "hk", "--k", "3", "--mode", "s-extendibility"),
      "error: s-extendibility needs --set, e.g. --set 1,2"),
     (("certify", "--family", "gk", "--k", "3", "--mode", "bogus"),

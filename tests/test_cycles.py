@@ -62,6 +62,7 @@ from oracles import (
     room_by_drops,
     s_extendible_by_drop_chains,
     spider_model,
+    table_by_one_stage_fill,
     table_by_sweeps,
     table_cyclable,
     twin_blowup,
@@ -103,9 +104,10 @@ def assert_twin_classes(g, t):
 
 
 def assert_cells_match(g, t, path_ends):
-    """Every row bit and cyclable bit of t against the per-mask DP read at the
-    cell's representative set: path_ends(mask) has bit v iff G[mask] has a
-    Hamiltonian path from min(mask) to v (the anchor alone for |mask| = 1)."""
+    """Every cyclable bit of t, and every row bit of the one-stage reference
+    fill, against the per-mask DP read at the cell's representative set:
+    path_ends(mask) has bit v iff G[mask] has a Hamiltonian path from
+    min(mask) to v (the anchor alone for |mask| = 1)."""
     assert_twin_classes(g, t)
     adj = g.adjacency_masks()
     class_of = {v: e for e, m in enumerate(t.classes) for v in bits_of(m)}
@@ -119,8 +121,8 @@ def assert_cells_match(g, t, path_ends):
             rows[class_of[v]][cell >> 3] |= 1 << (cell & 7)
         if rep.bit_count() >= 3 and word & adj[(rep & -rep).bit_length() - 1]:
             cyc[cell >> 3] |= 1 << (cell & 7)
-    assert t.ends == [int.from_bytes(r, "little") for r in rows]
     assert t.cyc == int.from_bytes(cyc, "little")
+    assert table_by_one_stage_fill(g) == ([int.from_bytes(r, "little") for r in rows], t.cyc)
 
 
 def assert_table_matches_path_dp(g):
@@ -174,9 +176,10 @@ def _sweep_path_ends(rows, n):
 
 
 def test_table_matches_sweep_fill():
-    """The pending-neighbour fill reaches the sweep fill's fixed point, on the
-    census members and on twin-free and twin-rich random graphs: bit for bit
-    without twins (cell c is vertex mask c), else cell by cell up to 2^15 cells."""
+    """The table's cyclable bits are those of the sweep fill's fixed point, on
+    the census members and on twin-free and twin-rich random graphs: bit for
+    bit without twins (cell c is vertex mask c), else cell by cell up to 2^15
+    cells."""
     rng = random.Random(23)
     graphs = [gnp(11 + i % 6, rng.choice((0.3, 0.5, 0.7)), rng) for i in range(30)]
     graphs += [twin_blowup(rng, rng.randint(5, 8), rng.choice((0.3, 0.5, 0.8))) for _ in range(12)]
@@ -187,11 +190,35 @@ def test_table_matches_sweep_fill():
         t = build_cyclable_table(g)
         ends, cyc = table_by_sweeps(g)
         if t.cells == 1 << g.n:
-            assert (t.ends, t.cyc) == (ends, cyc), g.n
+            assert t.cyc == cyc, g.n
         elif t.cells <= 1 << 15:
             twins += 1
             assert_cells_match(g, t, _sweep_path_ends(ends, g.n))
     assert twins >= 20, twins
+
+
+def test_two_stage_fill_matches_one_stage_fill():
+    """The cyclable bits against the one-stage fill, cell by cell: on
+    twin-rich graphs whose top class has 2 or 3 members (stage 2 fills more
+    than one block), on mixed-radix layouts where the top stride w is not a
+    power of two times some lower class's period (a carry past w lands
+    mid-period), and on hkm(3, 4) and hk(3; 5,5,5,5,4)."""
+    rng = random.Random(41)
+    graphs = [twin_blowup(rng, rng.randint(3, 7), rng.choice((0.3, 0.5, 0.8))) for _ in range(80)]
+    graphs = [h for g in graphs if g.n <= 16 for h in (g, relabeled(g, rng))]
+    layouts = [(2, 2, 1, 1, 1), (2, 2, 1, 1, 1, 2), (3, 2, 1, 1, 2), (2, 1, 2, 1, 3), (1, 2, 2, 2)]
+    for sizes in layouts:
+        for _ in range(8):
+            graphs.append(twin_blowup(rng, len(sizes), rng.choice((0.3, 0.5, 0.8)), sizes))
+    graphs += [build_hkm(3, 4, (3,) * 5), build_hk(HkSpec(3, (5, 5, 5, 5, 4)))]
+    top_twins = odd_periods = 0
+    for g in graphs:
+        t = build_cyclable_table(g)
+        assert t.cyc == table_by_one_stage_fill(g)[1], g.edges()
+        top_twins += t.classes and t.classes[-1].bit_count() in (2, 3)
+        periods = [w * (m.bit_count() + 1) for m, w in zip(t.classes[:-1], t.strides)]
+        odd_periods += any((t.strides[-1] // p) & (t.strides[-1] // p - 1) for p in periods)
+    assert top_twins >= 100 and odd_periods >= 80, (top_twins, odd_periods)
 
 
 def _cell_masks(sizes):
@@ -226,18 +253,21 @@ def test_derived_masks_match_byte_patterns():
         for i in range(n):
             union |= containing(n, i)
             z.append(full & ~union)
-        got = [(i, z_i) for i, z_i, _, _, _ in cycles._digit_masks(_layout([1] * n))]
+        t = _layout([1] * n)
+        got = [(i, z_i) for i, z_i, _, _, _ in cycles._digit_masks(t.classes, t.strides)]
         assert got == [(i, z[i]) for i in reversed(range(n))]
     rng = random.Random(3)
     for sizes in [[rng.randint(1, 4) for _ in range(rng.randint(1, 6))] for _ in range(40)]:
-        got = [(z, one, top, low) for _, z, one, top, low in cycles._digit_masks(_layout(sizes))]
+        t = _layout(sizes)
+        got = [masks[1:] for masks in cycles._digit_masks(t.classes, t.strides)]
         assert got == _cell_masks(sizes), sizes
     for n in range(13):
         # K_n is one class of true twins: a path from the anchor ends at
         # another member, or is the anchor alone; n + 1 cells
-        t = build_cyclable_table(complete_graph(n))
+        g = complete_graph(n)
+        t = build_cyclable_table(g)
         assert t.cells == n + 1 and len(t.classes) == min(n, 1)
-        assert t.ends == ([] if n == 0 else [(1 << (n + 1)) - 2])
+        assert_cells_match(g, t, anchored_path_ends(g).__getitem__)
         assert t.cyc == sum(1 << c for c in range(3, n + 1))
 
 
@@ -303,10 +333,13 @@ def test_smallest_cell_builds_no_mask_for_one_cell():
 
 
 def test_extendibility_peak_memory_holds_no_mask_list():
-    """A table build plus scan peaks below (2n + 9) 2^n-bit ints: n rows and n
-    fill masks, the cyclable bits and a few temporaries, but no list of n
-    subset masks beside the table.  hkm(3, 4) pastes only triangles, so
-    its {1}-scan runs on its own table, as its {2, 3}-scan does."""
+    """A table build plus scan peaks below 3n/2 + 5 2^n-bit ints.  Without
+    twins the fill works on ints of half that width, block by block: the n
+    rows of one block beside n - 1 grow masks and n - 1 anchor masks, about
+    3n/2 units, then the cyclable bits and the last block shifted into
+    them.  No full-width row is built, and no list of n subset masks sits
+    beside the table.  hkm(3, 4) pastes only triangles, so its {1}-scan runs
+    on its own table, as its {2, 3}-scan does."""
     cases = [(build_h_plus(HkSpec(3, (3, 3, 3, 4, 5))), (1,)),
              (build_hkm(3, 4, (3,) * 5), (1,)),
              (build_hkm(3, 4, (3,) * 5), (2, 3))]
@@ -320,7 +353,7 @@ def test_extendibility_peak_memory_holds_no_mask_list():
             peak = tracemalloc.get_traced_memory()[1] - base
             assert not verdict.extendible
             unit = (1 << g.n) // 8
-            assert peak <= (2 * g.n + 9) * unit, (g.n, peak / unit)
+            assert peak <= (3 * g.n / 2 + 5) * unit, (g.n, peak / unit)
     finally:
         if started:
             tracemalloc.stop()
@@ -988,6 +1021,25 @@ def test_a_cut_vertex_ends_the_search_at_once():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old_handler)
+
+
+def test_open_twin_bound_ignores_forced_edges(monkeypatch):
+    """The degree bound groups vertices by their `allowed` row alone.  In the
+    12-vertex kernel of s(4) minus v4, vertices 8 and 11 share a row but are
+    forced to 9 and 10: they are no symmetric pair, yet still bound the
+    search.  One core.reach per vertex for the cut-vertex test, then one per
+    DFS node for the region check: 34 nodes, where grouping by forced edges
+    too took 42."""
+    calls = []
+    real = cycles.reach
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(cycles, "reach", counted)
+    g = build_s(4)
+    assert find_spanning_cycle(g, set(range(g.n)) - {g.vertex("v4")}) is None
+    assert len(calls) == 12 + 34
 
 
 # -- the search's front end against its bit-by-bit oracles ----------------------

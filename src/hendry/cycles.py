@@ -7,9 +7,10 @@ Two exact mechanisms back every predicate here, one per kind of question:
   swapped by an automorphism, so a set's cyclability depends only on how
   many vertices it takes from each twin class, and the table has one cell per
   such count vector (2^n cells when there are no twins), bounded by a cap on
-  the cell count.  Its fill is bit-sliced, one integer per class: it sweeps
-  the classes below the top one, then fills the top class one block of
-  cells at a time, at the width of one block, updating a class only from the
+  the cell count.  Its fill is bit-sliced, one integer per class, one block
+  of cells at a time: the digits of the top classes number the blocks, so a
+  top class's row is an OR of rows of an earlier block, with no shift, and
+  the lower classes sweep within the block, each updated only from the
   neighbours whose rows grew.  The table keeps one integer of cyclable bits,
   which the scans read as it is; and
 * a question about one set (is it cyclable, which cycle spans it) goes to a
@@ -227,6 +228,13 @@ def _close(rows: list[int], nbrs: list[list[int]], anchored: list[int]) -> int:
     return cyc
 
 
+def _split(table: CyclableTable) -> int:
+    """How many top classes the fill takes as block digits: those whose
+    stride exceeds 2^14 cells, so that a block holds more than 2^14 cells,
+    and at least the top class."""
+    return max(1, sum(s > 1 << 14 for s in table.strides))
+
+
 def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
     """Run the anchored Hamiltonian-path DP (Held-Karp) over every count
     vector of g's twin classes, and keep the cyclable bits.
@@ -241,27 +249,47 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
     stride[e], masked to the cells where class e is nonempty and not the
     anchor alone: the least fixed point of that update (_sweep).
 
-    The fill runs in two stages on ints of width w = stride[t], t the top
-    class, and block d (d = 0..|C_t|) holds the cells with d members of C_t,
-    cell d*w + c' at bit c'.  The masks of the classes below t depend only on
-    the digits below t, so one width-w mask serves every block.  Their width
-    drops the bits a shift by stride[e] carries past w; w is a multiple of
-    the period stride[e] * (|C_e| + 1), so such a carry wraps digit e to 0,
-    which the mask leaves out in the full-width fill too.
+    The fill runs on ints of width w = stride[l], block by block.  The top
+    classes l.. are the block digits: block b holds the cells b*w + c', cell
+    b*w + c' at bit c', and class e >= l adds unit_e = stride[e] / w to the
+    block number.  The masks of the lower classes depend only on the digits
+    below l, so one width-w mask serves every block.  Their width drops the
+    bits a shift by stride[e] carries past w; w is a multiple of the period
+    stride[e] * (|C_e| + 1), so such a carry wraps digit e to 0, which the
+    mask leaves out in a full-width fill too.  Blocks are filled in
+    increasing order, so block b - unit_e is done before block b:
 
-    * Stage 1 fills the classes below t on block 0, the table of g - C_t.
-    * Stage 2 fills blocks 1..|C_t| in turn.  A class-t end is added last to
-      a path of the block before, so row t is the OR of that block's rows
-      over t's neighbours, with no shift, plus the anchor alone in block 1.
-      Removing a lower-class end keeps digit t, so the rows below t are the
-      least fixed point of the same update within the block, seeded from
-      row t alone.
+    * Block 0 holds the table of g minus the top classes: the lower rows
+      sweep from the anchors alone.
+    * In block b > 0, a top class e with a nonzero digit takes as row e the
+      OR of block b - unit_e's rows over e's neighbours, with no shift: the
+      block number carries e's digit.  Where e is the anchor's class (the
+      lowest nonzero top digit) and its digit is 1, the only class-e member
+      at cell 0 is the anchor, so row e holds cell 0 only as the anchor
+      alone, in block unit_e.  The lower rows are the least fixed point of
+      the same update within the block, seeded from the top rows.
 
     A set is cyclable when a path spanning it ends at a neighbour of its
-    anchor (_close); in blocks 1 and up, the cell c' = 0 holds C_t's members
-    alone, anchored in C_t, and closes through row t when C_t is a class of
-    true twins.  A block's rows seed the next block's row t and are then
-    dropped, so no full-width row is ever built.
+    anchor (_close); in blocks b > 0, cell 0 holds top-class members alone,
+    anchored in the lowest nonzero top class.  Each block passes on, for
+    each top class e whose digit can still grow, the OR over e's neighbours
+    that block b + unit_e reads, and drops its rows: no full-width row is
+    built.  The cyclable bits of the blocks are joined as bytes, in groups
+    of the fewest blocks that fill whole bytes, so no int grows block by
+    block.
+
+    The top classes (_split) are those whose stride exceeds 2^14 cells, and
+    at least the top class, so a block holds more than 2^14 cells; without
+    twins, n - 15 classes from n = 16 on (2^15 cells a block).  A top class
+    trades its shifted updates for one OR a block, and the lower sweep gets
+    shorter, while each block adds a loop in Python over the lower classes.
+    Timed over forced splits (2-core x86-64, Python 3.11), twin-free fills
+    were fastest with blocks of 2^15 to 2^16 cells (n = 19: 3-5 top classes,
+    n = 21: 5, n = 24: 8-9, where hkm(3, 9) fills in 0.06 s against 0.4-0.5
+    s with one top class), and hk(3; s^5), s = 6..8, with three top classes
+    of s - 2 twins (2^14.6 to 2^15.6 cells a block; hk(3; 8^5): 0.10 s
+    against 0.25-0.3 s with one).  Blocks of 2^13 cells or fewer were slower
+    on every layout.
     """
     table, cap = _twin_quotient(g), subset_cap()
     classes, strides, cells = table.classes, table.strides, table.cells
@@ -275,42 +303,66 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
     for f, m in enumerate(classes):
         for v in bits_of(m):
             class_of[v] = f
-    near = []  # near[e]: e's neighbour classes, as a mask
+    nbrs = []  # nbrs[e]: e's neighbour classes
     for c in classes:
         row = 0
         for v in bits_of(adj[(c & -c).bit_length() - 1]):
             row |= 1 << class_of[v]
-        near.append(row)
-    nbrs = [bits_of(m) for m in near]
-    t, w, size = len(classes) - 1, strides[-1], classes[-1].bit_count()
-    notify = [[f for f in nb if f < t] for nb in nbrs[:t]]  # the neighbours below t
+        nbrs.append(bits_of(row))
+    low = len(classes) - _split(table)  # the lowest top class
+    w, tops = strides[low], range(low, len(classes))
+    unit, size = [strides[e] // w for e in tops], [classes[e].bit_count() for e in tops]
+    notify = [[f for f in nb if f < low] for nb in nbrs]  # each class's lower neighbours
     # grow[e]: the cells where a class-e vertex can come last, all but those
     # with digit e = 0 (one - z) and those with digit e = 1 over lower zeros;
     # anchored[a]: the cells whose lowest nonzero digit is a
-    full, grow, anchored = (1 << w) - 1, [0] * t, [0] * t
-    for i, z, one, _, low in _digit_masks(classes[:t], strides[:t]):
-        grow[i], anchored[i] = full ^ (one - z) ^ one, low ^ z
+    full, grow, anchored = (1 << w) - 1, [0] * low, [0] * low
+    for i, z, one, _, lows in _digit_masks(classes[:low], strides[:low]):
+        grow[i], anchored[i] = full ^ (one - z) ^ one, lows ^ z
     full = 0  # free the mask before the fill
-    twins = near[t] >> t  # 1 when C_t is a class of true twins: then the mask of cell c' = 0
-    rows, stale, cyc = [1 << s for s in strides[:t]] + [0], [set(nb) for nb in notify], 0
-    for d in range(size + 1):
+    # ahead[b, e]: the OR over e's neighbours of the rows of block b - unit_e
+    blocks, r = cells // w, 8 // math.gcd(w, 8)  # r blocks fill whole bytes
+    ahead, group, buf = {}, 0, bytearray()
+    for b in range(blocks):
+        if b:
+            rows, stale, a = [0] * len(classes), [set() for _ in range(low)], None
+            for e, u, c in zip(tops, unit, size):
+                d = b // u % (c + 1)
+                if d:
+                    row = ahead.pop((b, e))
+                    if a is None:  # e holds the anchor
+                        a = e
+                        if d == 1:  # and the anchor is e's one member at cell 0
+                            row = row & ~1 | (b == u)
+                    rows[e] = row
+                    for f in notify[e]:
+                        stale[f].add(e)
+        else:
+            rows = [1 << s for s in strides[:low]] + [0] * len(tops)
+            stale = [set(nb) for nb in notify[:low]]
         _sweep(rows, stale, strides, grow, notify)
-        block = _close(rows, nbrs, anchored) | rows[t] & twins
-        if d < size:
-            top = int(d == 0)
-            for f in nbrs[t]:
-                top |= rows[f]
-            rows, stale = [0] * t + [top], [{t} if m >> t & 1 else set() for m in near[:t]]
-        cyc |= block << d * w
-    rows = grow = anchored = block = None  # free the fill's ints
+        block = _close(rows, nbrs, anchored)
+        if b:
+            block |= any(rows[f] & 1 for f in nbrs[a])
+        for e, u, c in zip(tops, unit, size):
+            if b // u % (c + 1) < c:
+                reach = 0
+                for f in nbrs[e]:
+                    reach |= rows[f]
+                ahead[b + u, e] = reach
+        group |= block << b % r * w
+        if b % r == r - 1 or b == blocks - 1:
+            buf += group.to_bytes(r * w // 8, "little")
+            group = 0
+    rows = grow = anchored = block = reach = None  # free the fill's ints
     # a two-vertex path is not a cycle, nor is the one-vertex path of a class
-    # of true twins, yet the blocks set their bits: clear them all in one pass
+    # of true twins, yet the blocks set their bits: clear them before the
+    # bytes become one int
     small = [step + strides[f] for a, step in enumerate(strides) for f in nbrs[a] if f >= a]
     small += [step for a, step in enumerate(strides) if a in nbrs[a]]
-    clear = bytearray(cells // 8 + 1)
     for c in small:
-        clear[c >> 3] |= 1 << (c & 7)
-    table.cyc = cyc ^ int.from_bytes(clear, "little")
+        buf[c >> 3] &= ~(1 << (c & 7))
+    table.cyc = int.from_bytes(buf, "little")
     return table
 
 

@@ -391,9 +391,10 @@ def test_claim_3_4_agrees_with_the_table_scan():
     # the table finds both extendible, and the proof fails without a
     # "witness is cyclable" check.  With a clique of order 4 the table's
     # smallest failing set can differ from W; the verdicts agree and the
-    # claim reports W.  A scan of hkm(3, 6) or hkm(3, 7) takes 0.1-0.3 s,
-    # so those two get two sets each
-    for sizes, ms in (((3,) * 5, range(1, 8)), ((3, 3, 4, 3, 3), range(1, 4))):
+    # claim reports W.  A scan of hkm(3, m) with these sets takes 0.04-0.08 s
+    # at m = 6, 7 and 0.2-0.4 s at m = 8, 9, most of it in the drop chain of
+    # the largest jump, so m = 6..9 get two sets each
+    for sizes, ms in (((3,) * 5, range(1, 10)), ((3, 3, 4, 3, 3), range(1, 4))):
         for m in ms:
             h = build_hkm(3, m, sizes)
             for s_set in [(1, m + 5), (m + 3,)] + ([(1, 2), (m,), (2, m + 2)] if m < 6 else []):

@@ -197,12 +197,19 @@ def test_table_matches_sweep_fill():
     assert twins >= 20, twins
 
 
-def test_two_stage_fill_matches_one_stage_fill():
-    """The cyclable bits against the one-stage fill, cell by cell: on
-    twin-rich graphs whose top class has 2 or 3 members (stage 2 fills more
-    than one block), on mixed-radix layouts where the top stride w is not a
-    power of two times some lower class's period (a carry past w lands
-    mid-period), and on hkm(3, 4) and hk(3; 5,5,5,5,4)."""
+def test_block_fill_matches_one_stage_fill(monkeypatch):
+    """The cyclable bits against the one-stage fill, cell by cell.
+
+    Under the split's own rule: on twin-rich graphs whose top class has 2 or
+    3 members (more than one block), on mixed-radix layouts where the block
+    width w is not a power of two times some lower class's period (a carry
+    past w lands mid-period), and on hkm(3, 4).  Then on tables the rule
+    cuts below two or more top classes (checked through _split): twin-free
+    graphs on 17-20 vertices, hkm(3, 4..6) with its labels reversed so that
+    the degree-2 pastes sit at the bottom, and twin-rich layouts whose top
+    classes include two with several members, hk(3; 5,5,5,5,4) among them.
+    Last, every split is forced on a quarter of the small graphs, down to
+    blocks of one cell."""
     rng = random.Random(41)
     graphs = [twin_blowup(rng, rng.randint(3, 7), rng.choice((0.3, 0.5, 0.8))) for _ in range(80)]
     graphs = [h for g in graphs if g.n <= 16 for h in (g, relabeled(g, rng))]
@@ -210,15 +217,35 @@ def test_two_stage_fill_matches_one_stage_fill():
     for sizes in layouts:
         for _ in range(8):
             graphs.append(twin_blowup(rng, len(sizes), rng.choice((0.3, 0.5, 0.8)), sizes))
-    graphs += [build_hkm(3, 4, (3,) * 5), build_hk(HkSpec(3, (5, 5, 5, 5, 4)))]
     top_twins = odd_periods = 0
-    for g in graphs:
+    for g in graphs + [build_hkm(3, 4, (3,) * 5)]:
         t = build_cyclable_table(g)
         assert t.cyc == table_by_one_stage_fill(g)[1], g.edges()
         top_twins += t.classes and t.classes[-1].bit_count() in (2, 3)
         periods = [w * (m.bit_count() + 1) for m, w in zip(t.classes[:-1], t.strides)]
         odd_periods += any((t.strides[-1] // p) & (t.strides[-1] // p - 1) for p in periods)
     assert top_twins >= 100 and odd_periods >= 80, (top_twins, odd_periods)
+
+    big = [gnp(n, 0.5, rng) for n in range(17, 21)]
+    big += [LabeledGraph(g.n, [(g.n - 1 - a, g.n - 1 - b) for a, b in g.edges()])
+            for g in (build_hkm(3, m, (3,) * 5) for m in range(4, 7))]
+    big += [twin_blowup(rng, 17, p, (1,) * 15 + (2, 3)) for p in (0.3, 0.5, 0.8)]
+    big.append(build_hk(HkSpec(3, (5, 5, 5, 5, 4))))
+    twin_free = multi = 0
+    for g in big:
+        t = build_cyclable_table(g)
+        k = cycles._split(t)
+        assert k >= 2, (g.n, k)
+        assert t.cyc == table_by_one_stage_fill(g)[1], g.edges()
+        twin_free += t.cells == 1 << g.n
+        multi += sum(m.bit_count() > 1 for m in t.classes[-k:]) >= 2
+    assert twin_free >= 7 and multi >= 4, (twin_free, multi)
+
+    for g in graphs[::4]:
+        want, classes = table_by_one_stage_fill(g)[1], len(cycles._twin_quotient(g).classes)
+        for k in range(2, classes + 1):
+            monkeypatch.setattr(cycles, "_split", lambda t, k=k: k)
+            assert build_cyclable_table(g).cyc == want, (k, g.edges())
 
 
 def _cell_masks(sizes):
@@ -333,27 +360,39 @@ def test_smallest_cell_builds_no_mask_for_one_cell():
 
 
 def test_extendibility_peak_memory_holds_no_mask_list():
-    """A table build plus scan peaks below 3n/2 + 5 2^n-bit ints.  Without
-    twins the fill works on ints of half that width, block by block: the n
-    rows of one block beside n - 1 grow masks and n - 1 anchor masks, about
-    3n/2 units, then the cyclable bits and the last block shifted into
-    them.  No full-width row is built, and no list of n subset masks sits
-    beside the table.  hkm(3, 4) pastes only triangles, so its {1}-scan runs
-    on its own table, as its {2, 3}-scan does."""
+    """A table build and a scan each stay within their own count of ints a
+    table wide (units of one bit per cell).
+
+    The fill holds the cyclable bytes and the int made from them, the ORs
+    that blocks pass on (under one unit: top class e has at most unit_e of
+    them pending), and per block three ints per class (its grow and anchor
+    masks and its row) and a few temporaries, each 1/blocks of a unit.  The
+    scan holds the table's bits, one int per drop step and seven more: the
+    masks of one class and the temporaries of one step.  No full-width row
+    is built, and no list of n subset masks sits beside the table.  hkm(3,
+    4) is split below four top classes and pastes only triangles, so its
+    {1}-scan runs on its own table, as its {2, 3}-scan does; hplus(3;
+    3,3,3,4,5) has twins and is split below its top class alone."""
     cases = [(build_h_plus(HkSpec(3, (3, 3, 3, 4, 5))), (1,)),
              (build_hkm(3, 4, (3,) * 5), (1,)),
              (build_hkm(3, 4, (3,) * 5), (2, 3))]
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - base
     try:
         for g, s_set in cases:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            verdict = is_s_cycle_extendible(g, s_set)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            t, fill = peak(lambda: build_cyclable_table(g))
+            blocks, unit = t.cells // t.strides[-cycles._split(t)], t.cells // 8
+            assert fill <= (3 + (3 * len(t.classes) + 6) / blocks) * unit, (g.n, fill / unit)
+            t, unit = None, (1 << g.n) // 8
+            verdict, scan = peak(lambda: is_s_cycle_extendible(g, s_set))
             assert not verdict.extendible
-            unit = (1 << g.n) // 8
-            assert peak <= (3 * g.n / 2 + 5) * unit, (g.n, peak / unit)
+            assert scan <= (max(s_set) + 8) * unit, (g.n, scan / unit)
     finally:
         if started:
             tracemalloc.stop()

@@ -133,6 +133,23 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def _mask_of(vertices) -> int:
+    """The bitmask of the vertex ids in `vertices`."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _row_groups(rows) -> dict[int, int]:
+    """Each distinct entry of rows, in order of first appearance, mapped to
+    the mask of the positions holding it."""
+    groups: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        groups[row] = groups.get(row, 0) | 1 << v
+    return groups
+
+
 def _step(adj_masks, mask: int) -> int:
     """Union of the neighbourhoods (out-arcs) of the vertices in mask."""
     out = 0

@@ -52,7 +52,8 @@ import math
 import os
 from collections import namedtuple
 
-from .core import Cycle, GraphError, LabeledGraph, SizeCapError, _step, bits_of, reach
+from .core import (Cycle, GraphError, LabeledGraph, SizeCapError, _mask_of, _row_groups, _step,
+                   bits_of, reach)
 
 DEFAULT_SUBSET_CAP = 24
 HARD_SUBSET_CAP = 26
@@ -72,13 +73,6 @@ def subset_cap() -> int:
     return max(3, min(val, HARD_SUBSET_CAP))
 
 
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 # -- twin-quotient table --------------------------------------------------------
 
 class CyclableTable:
@@ -89,9 +83,10 @@ class CyclableTable:
     cyclable depends only on how many vertices S takes from each twin class.
     `classes` holds the classes as member masks, numbered by their lowest
     member; class i counts in digit i of a mixed-radix cell number, with
-    stride `strides[i]` = prod_{j<i} (|C_j|+1).  The representative set of a
-    cell takes the c_i lowest members of each class; its anchor is its
-    lowest vertex.  With every class a single vertex, cell c is vertex mask c.
+    stride `strides[i]` = prod_{j<i} (|C_j|+1), where |C_i| is `sizes[i]`, and
+    vertex v is in class `class_of[v]`.  The representative set of a cell
+    takes the c_i lowest members of each class; its anchor is its lowest
+    vertex.  With every class a single vertex, cell c is vertex mask c.
 
     Bit c of the `cells`-bit int `cyc` is set iff the representative set of
     c is cyclable.  Whole-graph scans read that int; a question about a
@@ -100,17 +95,20 @@ class CyclableTable:
 
     def __init__(self, n: int, classes: list[int]):
         self.n, self.classes = n, classes
-        self.strides, self.cells = [], 1
-        for m in classes:
+        self.sizes = [m.bit_count() for m in classes]
+        self.strides, self.cells, self.class_of = [], 1, [0] * n
+        for i, (m, c) in enumerate(zip(classes, self.sizes)):
             self.strides.append(self.cells)
-            self.cells *= m.bit_count() + 1
+            self.cells *= c + 1
+            for v in bits_of(m):
+                self.class_of[v] = i
         self.cyc = 0
 
     def representative(self, cell: int) -> list[int]:
         """The representative set of `cell`, sorted: the numerically smallest set in it."""
         out = []
-        for m, w in zip(self.classes, self.strides):
-            out += bits_of(m)[:cell // w % (m.bit_count() + 1)]
+        for m, w, c in zip(self.classes, self.strides, self.sizes):
+            out += bits_of(m)[:cell // w % (c + 1)]
         return sorted(out)
 
 
@@ -174,8 +172,7 @@ def _crowded(table: CyclableTable, s: int) -> int:
     c members adds digit c - j to the cells of short[k - j], j of them missing.
     """
     short = [1] * s
-    for m, w in zip(table.classes, table.strides):
-        c = m.bit_count()
+    for c, w in zip(table.sizes, table.strides):
         for k in reversed(range(s)):  # short[k - j] is still the old row
             row = short[k] << c * w
             for j in range(1, min(k, c) + 1):
@@ -283,13 +280,8 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
     twins, n - 15 classes from n = 16 on (2^15 cells a block).  A top class
     trades its shifted updates for one OR a block, and the lower sweep gets
     shorter, while each block adds a loop in Python over the lower classes.
-    Timed over forced splits (2-core x86-64, Python 3.11), twin-free fills
-    were fastest with blocks of 2^15 to 2^16 cells (n = 19: 3-5 top classes,
-    n = 21: 5, n = 24: 8-9, where hkm(3, 9) fills in 0.06 s against 0.4-0.5
-    s with one top class), and hk(3; s^5), s = 6..8, with three top classes
-    of s - 2 twins (2^14.6 to 2^15.6 cells a block; hk(3; 8^5): 0.10 s
-    against 0.25-0.3 s with one).  Blocks of 2^13 cells or fewer were slower
-    on every layout.
+    Timed over forced splits, fills were fastest with blocks of 2^15 to 2^16
+    cells, and blocks of 2^13 cells or fewer were slower on every layout.
     """
     table, cap = _twin_quotient(g), subset_cap()
     classes, strides, cells = table.classes, table.strides, table.cells
@@ -299,19 +291,12 @@ def build_cyclable_table(g: LabeledGraph) -> CyclableTable:
             f"cap is 2^{cap} cells")
     if not classes:
         return table
-    adj, class_of = g.adjacency_masks(), [0] * g.n
-    for f, m in enumerate(classes):
-        for v in bits_of(m):
-            class_of[v] = f
-    nbrs = []  # nbrs[e]: e's neighbour classes
-    for c in classes:
-        row = 0
-        for v in bits_of(adj[(c & -c).bit_length() - 1]):
-            row |= 1 << class_of[v]
-        nbrs.append(bits_of(row))
+    adj, class_of = g.adjacency_masks(), table.class_of
+    nbrs = [sorted({class_of[v] for v in bits_of(adj[(c & -c).bit_length() - 1])})
+            for c in classes]  # nbrs[e]: e's neighbour classes
     low = len(classes) - _split(table)  # the lowest top class
     w, tops = strides[low], range(low, len(classes))
-    unit, size = [strides[e] // w for e in tops], [classes[e].bit_count() for e in tops]
+    unit, size = [strides[e] // w for e in tops], table.sizes[low:]
     notify = [[f for f in nb if f < low] for nb in nbrs]  # each class's lower neighbours
     # grow[e]: the cells where a class-e vertex can come last, all but those
     # with digit e = 0 (one - z) and those with digit e = 1 over lower zeros;
@@ -399,19 +384,20 @@ def _propagate_forced(allowed: list[int], forced: list[int], m: int) -> bool:
 
 def _twin_classes(allowed: list[int], forced: list[int], m: int) -> tuple[list[int], list[int]]:
     """Interchangeable-vertex classes: equal closed or equal open neighborhoods
-    and equal forced edges (so no forced edge joins two members)."""
-    class_of = [-1] * m
-    masks: list[int] = []
+    and equal forced edges (so no forced edge joins two members).  Classes of
+    equal closed rows are taken first, then those of equal open rows among
+    the rest; class_of is -1 for a vertex in no class of two or more."""
+    class_of, masks, taken = [-1] * m, [], 0
     for closed in (1, 0):  # equal closed neighbourhoods first, then equal open ones
-        groups: dict[tuple, list[int]] = {}
-        for v in range(m):
-            if class_of[v] < 0:
-                groups.setdefault((allowed[v] | closed << v, forced[v]), []).append(v)
-        for _, vs in sorted(groups.items()):
-            if len(vs) > 1:
-                for v in vs:
+        # one int per vertex, its row above its forced edges
+        keys = [(a | closed << v) << m | forced[v] for v, a in enumerate(allowed)]
+        for vs in _row_groups(keys).values():
+            vs &= ~taken
+            if vs & vs - 1:
+                for v in bits_of(vs):
                     class_of[v] = len(masks)
-                masks.append(_mask_of(vs))
+                masks.append(vs)
+                taken |= vs
     return class_of, masks
 
 
@@ -457,10 +443,7 @@ def _spanning_cycle_search(adj_masks: list[int], forced_pairs) -> list[int] | No
     # vertices with one `allowed` row are independent and bound the search,
     # whatever their forced edges: every unvisited one still needs two edges
     # into the shared row
-    shared: dict[int, int] = {}
-    for v, row in enumerate(allowed):
-        shared[row] = shared.get(row, 0) | 1 << v
-    indep_classes = [(c, nmask) for nmask, c in shared.items() if c & c - 1]
+    indep_classes = [(c, nmask) for nmask, c in _row_groups(allowed).items() if c & c - 1]
 
     start = min(range(m), key=lambda v: (allowed[v].bit_count(), v))
     start_bit = 1 << start
@@ -584,10 +567,7 @@ def _pastes(adj) -> tuple[dict[tuple[int, int], int], int, int]:
     is in any set, and each pair ab has one set.  a and b need not be adjacent.
     """
     full = (1 << len(adj)) - 1
-    closed: dict[int, int] = {}
-    for v, nb in enumerate(adj):
-        nb |= 1 << v
-        closed[nb] = closed.get(nb, 0) | 1 << v
+    closed = _row_groups(nb | 1 << v for v, nb in enumerate(adj))
     pastes: dict[tuple[int, int], int] = {}
     removed = ends = 0
     for nb, p in sorted(closed.items()):
@@ -627,10 +607,8 @@ def _kernelize(adj: list[int]) -> _Kernel:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
 
-    opened: dict[int, int] = {}
-    for v in bits_of(alive):
-        opened[adj[v]] = opened.get(adj[v], 0) | (1 << v)
-    tight = [(t, a) for a, t in sorted(opened.items())
+    # a pasted vertex's row is 0 and joins no tight class
+    tight = [(t, a) for a, t in sorted(_row_groups(adj).items())
              if t.bit_count() >= 2 and a.bit_count() == t.bit_count() + 1]
     segments = []
     used = ends  # the ends of a forced pair stay outside every segment
@@ -882,9 +860,9 @@ def _smallest_cell(table: CyclableTable, cand: int) -> int:
     for v in reversed(range(table.n)):
         if cand.bit_count() < 2:
             break
-        i = next(i for i, m in enumerate(classes) if m >> v & 1)
+        i = table.class_of[v]
         if i not in zeros:
-            period = strides[i] * (classes[i].bit_count() + 1)
+            period = strides[i] * (table.sizes[i] + 1)
             zeros[i] = _repeat(1, period, table.cells // period)
         z, t = zeros[i], (classes[i] & (1 << v) - 1).bit_count()
         cand = cand & (z << (t + 1) * strides[i]) - z or cand

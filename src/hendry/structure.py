@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .chordal import mcs_order
-from .core import GraphError, LabeledGraph, SizeCapError, bits_of
+from .core import GraphError, LabeledGraph, SizeCapError, _row_groups, _step, bits_of
 
 INDUCED_PATH_CAP = 25
 
@@ -113,13 +113,7 @@ def _pair_flow(masks, s: int, t: int, common: int, cap: int) -> tuple[int, int]:
         outs, ins = [1 << s], []
         seen_out, seen_in = 1 << s, 0
         while True:
-            front = outs[-1]
-            nxt = front & used
-            while front:
-                bit = front & -front
-                front ^= bit
-                nxt |= masks[bit.bit_length() - 1]
-            front = nxt & ~seen_in
+            front = (outs[-1] & used | _step(masks, outs[-1])) & ~seen_in
             seen_in |= front
             ins.append(front)
             if front >> t & 1:
@@ -177,12 +171,9 @@ def longest_induced_path(g: LabeledGraph):
     if g.n == 0:
         return 0, ()
     masks = g.adjacency_masks()
-    lower = [0] * g.n  # the twins of v below v
-    seen: dict[int, int] = {}  # an open or closed neighbourhood -> its vertices so far
-    for v, m in enumerate(masks):
-        for key in (m, m | 1 << v):
-            lower[v] |= seen.get(key, 0)
-            seen[key] = seen.get(key, 0) | 1 << v
+    opened, closed = _row_groups(masks), _row_groups(m | 1 << v for v, m in enumerate(masks))
+    # the twins of v below v
+    lower = [(opened[m] | closed[m | 1 << v]) & (1 << v) - 1 for v, m in enumerate(masks)]
     memo: list[dict[int, int]] = [{} for _ in range(g.n)]
 
     def best_from(last: int, eligible: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .chordal import is_chordal
-from .core import GraphError, LabeledGraph, bits_of, reach
+from .core import GraphError, LabeledGraph, _mask_of, bits_of, reach
 from .families import HkSpec, build_hk, build_jk, pasted_vertices
 
 
@@ -49,7 +49,7 @@ class HostTree:
             raise GraphError(f"no tree node labeled {label!r}")
 
     def subset_connected(self, nodes) -> bool:
-        mask = sum(1 << v for v in set(nodes))
+        mask = _mask_of(nodes)
         return mask != 0 and reach(self._adj, mask & -mask, mask) == mask
 
 

@@ -1169,3 +1169,20 @@ def propagate_forced_by_neighbours(allowed: list[int], forced: list[int], m: int
                         forced[u] |= 1 << v
                 changed = True
     return True
+
+
+def twin_classes_by_pairs(allowed: list[int], forced: list[int]) -> set[int]:
+    """The classes of cycles._twin_classes from their pairwise definition:
+    vertices with equal closed rows and equal forced rows first, then, among
+    the rest, equal open rows and equal forced rows; singletons left out."""
+    classes, rest = set(), set(range(len(allowed)))
+    for closed in (1, 0):
+        found = set()
+        for v in rest:
+            same = [u for u in rest if forced[u] == forced[v]
+                    and allowed[u] | closed << u == allowed[v] | closed << v]
+            if len(same) > 1:
+                found.add(sum(1 << u for u in same))
+        classes |= found
+        rest -= {u for c in found for u in _bits(c)}
+    return classes

@@ -286,6 +286,19 @@ def test_certify_s_extendibility(capsys):
     assert res["verdict"] is False
 
 
+def test_certify_s_extendibility_past_the_default_table_cap(capsys, monkeypatch):
+    # hk(3; 8^5) has 2^24.04 cells, so it needs a cap of 25; its fill takes
+    # three top classes of six twins each as block digits (0.2-0.4 s)
+    t = cycles._twin_quotient(build_hk(HkSpec(3, (8,) * 5)))
+    assert 1 << 24 < t.cells < 1 << 25 and t.sizes[-cycles._split(t):] == [6, 6, 6]
+    monkeypatch.setenv("HENDRY_SUBSET_CAP", "25")
+    code, stdout, _ = run_cli(capsys, "certify", "--family", "hk", "--k", "3",
+                              "--sizes", "8,8,8,8,8", "--mode", "s-extendibility", "--set", "2")
+    assert code == 0
+    (res,) = report_of(stdout)["results"]
+    assert res["verdict"] is True
+
+
 def test_lemma_3_3_at_k5_is_exact_on_its_kernel(capsys):
     # s(5) has 62 vertices, past the 40-vertex search cap, but the cap bounds
     # the kernel, and the chain rule contracts s(5) to 17 vertices

@@ -66,6 +66,7 @@ from oracles import (
     table_by_sweeps,
     table_cyclable,
     twin_blowup,
+    twin_classes_by_pairs,
     uniform_spec,
 )
 
@@ -1162,3 +1163,48 @@ def test_propagation_matches_the_neighbour_scan():
             sat = sum(1 << v for v in range(m) if got_f[v].bit_count() == 2)
             assert not any(got_a[v] & sat & ~got_f[v] for v in range(m))
     assert min(outcomes.values()) > 100 and dropped > 50, (outcomes, dropped)
+
+
+def test_twin_classes_match_the_pairwise_definition():
+    """The search's symmetry classes on random graphs, with symmetric forced
+    rows that join a random vertex to up to two of its neighbours, a few
+    times over: some twins then share a forced partner, others are split.
+    Each instance is also taken after propagation, as the search takes it,
+    and four times with a random bit cleared in each `allowed` row: on rows
+    that are not symmetric a vertex can have both a closed and an open
+    twin, and the closed class must win."""
+    rng = random.Random(75)
+    seen = {"closed": 0, "open": 0, "forced": 0, "split": 0, "both": 0}
+    for _ in range(400):
+        if rng.random() < 0.8:
+            g = relabeled(twin_blowup(rng, rng.randint(2, 6), rng.choice((0.3, 0.5, 0.8))), rng)
+        else:
+            g = gnp(rng.randint(1, 9), rng.choice((0.3, 0.5, 0.8)), rng)
+        allowed, forced = list(g.adjacency_masks()), [0] * g.n
+        for _ in range(rng.randint(0, 3)):
+            w = rng.randrange(g.n)
+            for u in rng.sample(g.neighbors(w), min(g.degree(w), rng.randint(1, 2))):
+                forced[w] |= 1 << u
+                forced[u] |= 1 << w
+        instances = [(allowed, forced)]
+        propagated = list(allowed), list(forced)
+        if cycles._propagate_forced(*propagated, g.n):
+            instances.append(propagated)
+        instances += [([row & ~(1 << rng.randrange(g.n)) for row in allowed], forced)
+                      for _ in range(4)]
+        for allowed, forced in instances:
+            class_of, masks = cycles._twin_classes(allowed, forced, g.n)
+            assert len(set(masks)) == len(masks)
+            assert set(masks) == twin_classes_by_pairs(allowed, forced)
+            assert class_of == [next((i for i, c in enumerate(masks) if c >> v & 1), -1)
+                                for v in range(g.n)]
+            for c in masks:
+                vs = bits_of(c)
+                seen["closed" if allowed[vs[0]] >> vs[1] & 1 else "open"] += 1
+                seen["forced"] += forced[vs[0]] != 0
+            plain = cycles._twin_classes(allowed, [0] * g.n, g.n)[1]
+            seen["split"] += any(c & ~d and c & d for c in plain for d in masks)
+            seen["both"] += any(allowed[u] == allowed[v] and forced[u] == forced[v]
+                                for c in masks for u in bits_of(c) for v in range(g.n)
+                                if not c >> v & 1 and v != u)
+    assert min(seen.values()) > 20, seen

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import GraphError, LabeledGraph, bits_of, shortest_path
+from .core import GraphError, LabeledGraph, _closed_masks, bits_of, shortest_path
 
 
 def mcs_order(g: LabeledGraph) -> list[int]:
@@ -108,10 +108,6 @@ def _find_hole(g: LabeledGraph) -> tuple[int, ...] | None:
 
 
 # -- simple vertices and strong chordality ------------------------------------
-
-def _closed_masks(masks: list[int]) -> list[int]:
-    return [m | (1 << v) for v, m in enumerate(masks)]
-
 
 def _simple_in_alive(closed, alive_mask, v) -> bool:
     members = closed[v] & alive_mask

@@ -4,14 +4,21 @@ Each report is one JSON object on one line of stdout (results sorted by check
 name); diagnostics go to stderr.  Exit codes: 0 all requested properties hold,
 1 some property failed (the report carries a witness), 2 usage error, 3 a size
 cap was exceeded.
+
+Each command's flags are declared once, in _COMMANDS.  A command's argv is
+read straight against that table; argparse, built from the same table and
+imported only then, gets the whole argv at the first token the table cannot
+read exactly as argparse would, so it runs only to print help, the version or
+a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import __version__, chordal, cycles, structure, treemodel
 from .claims import CLAIMS, CheckResult, ClaimRun, model_check, run_claim, spanning_check
@@ -56,13 +63,6 @@ def _parse_sizes(raw, k):
         raise GraphError(f"could not parse clique sizes {raw!r}")
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type: an integer >= 1, so a bad value is a usage error."""
-    if not raw.isdecimal() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return int(raw)
-
-
 # each --family value: its builder, called by name so that a wrapper put on
 # the name applies, and its parameters in the order its description prints them
 _FAMILIES = {
@@ -78,18 +78,14 @@ _FAMILIES = {
 }
 
 
-# each flag that names a graph or sets a parameter, by its attribute in args
-_FLAGS = {"input": "--input", "sidecar": "--sidecar", "family": "--family", "k": "--k",
-          "m": "--m", "sizes": "--sizes", "x_order": "--x-order", "n": "--n",
-          "which": "--which", "s_set": "--set"}
-
-
 def _refuse_unread(args, owner: str, reads) -> None:
-    """A usage error naming the first flag of _FLAGS that args sets and
-    `owner`, which reads the attributes `reads`, does not read."""
-    for attr, flag in _FLAGS.items():
-        if attr not in reads and getattr(args, attr, None) is not None:
-            raise GraphError(f"{owner} does not take {flag}")
+    """A usage error naming the first of certify's flags but --mode (each
+    names a graph or sets a parameter) that args sets and `owner`, which
+    reads the attributes `reads`, does not read."""
+    for option, flag in _COMMANDS["certify"][1].items():
+        if flag.dest not in reads and option != "--mode" and \
+                getattr(args, flag.dest, None) is not None:
+            raise GraphError(f"{owner} does not take {option}")
 
 
 def _family_params(args) -> dict:
@@ -216,7 +212,7 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     mode = args.mode
     params = {p: _parse_sizes(val, args.k) if p == "sizes" else val
-              for p in ("k", "m", "sizes", "x_order", "n", "s_set")
+              for p in (*(f.dest for f in _PARAMETERS.values()), _SET.dest)
               if (val := getattr(args, p)) is not None}
 
     if mode in ("extendibility", "s-extendibility"):
@@ -266,73 +262,137 @@ def cmd_model(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
-def _add_family_args(p, require=False):
-    p.add_argument("--family", required=require, choices=list(_FAMILIES))
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--sizes", help="comma-separated clique sizes, one per heavy edge")
-    p.add_argument("--x-order", dest="x_order", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--which", type=int, choices=[1, 2, 3])
+def _positive_int(raw: str) -> int:
+    """An integer >= 1; anything else is a usage error."""
+    if not raw.isdecimal() or int(raw) < 1:
+        import argparse
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _jump_set(raw: str) -> tuple[int, ...]:
+    """--set's value: comma-separated positive integers."""
+    return tuple(map(_positive_int, raw.split(",")))
+
+
+# One flag of a command: the attribute it sets, how its value is read (None
+# for a switch, which sets True), the values it may take (None: any its
+# reader returns), whether it is required, and its help metavar and text.
+_Flag = namedtuple("_Flag", "dest read choices required metavar help",
+                   defaults=(str, None, False, None, None))
+
+_FAMILY = _Flag("family", choices=tuple(_FAMILIES))
+# the flags that set a family's or a claim's parameter, in report order
+_PARAMETERS = {
+    "--k": _Flag("k", int),
+    "--m": _Flag("m", int),
+    "--sizes": _Flag("sizes", help="comma-separated clique sizes, one per heavy edge"),
+    "--x-order": _Flag("x_order", int),
+    "--n": _Flag("n", int),
+    "--which": _Flag("which", int, (1, 2, 3)),
+}
+_SET = _Flag("s_set", _jump_set, metavar="SET",
+             help="extension lengths for s-extendibility, e.g. 1,2")
+
+# each command: its help line and its flags by option string, in help order;
+# a name without a leading "-" is a positional that may be left out
+_COMMANDS = {
+    "generate": ("write a family member as graph6 + JSON sidecar", {
+        "--family": _FAMILY._replace(required=True), **_PARAMETERS,
+        "--out": _Flag("out", help="output base path (writes <out>.g6 and <out>.json)")}),
+    "check": ("run recognizers against a graph", {
+        "input": _Flag("input", help="graph6 file"),
+        "--sidecar": _Flag("sidecar", help="roles/heavy-edges JSON"),
+        "--family": _FAMILY, **_PARAMETERS,
+        "--chordal": _Flag("chordal", None),
+        "--strongly-chordal": _Flag("strongly_chordal", None),
+        "--hamiltonian": _Flag("hamiltonian", None),
+        "--connectivity": _Flag("connectivity", None),
+        "--induced-path": _Flag("induced_path", None),
+        "--pt-free": _Flag("pt_free", _positive_int, metavar="T"),
+        "--bull-free": _Flag("bull_free", None)}),
+    "certify": ("run extendibility engines or a named claim", {
+        "--input": _Flag("input", help="graph6 file"),
+        "--sidecar": _Flag("sidecar"),
+        "--family": _FAMILY, **_PARAMETERS,
+        "--mode": _Flag("mode", required=True,
+                        help="extendibility | s-extendibility | lemma:<id>"),
+        "--set": _SET}),
+    "model": ("emit a subtree intersection model", {
+        "--input": _Flag("input", help="graph6 file (clique tree mode)"),
+        "--sidecar": _Flag("sidecar"),
+        "--family": _FAMILY, **_PARAMETERS,
+        "--verify": _Flag("verify", None)}),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parsing leaves it
-    unchanged).  Its `commands` attribute maps each command to its subparser."""
+def build_parser():
+    """The argparse.ArgumentParser of _COMMANDS, built once per process
+    (parsing leaves it unchanged)."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="hendry",
         description="Generate and certify Hamiltonian chordal graphs that do not extend cycles.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a family member as graph6 + JSON sidecar")
-    _add_family_args(gen, require=True)
-    gen.add_argument("--out", help="output base path (writes <out>.g6 and <out>.json)")
-
-    chk = sub.add_parser("check", help="run recognizers against a graph")
-    chk.add_argument("input", nargs="?", help="graph6 file")
-    chk.add_argument("--sidecar", help="roles/heavy-edges JSON")
-    _add_family_args(chk)
-    chk.add_argument("--chordal", action="store_true")
-    chk.add_argument("--strongly-chordal", dest="strongly_chordal", action="store_true")
-    chk.add_argument("--hamiltonian", action="store_true")
-    chk.add_argument("--connectivity", action="store_true")
-    chk.add_argument("--induced-path", dest="induced_path", action="store_true")
-    chk.add_argument("--pt-free", dest="pt_free", type=_positive_int, metavar="T")
-    chk.add_argument("--bull-free", dest="bull_free", action="store_true")
-
-    cert = sub.add_parser("certify", help="run extendibility engines or a named claim")
-    cert.add_argument("--input", help="graph6 file")
-    cert.add_argument("--sidecar")
-    _add_family_args(cert)
-    cert.add_argument("--mode", required=True,
-                      help="extendibility | s-extendibility | lemma:<id>")
-    cert.add_argument("--set", dest="s_set", metavar="SET",
-                      type=lambda raw: tuple(map(_positive_int, raw.split(","))),
-                      help="extension lengths for s-extendibility, e.g. 1,2")
-
-    mod = sub.add_parser("model", help="emit a subtree intersection model")
-    mod.add_argument("--input", help="graph6 file (clique tree mode)")
-    mod.add_argument("--sidecar")
-    _add_family_args(mod)
-    mod.add_argument("--verify", action="store_true")
-    ap.commands = sub.choices
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option, f in flags.items():
+            if option[0] != "-":
+                p.add_argument(option, nargs="?", help=f.help)
+            elif f.read is None:
+                p.add_argument(option, dest=f.dest, action="store_true", help=f.help)
+            else:
+                p.add_argument(option, dest=f.dest, type=f.read, choices=f.choices,
+                               required=f.required, metavar=f.metavar, help=f.help)
     return ap
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the top-level parser would: a known command goes straight
-    to its subparser, which is most of the top-level parser's work; anything
-    else (no command, an unknown one, -h, --version) goes to the top level."""
-    ap = build_parser()
-    cmd = ap.commands.get(argv[0]) if argv else None
-    if cmd is None:
-        return ap.parse_args(argv)
-    args, extra = cmd.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+def _read(command: str, tokens: list[str]) -> dict | None:
+    """The attributes that command's tokens set, read as argparse reads them,
+    or None from the first token it might read otherwise or refuse: an option
+    string not command's own (an abbreviation, --x=y, --, -h), a value that
+    starts with "-" (which argparse may read as a negative number or an
+    option), is missing, or is refused by its reader or choices, a positional
+    past the command's, or, at the end, a required flag not given."""
+    flags = _COMMANDS[command][1]
+    args = {"command": command, **{f.dest: None if f.read else False for f in flags.values()}}
+    free, tokens = [f.dest for option, f in flags.items() if option[0] != "-"], iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            if not free:
+                return None
+            args[free.pop(0)] = token
+            continue
+        flag = flags.get(token)
+        if flag is None:
+            return None
+        if flag.read is None:
+            args[flag.dest] = True
+            continue
+        raw = next(tokens, None)
+        if raw is None or raw[:1] == "-":
+            return None
+        try:
+            value = flag.read(raw)
+        except Exception:  # argparse reads it again and reports or raises it
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        args[flag.dest] = value
+    if any(f.required and args[f.dest] is None for f in flags.values()):
+        return None
     return args
+
+
+def _parse(argv: list[str]):
+    """argv parsed as build_parser().parse_args parses it: a known command's
+    argv is read by _read, and what _read cannot read (and anything but a
+    known command) goes to argparse, which prints help, the version or a
+    usage error and exits."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:

@@ -141,6 +141,11 @@ def _mask_of(vertices) -> int:
     return m
 
 
+def _closed_masks(masks: list[int]) -> list[int]:
+    """Each vertex's closed neighbourhood: its row of masks plus itself."""
+    return [m | 1 << v for v, m in enumerate(masks)]
+
+
 def _row_groups(rows) -> dict[int, int]:
     """Each distinct entry of rows, in order of first appearance, mapped to
     the mask of the positions holding it."""

@@ -52,8 +52,8 @@ import math
 import os
 from collections import namedtuple
 
-from .core import (Cycle, GraphError, LabeledGraph, SizeCapError, _mask_of, _row_groups, _step,
-                   bits_of, reach)
+from .core import (Cycle, GraphError, LabeledGraph, SizeCapError, _closed_masks, _mask_of,
+                   _row_groups, _step, bits_of, reach)
 
 DEFAULT_SUBSET_CAP = 24
 HARD_SUBSET_CAP = 26
@@ -567,7 +567,7 @@ def _pastes(adj) -> tuple[dict[tuple[int, int], int], int, int]:
     is in any set, and each pair ab has one set.  a and b need not be adjacent.
     """
     full = (1 << len(adj)) - 1
-    closed = _row_groups(nb | 1 << v for v, nb in enumerate(adj))
+    closed = _row_groups(_closed_masks(adj))
     pastes: dict[tuple[int, int], int] = {}
     removed = ends = 0
     for nb, p in sorted(closed.items()):

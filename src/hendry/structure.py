@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .chordal import mcs_order
-from .core import GraphError, LabeledGraph, SizeCapError, _row_groups, _step, bits_of
+from .core import (GraphError, LabeledGraph, SizeCapError, _closed_masks, _row_groups, _step,
+                   bits_of)
 
 INDUCED_PATH_CAP = 25
 
@@ -171,9 +172,10 @@ def longest_induced_path(g: LabeledGraph):
     if g.n == 0:
         return 0, ()
     masks = g.adjacency_masks()
-    opened, closed = _row_groups(masks), _row_groups(m | 1 << v for v, m in enumerate(masks))
+    rows = _closed_masks(masks)
+    opened, closed = _row_groups(masks), _row_groups(rows)
     # the twins of v below v
-    lower = [(opened[m] | closed[m | 1 << v]) & (1 << v) - 1 for v, m in enumerate(masks)]
+    lower = [(opened[masks[v]] | closed[row]) & (1 << v) - 1 for v, row in enumerate(rows)]
     memo: list[dict[int, int]] = [{} for _ in range(g.n)]
 
     def best_from(last: int, eligible: int) -> int:

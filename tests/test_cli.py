@@ -701,6 +701,64 @@ def test_command_parse_matches_the_top_level_parser(capsys):
     assert codes.count(None) >= 8 and codes.count(0) >= 5 and codes.count(2) >= 15
 
 
+# values a flag may be given, read or refused: negative, zero, not a number,
+# empty parts, a padded number, family names and a file name
+PARSE_VALUES = ["-1", "0", "1", "3", "01", "x", "1,,2", "3,4", " 3", "", "g.g6", "lemma:2.3",
+                "extendibility", *cli._FAMILIES]
+PARSE_SPECIALS = ["--", "-", "-h", "--help", "--version", "--bogus"]
+PARSE_REQUIRED = {"generate": ("--family", "dn"), "certify": ("--mode", "lemma:2.3")}
+
+
+def test_command_parse_matches_the_top_level_parser_on_drawn_argvs(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    options = sorted({o for _, flags in cli._COMMANDS.values() for o in flags if o[0] == "-"})
+    # a value each option reads; an option not listed is a switch
+    good_values = {**FLAG_VALUES, "--family": "gk", "--out": "g", "--input": "g.g6",
+                   "--sidecar": "g.json", "--pt-free": "5", "--mode": "extendibility"}
+    read = []
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+        own = [o for o in cli._COMMANDS[command][1] if o[0] == "-"]
+        good = st.sampled_from([(o, good_values[o]) if o in good_values else (o,) for o in own])
+        value = st.sampled_from(PARSE_VALUES)
+        option = st.one_of(
+            st.sampled_from(own), st.sampled_from(options), st.sampled_from(PARSE_SPECIALS),
+            st.builds(lambda o, i: o[:i], st.sampled_from(options), st.integers(2, 8)),
+            st.builds(lambda o, v: f"{o}={v}", st.sampled_from(own), value))
+        dashed = st.sampled_from(options + PARSE_SPECIALS)  # a value argparse may not take
+        other = st.one_of(st.tuples(option, value), st.tuples(option), st.tuples(value),
+                          st.tuples(st.sampled_from(own), dashed))
+        # most chunks are read by the table, and most argvs give the required flag
+        chunks = draw(st.lists(st.integers(0, 9).flatmap(lambda i: good if i < 8 else other),
+                               max_size=6))
+        if command in PARSE_REQUIRED and draw(st.integers(0, 3)):
+            chunks.insert(draw(st.integers(0, len(chunks))), PARSE_REQUIRED[command])
+        return [command, *(t for c in chunks for t in c)]
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        got = _parsed(capsys, cli._parse, argv)
+        assert got == _parsed(capsys, cli.build_parser().parse_args, argv)
+        read.append(got[0] is None)
+
+    check()
+    # both the table's reader and argparse's usage errors are exercised
+    assert 0.1 < sum(read) / len(read) < 0.9, sum(read)
+
+
+def test_certify_reports_every_parameter_flag(capsys):
+    code, stdout, _ = run_cli(capsys, "certify", "--family", "hendry-exception", "--which", "1",
+                              "--n", "15", "--mode", "extendibility")
+    rep = report_of(stdout)
+    assert code == 1
+    assert rep["input"] == "hendry-exception(which=1, n=15)"
+    assert rep["parameters"] == {"n": 15, "which": 1}
+
+
 def test_jk_below_k3_is_blamed_on_jk(capsys):
     for argv in (("check", "--family", "jk", "--k", "2", "--chordal"),
                  ("model", "--family", "jk", "--k", "2"),

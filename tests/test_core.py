@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -31,6 +32,7 @@ from hendry import (
 from hendry.core import shortest_path
 from hendry.cycles import _Kernel
 from oracles import contract_parts, cycle_graph, gnp, induced, is_isomorphic, same_adjacency
+from test_cli_golden import README
 
 
 PUBLIC_NAMES = {
@@ -71,6 +73,29 @@ def test_importing_the_cli_generates_no_code():
                                text=True, check=True, timeout=60).stdout.split())
     assert "hendry.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
+def test_valid_commands_do_not_load_argparse(tmp_path):
+    """A fresh interpreter runs the README's commands through cli.main (their
+    reports, on stdout, are not read) without loading argparse or gettext; a
+    usage error loads argparse, which prints it."""
+    probe = """
+import contextlib, io, json, sys
+import hendry.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hendry.cli.main(line.split()) for line in json.loads(sys.argv[1])]
+loaded = sorted({"argparse", "gettext"} & set(sys.modules))
+bogus = hendry.cli.main(["check", "--bogus"])
+print(json.dumps([codes, loaded, bogus, "argparse" in sys.modules]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(hendry.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", probe, json.dumps(README)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True, timeout=120)
+    codes, loaded, bogus, argparse_loaded = json.loads(run.stdout)
+    assert set(codes) <= {0, 1} and loaded == []
+    assert (bogus, argparse_loaded) == (2, True)
+    assert run.stderr == ("usage: hendry [-h] [--version] {generate,check,certify,model} ...\n"
+                          "hendry: error: unrecognized arguments: --bogus\n")
 
 
 # each immutable value type with the fields of one value; the last two hold a
